@@ -1,7 +1,6 @@
 // Command simbench runs the simulation-core benchmarks — the
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesimSchedule*,
-// BenchmarkTimingWheel, BenchmarkSweep*, BenchmarkServe*) plus the
-// whole-pipeline macro
+// BenchmarkSweep*, BenchmarkServe*) plus the whole-pipeline macro
 // benchmarks BenchmarkRepro, BenchmarkShardedRun and BenchmarkPlan — through `go test
 // -bench` and records ns/op, B/op, allocs/op and (for the whole-run
 // benchmarks) events/s in a JSON file, so the performance trajectory of
@@ -118,7 +117,7 @@ func main() {
 	man.Config = map[string]string{"benchtime": *benchtime, "macrotime": *macrotime}
 
 	records := runBench(
-		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkTimingWheel|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",
+		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",
 		*benchtime, true,
 		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve")
 	// The whole-run shard benchmark is ~10^5 slower per op than the

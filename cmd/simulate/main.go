@@ -65,7 +65,6 @@ func main() {
 	reps := flag.Int("reps", 1, "independent replications (seed, seed+1, ...); >1 reports confidence intervals")
 	workers := flag.Int("workers", 0, "parallel replication workers (0 = all CPUs); never changes results")
 	shards := flag.Int("shards", 0, "parallel shards within one run, capped at the scenario's coupling components (0 = unsharded); never changes results")
-	queue := flag.String("queue", "", `desim event queue: "auto", "heap" or "wheel" (empty = auto); never changes results`)
 	precision := flag.Float64("precision", 0, "stop replicating once the 95% CI of pooled loss is relatively this tight (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the replication study (0 = none)")
 	scenarioFile := flag.String("scenario", "", `run a scenario JSON file ("-" = stdin) instead of the flag-built case study`)
@@ -91,11 +90,6 @@ func main() {
 	}
 	if *shards < 0 {
 		die("-shards must be >= 0 (0 disables sharding), got %d", *shards)
-	}
-	switch *queue {
-	case "", "auto", "heap", "wheel":
-	default:
-		die(`-queue must be "auto", "heap" or "wheel", got %q`, *queue)
 	}
 
 	explicit := map[string]bool{}
@@ -123,8 +117,7 @@ func main() {
 			alloc: *alloc, period: *period, cost: *cost,
 			horizon: *horizon, seed: *seed, mtbf: *mtbf, mttr: *mttr,
 			classes: *classes, reps: *reps, workers: *workers,
-			shards: *shards, queue: *queue,
-			precision: *precision, timeout: *timeout,
+			shards: *shards, precision: *precision, timeout: *timeout,
 		})
 	}
 	if err != nil {
@@ -251,7 +244,7 @@ func main() {
 var shapingFlags = []string{
 	"mode", "hosts", "web-servers", "db-servers", "intensity", "web-rate",
 	"db-rate", "alloc", "period", "cost", "horizon", "seed", "mtbf", "mttr",
-	"classes", "reps", "workers", "shards", "queue", "precision", "timeout",
+	"classes", "reps", "workers", "shards", "precision", "timeout",
 }
 
 // checkFlagConflicts rejects contradictory combinations up front, before
@@ -322,7 +315,6 @@ type flagValues struct {
 	classes               string
 	reps, workers         int
 	shards                int
-	queue                 string
 	precision             float64
 	timeout               time.Duration
 }
@@ -387,7 +379,6 @@ func flagScenario(v flagValues) (scenario.Scenario, error) {
 			TimeoutSec: v.timeout.Seconds(),
 		}
 	}
-	s.EventQueue = v.queue
 	return s, nil
 }
 

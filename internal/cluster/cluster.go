@@ -173,16 +173,6 @@ type Config struct {
 	// the event log).
 	Shards int
 
-	// EventQueue selects the discrete-event queue implementation per
-	// shard: "heap" (binary min-heap, the default engine), "wheel"
-	// (hierarchical timing wheel for dense short-horizon event mixes;
-	// sparse or far-future events spill to an internal overflow heap), or
-	// ""/"auto" (heap for sequential runs — keeping default output
-	// byte-identical release to release — and a density estimate for
-	// sharded runs). The queues pop in the identical total order, so the
-	// choice never changes results.
-	EventQueue string
-
 	// Pool, when non-nil, bounds the extra goroutines a sharded run may
 	// claim. The caller is assumed to hold one slot for the run itself
 	// (the replication engine's worker); up to Shards-1 extra slots are
@@ -290,11 +280,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("%w: shards %d (negative; 0 means sequential)", ErrInvalidConfig, c.Shards)
-	}
-	switch c.EventQueue {
-	case "", "auto", "heap", "wheel":
-	default:
-		return fmt.Errorf("%w: event queue %q (want auto, heap or wheel)", ErrInvalidConfig, c.EventQueue)
 	}
 	if c.Mode == Consolidated {
 		// Memory placement: every consolidated host carries one VM per

@@ -127,7 +127,6 @@ func Run(cfg Config) (*Result, error) {
 			r.sims[s] = desim.New()
 		}
 	}
-	r.applyQueue()
 	if cfg.Tracer != nil {
 		r.sims[0].SetTracer(cfg.Tracer) // planShards forced nshards = 1
 	}

@@ -97,58 +97,6 @@ func (r *runner) shardOf(svc int) int {
 	return r.svcShard[svc]
 }
 
-// wheelAutoThreshold is the estimated event count beyond which "auto"
-// prefers the timing wheel on sharded runs. Below it the heap's smaller
-// constant factors win; the choice never changes results either way.
-const wheelAutoThreshold = 1 << 17
-
-// estimatedEvents is a coarse event-volume forecast used only for queue
-// selection: expected requests (open loop: rate × horizon; closed loop:
-// clients × horizon / the 7 s default think time) times a small constant
-// for per-resource completions and reschedule churn.
-func (c *Config) estimatedEvents() float64 {
-	total := 0.0
-	for i := range c.Services {
-		s := &c.Services[i]
-		switch {
-		case s.Arrivals != nil:
-			total += s.Arrivals.Rate() * c.Horizon
-		case s.Clients > 0:
-			total += float64(s.Clients) * c.Horizon / 7
-		}
-	}
-	return 4 * total
-}
-
-// applyQueue configures every shard simulator's event queue before any
-// event is scheduled. "auto" (or empty) keeps the heap for sequential
-// runs — the default single-shard engine stays byte-identical, engine
-// counters included — and picks by estimated density for sharded runs.
-// Arena-pooled simulators may arrive in either mode from a previous run,
-// so both branches set the mode explicitly.
-func (r *runner) applyQueue() {
-	kind := r.cfg.EventQueue
-	if kind == "" || kind == "auto" {
-		kind = "heap"
-		if r.nshards > 1 && r.cfg.estimatedEvents() >= wheelAutoThreshold {
-			kind = "wheel"
-		}
-	}
-	if kind == "wheel" {
-		// Granularity: 2^20 ticks per horizon puts the dense head of the
-		// queue on the wheel's fine levels while the 2^24-tick span still
-		// covers 16 horizons before anything spills to the overflow heap.
-		tick := r.cfg.Horizon / (1 << 20)
-		for _, sim := range r.sims {
-			sim.UseWheel(tick)
-		}
-		return
-	}
-	for _, sim := range r.sims {
-		sim.UseHeap()
-	}
-}
-
 // runShards executes every shard to the horizon. Sequential runs stay on
 // the caller's goroutine (identical to the pre-shard engine); parallel
 // runs claim up to nshards-1 extra pool slots non-blockingly — the caller

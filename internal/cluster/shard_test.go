@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/desim"
 	"repro/internal/obs"
 	"repro/internal/pool"
 )
@@ -75,45 +74,6 @@ func TestPlanShardsClamps(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-func TestApplyQueueSelection(t *testing.T) {
-	cases := []struct {
-		name   string
-		queue  string
-		shards int
-		rate   float64
-		want   string
-	}{
-		{"default sequential stays heap", "", 1, 1e5, "heap"},
-		{"auto sequential stays heap", "auto", 1, 1e5, "heap"},
-		{"auto dense sharded picks wheel", "", 4, 1e5, "wheel"},
-		{"auto sparse sharded keeps heap", "", 4, 10, "heap"},
-		{"forced wheel", "wheel", 1, 10, "wheel"},
-		{"forced heap", "heap", 4, 1e5, "heap"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := fourServiceConfig(tc.shards)
-			cfg.EventQueue = tc.queue
-			for i := range cfg.Services {
-				if cfg.Services[i].Arrivals != nil {
-					cfg.Services[i] = webSpec(tc.rate, cfg.Services[i].DedicatedServers)
-				}
-			}
-			r := planFor(t, cfg)
-			r.sims = make([]*desim.Simulator, r.nshards)
-			for s := range r.sims {
-				r.sims[s] = desim.New()
-			}
-			r.applyQueue()
-			for s, sim := range r.sims {
-				if got := sim.QueueKind(); got != tc.want {
-					t.Fatalf("shard %d queue = %s, want %s", s, got, tc.want)
-				}
-			}
-		})
-	}
-}
 
 // TestShardedRunMatchesSequential pins determinism at the cluster level
 // with a mixed open/closed fleet, failure injection and a bounded pool

@@ -26,40 +26,6 @@ func BenchmarkDesimSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingWheel compares the two event-queue implementations on a
-// dense short-horizon mix (the cluster's think-time + service-completion
-// pattern): many events land within a few ticks of now, a tail lands far
-// out. Sub-benchmarks share the workload so heap vs wheel ns/op is a
-// direct read of queue cost.
-func BenchmarkTimingWheel(b *testing.B) {
-	const batchSize = 256
-	run := func(b *testing.B, s *Simulator) {
-		fn := func() {}
-		for k := 0; k < batchSize; k++ {
-			s.After(Time(k%13)*0.5+0.1, fn)
-		}
-		s.RunAll()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < batchSize; k++ {
-				d := Time(k%13)*0.5 + 0.1
-				if k%64 == 0 {
-					d = 5000 // sparse far tail
-				}
-				s.After(d, fn)
-			}
-			s.RunAll()
-		}
-	}
-	b.Run("queue=heap", func(b *testing.B) { run(b, New()) })
-	b.Run("queue=wheel", func(b *testing.B) {
-		s := New()
-		s.UseWheel(0.25)
-		run(b, s)
-	})
-}
-
 // BenchmarkDesimScheduleCancel measures the schedule→cancel→reap path —
 // the cluster simulator's reschedule pattern, where nearly every pending
 // completion event is cancelled and replaced before it fires.

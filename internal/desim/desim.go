@@ -102,12 +102,6 @@ type Simulator struct {
 	compactions    uint64
 	maxQueue       int
 
-	// wheel, when non-nil, replaces the binary heap with the hierarchical
-	// timing wheel (see wheel.go); wheelSpare parks a built wheel across
-	// UseHeap/UseWheel flips so alternating runs reuse its storage.
-	wheel      *timingWheel
-	wheelSpare *timingWheel
-
 	tracer Tracer
 }
 
@@ -209,9 +203,6 @@ func (s *Simulator) Reset() {
 	s.queue = s.queue[:0]
 	s.now, s.seq, s.cancelled, s.stopped = 0, 0, 0, false
 	s.fired, s.scheduled, s.cancelledTotal, s.compactions, s.maxQueue = 0, 0, 0, 0, 0
-	if s.wheel != nil {
-		s.wheel.reset()
-	}
 }
 
 // Now reports the current simulated time.
@@ -240,17 +231,10 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 	ev := &s.arena[idx]
 	ev.at, ev.seq, ev.fn, ev.state = t, s.seq, fn, statePending
 	s.seq++
-	if s.wheel != nil {
-		s.wheel.insert(idx, t)
-		if n := s.wheel.pending(); n > s.maxQueue {
-			s.maxQueue = n
-		}
-	} else {
-		s.queue = append(s.queue, idx)
-		s.siftUp(len(s.queue) - 1)
-		if len(s.queue) > s.maxQueue {
-			s.maxQueue = len(s.queue)
-		}
+	s.queue = append(s.queue, idx)
+	s.siftUp(len(s.queue) - 1)
+	if len(s.queue) > s.maxQueue {
+		s.maxQueue = len(s.queue)
 	}
 	s.scheduled++
 	if s.tracer != nil {
@@ -272,9 +256,6 @@ func (s *Simulator) Stop() { s.stopped = true }
 // horizon do fire; later events stay queued. It returns the number of
 // events executed during this call.
 func (s *Simulator) Run(horizon Time) uint64 {
-	if s.wheel != nil {
-		return s.runWheel(horizon)
-	}
 	s.stopped = false
 	var count uint64
 	for len(s.queue) > 0 && !s.stopped {
@@ -311,44 +292,6 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	return count
 }
 
-// runWheel is the Run loop over the timing-wheel queue: identical fire
-// semantics, with the pop coming off the wheel's due-heap instead of the
-// main binary heap.
-func (s *Simulator) runWheel(horizon Time) uint64 {
-	s.stopped = false
-	var count uint64
-	w := s.wheel
-	for !s.stopped {
-		idx, ok := w.next()
-		if !ok {
-			break
-		}
-		ev := &s.arena[idx]
-		if ev.at > horizon {
-			break
-		}
-		w.popCur()
-		if ev.state == stateCancelled {
-			s.cancelled--
-			s.release(idx)
-			continue
-		}
-		s.now = ev.at
-		fn := ev.fn
-		s.release(idx)
-		if s.tracer != nil {
-			s.tracer.TraceEvent(TraceFire, s.now, s.now)
-		}
-		fn()
-		s.fired++
-		count++
-	}
-	if s.now < horizon && !s.stopped && !math.IsInf(horizon, 1) {
-		s.now = horizon
-	}
-	return count
-}
-
 // RunAll executes events until the queue is empty or Stop is called.
 func (s *Simulator) RunAll() uint64 {
 	return s.Run(math.Inf(1))
@@ -357,9 +300,6 @@ func (s *Simulator) RunAll() uint64 {
 // Pending reports the number of events still queued (including cancelled
 // events not yet reaped).
 func (s *Simulator) Pending() int {
-	if s.wheel != nil {
-		return s.wheel.pending()
-	}
 	return len(s.queue)
 }
 
@@ -379,18 +319,6 @@ func (s *Simulator) release(idx int32) {
 // entries never changes the firing order of live events: pop order is the
 // total order (at, seq), independent of the heap's internal arrangement.
 func (s *Simulator) maybeCompact() {
-	if s.wheel != nil {
-		if s.cancelled <= s.wheel.pending()/2 || s.wheel.pending() < 64 {
-			return
-		}
-		s.wheel.compact()
-		s.cancelled = 0
-		s.compactions++
-		if s.tracer != nil {
-			s.tracer.TraceEvent(TraceCompact, s.now, s.now)
-		}
-		return
-	}
 	if s.cancelled <= len(s.queue)/2 || len(s.queue) < 64 {
 		return
 	}

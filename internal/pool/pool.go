@@ -112,10 +112,14 @@ func (p *Pool) Release() {
 	if p == nil {
 		return
 	}
+	// Leave the active count before freeing the slot: a waiting Acquire
+	// takes the slot the moment it is free, and counting it while this
+	// holder still counts would record a peak of size+1.
+	p.active.Add(-1)
 	select {
 	case <-p.slots:
-		p.active.Add(-1)
 	default:
+		p.active.Add(1)
 		panic("pool: Release without a matching Acquire")
 	}
 }

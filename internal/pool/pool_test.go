@@ -147,8 +147,42 @@ func TestTryAcquire(t *testing.T) {
 	nilPool.Release()
 }
 
+// TestPeakNeverExceedsSize: a contended one-slot pool must never report
+// a peak above its size, although a waiting Acquire takes the slot the
+// instant Release frees it. That hand-over window is narrow, hence many
+// short trials.
+func TestPeakNeverExceedsSize(t *testing.T) {
+	const trials, workers, pairs = 1000, 9, 100
+	ctx := context.Background()
+	for trial := 0; trial < trials; trial++ {
+		p, err := New(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < pairs; i++ {
+					if err := p.Acquire(ctx); err != nil {
+						t.Error(err)
+						return
+					}
+					p.Release()
+				}
+			}()
+		}
+		wg.Wait()
+		if got := p.Peak(); got != 1 {
+			t.Fatalf("trial %d: Peak = %d on a one-slot pool", trial, got)
+		}
+	}
+}
+
 // TestUnpairedReleasePanics: an unbalanced Release must fail loudly at the
-// bug, not grow the slot count and deadlock a later Acquire.
+// bug, not grow the slot count and deadlock a later Acquire, and must
+// leave the active count as it found it.
 func TestUnpairedReleasePanics(t *testing.T) {
 	p, err := New(1)
 	if err != nil {
@@ -157,6 +191,9 @@ func TestUnpairedReleasePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unpaired Release did not panic")
+		}
+		if got := p.Active(); got != 0 {
+			t.Fatalf("Active = %d after an unpaired Release", got)
 		}
 	}()
 	p.Release()

@@ -95,7 +95,6 @@ func (s Scenario) Compile() (Compiled, error) {
 	}
 	cc.HostMemoryGB = s.Fleet.HostMemoryGB
 	cc.Dom0MemoryGB = s.Fleet.Dom0MemoryGB
-	cc.EventQueue = s.EventQueue
 
 	r := s.Replication
 	cc.Shards = r.Shards

@@ -82,12 +82,6 @@ type Scenario struct {
 	// a single run.
 	Replication *Replication `json:"replication,omitempty"`
 
-	// EventQueue selects the discrete-event queue implementation per
-	// shard: "heap", "wheel", or ""/"auto" (heap for sequential runs, a
-	// density heuristic for sharded ones). The queues fire events in the
-	// identical order, so the choice never changes results.
-	EventQueue string `json:"event_queue,omitempty"`
-
 	// Periods, when non-nil, makes the scenario time-aware: named time
 	// bins scaling the services' arrival rates (defaulting to the
 	// canonical 24-bin diurnal day). Periods scenarios do not compile to
@@ -482,11 +476,6 @@ func (s Scenario) validate() error {
 		if r.Shards < 0 {
 			return fmt.Errorf("%w: replication shards %d", ErrInvalid, r.Shards)
 		}
-	}
-	switch s.EventQueue {
-	case "", "auto", "heap", "wheel":
-	default:
-		return fmt.Errorf("%w: event_queue %q (want auto, heap or wheel)", ErrInvalid, s.EventQueue)
 	}
 	if s.Periods != nil {
 		if err := s.Periods.validate(s.Services); err != nil {

@@ -254,6 +254,7 @@ func TestParseRejects(t *testing.T) {
 		`{"services": [], "typo_field": 1}`,
 		`{"services": []}{"services": []}`, // trailing garbage
 		`[1, 2, 3]`,
+		`{"services": [], "event_queue": "heap"}`, // a retired field: old files carrying it must fail loudly
 	}
 	for _, in := range bad {
 		if _, err := ParseBytes([]byte(in)); err == nil {

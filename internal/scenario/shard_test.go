@@ -18,11 +18,12 @@ import (
 // dispatch, admission and completion path.
 const shardTestHorizon = 4.0
 
-// runExampleAt compiles one example scenario and runs a single cluster
-// replication at the given shard count, returning the Result with the Obs
-// snapshot stripped (per-shard engine counters legitimately differ between
-// shard layouts; the physics must not).
-func runExampleAt(t *testing.T, file string, shards int, queue string) *cluster.Result {
+// runExampleAt compiles one example scenario, caps its horizon and warmup
+// at the given values and runs a single cluster replication at the given
+// shard count, returning the Result with the Obs snapshot stripped
+// (per-shard engine counters legitimately differ between shard layouts;
+// the physics must not).
+func runExampleAt(t *testing.T, file string, shards int, horizon, warmup float64) *cluster.Result {
 	t.Helper()
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -32,12 +33,11 @@ func runExampleAt(t *testing.T, file string, shards int, queue string) *cluster.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Horizon > shardTestHorizon {
-		s.Horizon = shardTestHorizon
+	if s.Horizon > horizon {
+		s.Horizon = horizon
 	}
-	if s.Warmup != nil && *s.Warmup > 1 {
-		w := 1.0
-		s.Warmup = &w
+	if s.Warmup != nil && *s.Warmup > warmup {
+		s.Warmup = &warmup
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,6 @@ func runExampleAt(t *testing.T, file string, shards int, queue string) *cluster.
 	}
 	cfg := c.Cluster
 	cfg.Shards = shards
-	cfg.EventQueue = queue
 	res, err := cluster.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +62,13 @@ func runExampleAt(t *testing.T, file string, shards int, queue string) *cluster.
 // 1, 2 and 4 — byte-for-byte equal service metrics, host utilizations,
 // failure counts and windows. Sharding partitions the run across coupling
 // components, which exchange no events, so any divergence is a bug in the
-// partitioning, the per-shard arenas, or the merge.
+// partitioning, the per-shard arenas, the merge or the event queue.
 func TestShardedExamplesMatchUnsharded(t *testing.T) {
+	type input struct {
+		name, file      string
+		horizon, warmup float64
+	}
+	var inputs []input
 	for _, file := range exampleFiles(t) {
 		name := strings.TrimSuffix(filepath.Base(file), ".json")
 		if strings.HasPrefix(name, "periods-") {
@@ -73,10 +77,17 @@ func TestShardedExamplesMatchUnsharded(t *testing.T) {
 			// covered by this corpus.
 			continue
 		}
-		t.Run(name, func(t *testing.T) {
-			want := runExampleAt(t, file, 1, "")
+		inputs = append(inputs, input{name, file, shardTestHorizon, 1})
+	}
+	// The sharded example also runs at the shape of CI's simulate -quick
+	// smoke (horizon and warmup divided by 8): a run this long schedules
+	// over 10^5 events, a regime the capped corpus never reaches.
+	inputs = append(inputs, input{"sharded-fleet-quick", filepath.Join(examplesDir, "sharded-fleet.json"), 15, 1.25})
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			want := runExampleAt(t, in.file, 1, in.horizon, in.warmup)
 			for _, n := range []int{2, 4} {
-				got := runExampleAt(t, file, n, "")
+				got := runExampleAt(t, in.file, n, in.horizon, in.warmup)
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("shards=%d diverged from shards=1:\nwant %v\ngot  %v", n, want, got)
 				}
@@ -85,26 +96,11 @@ func TestShardedExamplesMatchUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedQueueChoiceMatches pins the other half of the determinism
-// contract: for a fixed shard count, the heap and the timing-wheel queues
-// pop events in the identical order, so forcing either must reproduce the
-// auto-selected Result exactly.
-func TestShardedQueueChoiceMatches(t *testing.T) {
-	file := filepath.Join(examplesDir, "sharded-fleet.json")
-	want := runExampleAt(t, file, 4, "heap")
-	for _, queue := range []string{"auto", "wheel"} {
-		got := runExampleAt(t, file, 4, queue)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("queue=%s diverged from queue=heap:\nwant %v\ngot  %v", queue, want, got)
-		}
-	}
-}
-
 // TestShardedExampleProducesWork guards the fixture itself: the sharded
 // example must actually serve traffic in every service, or the determinism
 // assertions above would vacuously pass on an idle fleet.
 func TestShardedExampleProducesWork(t *testing.T) {
-	res := runExampleAt(t, filepath.Join(examplesDir, "sharded-fleet.json"), 4, "")
+	res := runExampleAt(t, filepath.Join(examplesDir, "sharded-fleet.json"), 4, shardTestHorizon, 1)
 	for _, svc := range res.Services {
 		if svc.Served == 0 || math.IsNaN(svc.Throughput) {
 			t.Errorf("service %s served nothing (throughput %v)", svc.Name, svc.Throughput)

@@ -16,7 +16,7 @@ import (
 // result when the engine's semantics change. Bump it whenever the
 // simulation physics, the scenario compiler, or the PointResult layout
 // changes meaning.
-const EngineVersion = "sweep-engine/v1"
+const EngineVersion = "sweep-engine/v2"
 
 // DefaultCacheDir is where the tools memoize completed points.
 const DefaultCacheDir = "artifacts/cache"
@@ -144,11 +144,10 @@ func Key(parts ...string) string {
 
 // PointKey derives the content address of one scenario point: the SHA-256
 // of (engine version, resolved scenario JSON, replication config). The
-// replication worker and shard counts are zeroed and the event-queue
-// selection blanked first — they change wall-clock time, never results,
-// so they must not split the cache — and scenarios with a wall-clock
-// timeout are not cacheable at all (the completed prefix depends on
-// machine speed), which cacheablePoint guards.
+// replication worker and shard counts are zeroed first — they change
+// wall-clock time, never results, so they must not split the cache — and
+// scenarios with a wall-clock timeout are not cacheable at all (the
+// completed prefix depends on machine speed), which cacheablePoint guards.
 func PointKey(s scenario.Scenario) (string, error) {
 	return newPointKeyer().key(s)
 }
@@ -186,7 +185,6 @@ func (k *pointKeyer) key(s scenario.Scenario) (string, error) {
 	k.rep.Workers = 0
 	k.rep.Shards = 0
 	s.Replication = &k.rep
-	s.EventQueue = ""
 	k.buf.Reset()
 	k.env = keyEnvelope{EngineVersion, s, k.rep}
 	if err := k.enc.Encode(&k.env); err != nil {

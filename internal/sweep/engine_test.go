@@ -281,17 +281,16 @@ func TestPointKeySemantics(t *testing.T) {
 		t.Fatal("PointKey ignores the seed")
 	}
 
-	// Shard count and queue choice change wall-clock time, never results:
-	// they must hit the same cache entry.
+	// The shard count changes wall-clock time, never results: it must hit
+	// the same cache entry.
 	e := base()
 	e.Replication.Shards = 4
-	e.EventQueue = "wheel"
 	ke, err := PointKey(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ke != ka {
-		t.Fatal("PointKey depends on shards or the event queue")
+		t.Fatal("PointKey depends on shards")
 	}
 }
 
@@ -315,7 +314,6 @@ func TestPointKeyerMatchesMarshal(t *testing.T) {
 		rep.Workers = 0
 		rep.Shards = 0
 		s.Replication = &rep
-		s.EventQueue = ""
 		blob, err := json.Marshal(struct {
 			Engine      string               `json:"engine"`
 			Scenario    scenario.Scenario    `json:"scenario"`
