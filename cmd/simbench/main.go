@@ -1,10 +1,11 @@
 // Command simbench runs the simulation-core benchmarks — the
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesimSchedule*,
-// BenchmarkSweep*, BenchmarkServe*) plus the whole-pipeline macro
-// benchmarks BenchmarkRepro, BenchmarkShardedRun and BenchmarkPlan — through `go test
-// -bench` and records ns/op, B/op, allocs/op and (for the whole-run
-// benchmarks) events/s in a JSON file, so the performance trajectory of
-// the hot path is tracked in-repo from PR to PR.
+// BenchmarkSweep*, BenchmarkServe*, BenchmarkBContinuous/*) plus the
+// whole-pipeline macro benchmarks BenchmarkRepro, BenchmarkShardedRun and
+// BenchmarkPlan — through `go test -bench` and records ns/op, B/op,
+// allocs/op and (for the whole-run benchmarks) events/s in a JSON file,
+// so the performance trajectory of the hot path is tracked in-repo from
+// PR to PR.
 //
 // Usage:
 //
@@ -117,14 +118,14 @@ func main() {
 	man.Config = map[string]string{"benchtime": *benchtime, "macrotime": *macrotime}
 
 	records := runBench(
-		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",
+		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkSweep|BenchmarkRepro|BenchmarkServe|BenchmarkBContinuous",
 		*benchtime, true,
-		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve")
+		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve", "./internal/erlang")
 	// The whole-run shard benchmark is ~10^5 slower per op than the
 	// microbenchmarks; a fixed 20000x count would run for hours, so it
 	// gets its own much smaller fixed count.
 	records = append(records, runBench("BenchmarkShardedRun", *macrotime, false, "./internal/cluster")...)
-	// The placement planner runs hundreds of evaluations per op (~20 ms);
+	// The placement planner runs a few dozen evaluations per op (~1 ms);
 	// like the sharded run it gets the macro count, and its pool-parallel
 	// batches make allocation counts jitter, so -benchmem stays off.
 	records = append(records, runBench("BenchmarkPlan", *macrotime, false, "./internal/plan")...)

@@ -8,19 +8,24 @@ import (
 // BContinuous extends the Erlang B formula to a non-integral number of
 // servers x >= 0 using the classical integral representation
 //
-//	1/B(x, ρ) = ρ · ∫₀^∞ e^(−ρt) · (1+t)^x dt
+//	1/B(x, ρ) = ρ · ∫₀^∞ e^(−ρt) · (1+t)^x dt = ρ^(−x) · e^ρ · Γ(x+1, ρ)
 //
-// (Jagerman 1974). The continuous extension is the right tool for
-// heterogeneous pools whose summed capability is fractional in
-// reference-server units (core.HeterogeneousLoss): it interpolates the
-// integer Erlang B values smoothly and exactly agrees with B(n, ρ) at
-// integers.
+// (Jagerman 1974), where Γ(a, ρ) is the upper incomplete gamma function.
+// The continuous extension is the right tool for heterogeneous pools whose
+// summed capability is fractional in reference-server units
+// (core.HeterogeneousLoss): it interpolates the integer Erlang B values
+// smoothly and agrees exactly with B(n, ρ) at integers.
 //
-// The integral is evaluated with an adaptive Simpson rule on the
-// substituted form u = ρt (so the integrand decays as e^−u), split at the
-// integrand's scale. Accuracy is ~1e-10 relative over the practical range
-// (x ≤ ~10⁴, ρ ≤ ~10⁴); the test suite checks agreement with the integer
-// recursion.
+// Only the fractional part of x goes through the closed form; the integer
+// part is stepped up with the recursion of Eq. (2), so integer x gives
+// exactly the recursion's B(n, ρ). For 0 < x < 1, with a = x+1, Γ(a, ρ)
+// comes from the standard split (Numerical Recipes gser/gcf): the power
+// series of γ(a, ρ) for ρ < a+1 and the continued fraction of Γ(a, ρ),
+// by modified Lentz, for ρ >= a+1. Against a 50-digit reference the
+// fractional base is within ~4e-15 relative for 1e-6 <= ρ <= 1e6; near
+// ρ = 1e-300 the rounding of x·ln ρ costs up to ~1e-13. A loop that hits
+// its iteration cap, or a 1/B that is not positive, is returned as an
+// error.
 func BContinuous(x, rho float64) (float64, error) {
 	if x < 0 || rho < 0 || math.IsNaN(x) || math.IsNaN(rho) || math.IsInf(x, 0) || math.IsInf(rho, 0) {
 		return 0, fmt.Errorf("%w: BContinuous(x=%g, rho=%g)", ErrInvalidInput, x, rho)
@@ -32,7 +37,7 @@ func BContinuous(x, rho float64) (float64, error) {
 		return 0, nil
 	}
 	// Large loads/pools: downshift with the recursion B(x) from B(x-1):
-	// the integral only needs the fractional part, improving conditioning.
+	// the closed form only needs the fractional part.
 	frac := x - math.Floor(x)
 	steps := int(math.Floor(x))
 	b, err := bContinuousSmall(frac, rho)
@@ -48,52 +53,73 @@ func BContinuous(x, rho float64) (float64, error) {
 	return b, nil
 }
 
-// bContinuousSmall evaluates the integral representation for 0 <= x < 1.
+// Iteration control for the incomplete-gamma series and continued
+// fraction. With a = x+1 in [1, 2) the series needs at most ~25 terms and
+// the continued fraction ~40 steps, both worst next to the switch at
+// ρ = a+1; the cap only bounds a pathological input.
+const (
+	gammaEps     = 0x1p-52   // stop once a step moves the result by < 1 ulp
+	gammaTiny    = 0x1p-1000 // stands in for a zero denominator in Lentz's method
+	gammaMaxIter = 200
+)
+
+// bContinuousSmall evaluates the closed form 1/B = ρ^(−x)·e^ρ·Γ(x+1, ρ)
+// for 0 <= x < 1 and ρ > 0.
 func bContinuousSmall(x, rho float64) (float64, error) {
 	if x == 0 {
 		return 1, nil
 	}
-	// 1/B = ρ ∫₀^∞ e^{−ρt} (1+t)^x dt. Substituting u = ρt:
-	// 1/B = ∫₀^∞ e^{−u} (1 + u/ρ)^x du.
-	f := func(u float64) float64 {
-		return math.Exp(-u) * math.Pow(1+u/rho, x)
+	a := x + 1
+	var inv float64
+	if rho < x+2 { // ρ < a+1
+		// Series: Γ(a, ρ) = Γ(a) − e^(−ρ)·ρ^a·S with
+		// S = Σₙ ρⁿ / (a(a+1)…(a+n)), so 1/B = e^(ρ − x·ln ρ)·Γ(a) − ρ·S.
+		term := 1 / a
+		sum := term
+		for n := 1; term >= sum*gammaEps; n++ {
+			if n > gammaMaxIter {
+				return 0, fmt.Errorf("erlang: incomplete-gamma series did not converge for x=%g rho=%g", x, rho)
+			}
+			term *= rho / (a + float64(n))
+			sum += term
+		}
+		inv = math.Exp(rho-x*math.Log(rho))*math.Gamma(a) - rho*sum
+	} else {
+		// Continued fraction for h = Γ(a, ρ)·e^ρ·ρ^(−a) by modified
+		// Lentz; then 1/B = ρ·h.
+		b := rho + 1 - a
+		c := 1 / gammaTiny
+		d := 1 / b
+		h := d
+		for i := 1; ; i++ {
+			if i > gammaMaxIter {
+				return 0, fmt.Errorf("erlang: incomplete-gamma continued fraction did not converge for x=%g rho=%g", x, rho)
+			}
+			an := -float64(i) * (float64(i) - a)
+			b += 2
+			d = an*d + b
+			if math.Abs(d) < gammaTiny {
+				d = gammaTiny
+			}
+			c = b + an/c
+			if math.Abs(c) < gammaTiny {
+				c = gammaTiny
+			}
+			d = 1 / d
+			del := d * c
+			h *= del
+			if math.Abs(del-1) <= gammaEps {
+				break
+			}
+		}
+		inv = rho * h
 	}
-	// The integrand decays like e^{-u} with a subpolynomial factor
-	// ((1+u/ρ)^x with x<1), so truncating at u = 60 + 10x leaves a
-	// remainder below e^-50 relative. Integrate adaptively.
-	upper := 60.0 + 10*x
-	integral := adaptiveSimpson(f, 0, upper, 1e-12, 30)
-	if integral <= 0 || math.IsNaN(integral) {
-		return 0, fmt.Errorf("erlang: continuous integral failed for x=%g rho=%g", x, rho)
+	if !(inv > 0) {
+		return 0, fmt.Errorf("erlang: continuous Erlang B failed for x=%g rho=%g (1/B=%g)", x, rho, inv)
 	}
-	return 1 / integral, nil
-}
-
-// adaptiveSimpson integrates f over [a, b] with tolerance eps and maximum
-// recursion depth.
-func adaptiveSimpson(f func(float64) float64, a, b, eps float64, depth int) float64 {
-	c := (a + b) / 2
-	fa, fb, fc := f(a), f(b), f(c)
-	s := simpson(fa, fc, fb, b-a)
-	return adaptiveSimpsonAux(f, a, b, eps, s, fa, fb, fc, depth)
-}
-
-func simpson(fa, fm, fb, h float64) float64 {
-	return h / 6 * (fa + 4*fm + fb)
-}
-
-func adaptiveSimpsonAux(f func(float64) float64, a, b, eps, whole, fa, fb, fc float64, depth int) float64 {
-	c := (a + b) / 2
-	d := (a + c) / 2
-	e := (c + b) / 2
-	fd, fe := f(d), f(e)
-	left := simpson(fa, fd, fc, c-a)
-	right := simpson(fc, fe, fb, b-c)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*eps*(1+math.Abs(whole)) {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveSimpsonAux(f, a, c, eps/2, left, fa, fc, fd, depth-1) +
-		adaptiveSimpsonAux(f, c, b, eps/2, right, fc, fb, fe, depth-1)
+	// B(x, ρ) <= B(0, ρ) = 1; for x near 0 and large ρ, rounding can
+	// leave 1/B an ulp below 1.
+	return 1 / math.Max(inv, 1), nil
 }
 
 // ServersContinuous reports the smallest fractional server count x (to the
@@ -105,6 +131,9 @@ func ServersContinuous(rho, target, resolution float64) (float64, error) {
 	}
 	if target <= 0 || target > 1 || math.IsNaN(target) {
 		return 0, fmt.Errorf("%w: ServersContinuous(target=%g)", ErrInvalidInput, target)
+	}
+	if math.IsNaN(resolution) || math.IsInf(resolution, 0) {
+		return 0, fmt.Errorf("%w: ServersContinuous(resolution=%g)", ErrInvalidInput, resolution)
 	}
 	if resolution <= 0 {
 		resolution = 1e-6

@@ -132,7 +132,11 @@ func TestServers(t *testing.T) {
 		{1, 0.2, 2},
 		{1, 0.0625, 3},
 		{5, 0.02, 10}, // B(10,5)=0.0184<=0.02, B(9,5)=0.0375>0.02
+		{5, 1, 0},
+		{1e6, 1 - 0x1p-53, 1}, // B(1, 1e6) = 1e6/(1e6+1)
+		{1e6, 0.01, 990099},   // past the memo's prefix cap
 	}
+	m := NewMemo(0, 0)
 	for _, c := range cases {
 		got, err := Servers(c.rho, c.target, 0)
 		if err != nil {
@@ -140,6 +144,9 @@ func TestServers(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("Servers(%g, %g) = %d, want %d", c.rho, c.target, got, c.want)
+		}
+		if got, err := m.Servers(c.rho, c.target); err != nil || got != c.want {
+			t.Errorf("Memo.Servers(%g, %g) = %d, %v; want %d", c.rho, c.target, got, err, c.want)
 		}
 	}
 }
