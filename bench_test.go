@@ -95,7 +95,7 @@ func BenchmarkVirtualizationBound(b *testing.B) { benchExperiment(b, "appb") }
 func BenchmarkModelValidation(b *testing.B) { benchExperiment(b, "modelval") }
 
 // BenchmarkHeterogeneousFleets regenerates the future-work extension:
-// heterogeneous fleet planning with packing and simulated validation.
+// heterogeneous fleet placement by the planner and simulated validation.
 func BenchmarkHeterogeneousFleets(b *testing.B) { benchExperiment(b, "hetero") }
 
 // BenchmarkAblationTrafficForm regenerates the Eq. (5)-reading ablation.

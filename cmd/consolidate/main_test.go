@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite the plan golden files")
@@ -143,6 +144,10 @@ func TestRunPlanOnExampleScenario(t *testing.T) {
 	}
 	if _, err := runPlan(s, 0.05, "min-servers", 0, "quantum", false, 0); err == nil {
 		t.Fatal("unknown evaluator accepted")
+	}
+	s.Fleet = scenario.Fleet{Classes: []scenario.HostClass{{Preset: "amd", Count: 100000}}}
+	if _, err := runPlan(s, 0.05, "min-servers", 0, "analytic", false, 0); err == nil || !strings.Contains(err.Error(), "supply") {
+		t.Fatalf("class supply past the planner's bound: err = %v", err)
 	}
 }
 

@@ -27,15 +27,6 @@ type (
 	Bound = core.Bound
 	// TrafficForm selects the Eq. (5) reading; see the constants below.
 	TrafficForm = core.TrafficForm
-	// ServerClass describes one hardware class of a heterogeneous data
-	// center (the paper's Section V future work).
-	ServerClass = core.ServerClass
-	// HeterogeneousPlan is a heterogeneous packing of an Erlang-sized pool.
-	HeterogeneousPlan = core.HeterogeneousPlan
-	// HeterogeneousResult extends Result with physical-machine packings.
-	HeterogeneousResult = core.HeterogeneousResult
-	// PackObjective selects what heterogeneous packing minimizes.
-	PackObjective = core.PackObjective
 )
 
 // The three readings of the consolidated-traffic formula (Eq. 5). See
@@ -55,20 +46,8 @@ const (
 	Network = core.Network
 )
 
-// Heterogeneous packing objectives.
-const (
-	MinMachines = core.MinMachines
-	MinPower    = core.MinPower
-)
-
 // DefaultPower is the reconstructed case-study per-server power model.
 var DefaultPower = core.DefaultPower
-
-// PackServers covers an Erlang-sized pool with machines from heterogeneous
-// classes; see core.PackServers.
-func PackServers(requiredUnits int, resources []Resource, classes []ServerClass, objective PackObjective) (*HeterogeneousPlan, error) {
-	return core.PackServers(requiredUnits, resources, classes, objective)
-}
 
 // ParseModelJSON reads a Model from its JSON schema (see internal/core's
 // ParseJSON for the schema documentation); Model.WriteJSON is the inverse.

@@ -50,6 +50,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if bound.ThroughputImprovement < 1 {
 		t.Fatalf("bound %v", bound)
 	}
+	rep, err := m.Sensitivity(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BaseN != res.Consolidated.Servers {
+		t.Fatalf("sensitivity base N = %d, want %d", rep.BaseN, res.Consolidated.Servers)
+	}
 }
 
 func TestFacadeErlangHelpers(t *testing.T) {
@@ -88,23 +95,6 @@ func TestFacadeConstants(t *testing.T) {
 	}
 }
 
-func TestFacadePackServers(t *testing.T) {
-	classes := []ServerClass{
-		{Name: "big", Capability: map[Resource]float64{CPU: 2}},
-		{Name: "small", Capability: map[Resource]float64{CPU: 0.5}},
-	}
-	plan, err := PackServers(4, []Resource{CPU}, classes, MinMachines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Machines != 2 || plan.Allocation["big"] != 2 {
-		t.Fatalf("plan %v", plan)
-	}
-	if _, err := PackServers(-1, nil, classes, MinPower); err == nil {
-		t.Fatal("negative units accepted")
-	}
-}
-
 func TestFacadeParseModelJSON(t *testing.T) {
 	m, err := ParseModelJSON([]byte(`{
 		"lossTarget": 0.05,
@@ -126,30 +116,5 @@ func TestFacadeParseModelJSON(t *testing.T) {
 	}
 	if _, err := ParseModelJSON([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestFacadeSolveHeterogeneous(t *testing.T) {
-	m := &Model{
-		Services: []Service{{
-			Name:         "svc",
-			ArrivalRate:  150,
-			ServingRates: map[Resource]float64{CPU: 100},
-		}},
-		LossTarget: 0.05,
-	}
-	het, err := m.SolveHeterogeneous([]ServerClass{{Name: "ref"}}, MinMachines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if het.Consolidated.Machines != het.Homogeneous.Consolidated.Servers {
-		t.Fatal("reference fleet should match homogeneous N")
-	}
-	rep, err := m.Sensitivity(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BaseN != het.Homogeneous.Consolidated.Servers {
-		t.Fatal("sensitivity base mismatch")
 	}
 }

@@ -3,22 +3,28 @@
 // Discussion observation that its AMD servers ran the e-book DB workload
 // about 20 % faster than its Intel servers.
 //
-// The flow: solve the homogeneous model (N reference servers), then cover
-// those reference units with real machines from the available classes
-// under two objectives (fewest machines vs lowest idle power), and check
-// each fleet's predicted loss with the continuous Erlang B extension.
-// Finally, a sensitivity sweep shows which inputs the plan hinges on.
+// The flow: solve the homogeneous model (M dedicated, N consolidated
+// reference servers), then let the placement planner choose machines from
+// a finite supply of host classes under two objectives (fewest servers vs
+// fewest watts), each candidate fleet scored by the analytic evaluator
+// with the continuous Erlang B extension for its fractional capability.
+// Finally, a sensitivity sweep shows which inputs the plan hinges on. The
+// `hetero` experiment of cmd/repro re-simulates such placements.
 //
 //	go run ./examples/heterofleet
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	consolidation "repro"
+	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/plan"
+	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -34,48 +40,42 @@ func main() {
 	fmt.Printf("homogeneous plan: M=%d dedicated -> N=%d consolidated reference servers\n\n",
 		res.Dedicated.Servers, res.Consolidated.Servers)
 
-	// The machine room: two AMD boxes already racked, Intel available on
+	// The same workload as a scenario, at the model's arrival rates, over
+	// the machine room: two AMD boxes already racked, Intel available on
 	// order (≈17 % slower per the paper's Discussion), plus a half-size
 	// blade option.
-	intelCapability := map[consolidation.Resource]float64{
-		consolidation.CPU:    1 / 1.2,
-		consolidation.DiskIO: 1 / 1.2,
+	s := scenario.CaseStudy(4, 4, "consolidated", 0)
+	for i := range s.Services {
+		s.Services[i].Arrivals = workload.PoissonSpec(m.Services[i].ArrivalRate)
 	}
-	classes := []consolidation.ServerClass{
-		{Name: "amd-2350", Count: 2},
-		{
-			Name:       "intel-5140",
-			Capability: intelCapability,
-			Power:      consolidation.PowerParams{Base: 230, Max: 310},
-		},
-		{
-			Name: "blade-half",
-			Capability: map[consolidation.Resource]float64{
-				consolidation.CPU:    0.5,
-				consolidation.DiskIO: 0.5,
-			},
-			Power: consolidation.PowerParams{Base: 140, Max: 190},
-		},
+	s.Fleet.Classes = []scenario.HostClass{
+		{Name: "amd-2350", Preset: "amd", Count: 2},
+		{Name: "intel-5140", Preset: "intel", Count: 8,
+			Power: &scenario.Power{BaseW: 230, MaxW: 310}},
+		{Name: "blade-half", Preset: "blade", Count: 8,
+			Power: &scenario.Power{BaseW: 140, MaxW: 190}},
 	}
 
-	for _, objective := range []consolidation.PackObjective{
-		consolidation.MinMachines, consolidation.MinPower,
-	} {
-		het, err := m.SolveHeterogeneous(classes, objective)
+	ev := eval.NewAnalytic(nil)
+	for _, objective := range []string{plan.MinServers, plan.MinPower} {
+		p, err := plan.Search(context.Background(), ev, nil,
+			plan.Spec{Scenario: s, Target: m.LossTarget, Objective: objective})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("objective %s:\n", objective)
-		fmt.Printf("  dedicated:    %s\n", het.Dedicated)
-		fmt.Printf("  consolidated: %s\n", het.Consolidated)
-		fmt.Printf("  machine ratio %.2f; consolidated idle draw %.0f W\n",
-			het.MachineRatio, het.Consolidated.IdlePower)
-		loss, err := m.HeterogeneousLoss(classes, het.Consolidated.Allocation, m.Form)
-		if err != nil {
-			log.Fatal(err)
+		fmt.Printf("  consolidated: %d machines (", p.Hosts)
+		for i, c := range p.Classes {
+			if i > 0 {
+				fmt.Print(", ")
+			}
+			fmt.Printf("%dx %s", c.Count, c.Name)
 		}
+		fmt.Printf("), %.3f reference units\n", p.Result.CapabilityUnits)
+		fmt.Printf("  dedicated M / consolidated machines = %d / %d; consolidated draw %.0f W\n",
+			res.Dedicated.Servers, p.Hosts, p.Result.Watts)
 		fmt.Printf("  predicted consolidated loss (continuous Erlang B): %.4f (target %.2f)\n\n",
-			loss, m.LossTarget)
+			p.Result.Loss, m.LossTarget)
 	}
 
 	// Which inputs is the plan sensitive to?

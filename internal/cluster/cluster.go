@@ -105,7 +105,8 @@ type Config struct {
 	// heterogeneous: hosts are instantiated class by class, each with
 	// per-resource capacity multipliers relative to the reference server
 	// the service profiles were measured on — the paper's future-work
-	// extension (Section V), mirrored analytically by core.ServerClass.
+	// extension (Section V), mirrored analytically by scenario.HostClass
+	// capability units (eval.ClassCapability).
 	HostClasses []HostClass
 
 	// Alloc selects the resource allocator in Consolidated mode; nil means

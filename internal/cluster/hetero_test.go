@@ -132,7 +132,8 @@ func TestHeterogeneousUtilizationNormalized(t *testing.T) {
 func TestHeterogeneousMixedPoolGroupTwo(t *testing.T) {
 	// The group-2 case study on a mixed AMD/Intel pool: to carry the same
 	// load as 4 reference (AMD) hosts, an Intel-heavy pool needs a fifth
-	// machine — matching core.SolveHeterogeneous's packing arithmetic.
+	// machine — matching the planner's all-Intel placement in the hetero
+	// experiment.
 	lambdaW := 0.7 * 4 * workload.WebDiskRate
 	lambdaD := 0.7 * 4 * workload.DBCPURate
 	services := func() []ServiceSpec {

@@ -71,12 +71,6 @@ type Service struct {
 	ImpactFactors map[Resource]float64
 }
 
-// demandsResource reports whether the service places nonzero demand on j.
-func (s Service) demandsResource(j Resource) bool {
-	mu, ok := s.ServingRates[j]
-	return ok && !math.IsInf(mu, 1)
-}
-
 // servingRate returns μᵢⱼ, or +Inf when the service places no demand on j.
 func (s Service) servingRate(j Resource) float64 {
 	mu, ok := s.ServingRates[j]

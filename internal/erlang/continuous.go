@@ -12,13 +12,14 @@ import (
 //
 // (Jagerman 1974), where Γ(a, ρ) is the upper incomplete gamma function.
 // The continuous extension is the right tool for heterogeneous pools whose
-// summed capability is fractional in reference-server units
-// (core.HeterogeneousLoss): it interpolates the integer Erlang B values
-// smoothly and agrees exactly with B(n, ρ) at integers.
+// summed capability is fractional in reference-server units (eval.Analytic
+// scores heterogeneous fleets with it): it interpolates the integer
+// Erlang B values smoothly and agrees exactly with B(n, ρ) at integers.
 //
 // Only the fractional part of x goes through the closed form; the integer
 // part is stepped up with the recursion of Eq. (2), so integer x gives
-// exactly the recursion's B(n, ρ). For 0 < x < 1, with a = x+1, Γ(a, ρ)
+// exactly the recursion's B(n, ρ), and the stepping stops once B
+// underflows to 0. For 0 < x < 1, with a = x+1, Γ(a, ρ)
 // comes from the standard split (Numerical Recipes gser/gcf): the power
 // series of γ(a, ρ) for ρ < a+1 and the continued fraction of Γ(a, ρ),
 // by modified Lentz, for ρ >= a+1. Against a 50-digit reference the
@@ -37,17 +38,19 @@ func BContinuous(x, rho float64) (float64, error) {
 		return 0, nil
 	}
 	// Large loads/pools: downshift with the recursion B(x) from B(x-1):
-	// the closed form only needs the fractional part.
-	frac := x - math.Floor(x)
-	steps := int(math.Floor(x))
+	// the closed form only needs the fractional part. The step count
+	// stays a float64 (x may exceed the int range), and the loop stops
+	// once B underflows to 0, which every later step would keep.
+	steps := math.Floor(x)
+	frac := x - steps
 	b, err := bContinuousSmall(frac, rho)
 	if err != nil {
 		return 0, err
 	}
-	for k := 1; k <= steps; k++ {
+	for k := 1.0; k <= steps && b != 0; k++ {
 		// Same recursion as Eq. (2) with non-integer index:
 		// B(y, ρ) = ρ·B(y−1, ρ) / (y + ρ·B(y−1, ρ)).
-		y := frac + float64(k)
+		y := frac + k
 		b = rho * b / (y + rho*b)
 	}
 	return b, nil

@@ -195,6 +195,14 @@ func TestBContinuousEdgeCases(t *testing.T) {
 	if b, err := BContinuous(0.5, 1e-300); err != nil || relErr(b, 1.1283791670955126e-150) > 1e-13 {
 		t.Errorf("BContinuous(0.5, 1e-300) = %.17g, %v; want 1.1283791670955126e-150", b, err)
 	}
+	// Past the underflow the recursion stops at 0: x beyond the int range
+	// no longer overflows the step count, and a billion steps cost a few
+	// hundred.
+	for _, x := range []float64{1e300, 1e9 + 0.5} {
+		if b, err := BContinuous(x, 5); err != nil || b != 0 {
+			t.Errorf("BContinuous(%g, 5) = %g, %v; want 0", x, b, err)
+		}
+	}
 	// Heavy loads and long upward recursions stay finite and in [0, 1];
 	// at (1e-300, 11211) the continued fraction rounds 1/B an ulp below 1.
 	for _, c := range [][2]float64{{0.5, 1e6}, {0.5, 1e15}, {999999.5, 1e6}, {2e6 + 0.3, 1e6}, {1e-300, 11211}} {

@@ -29,6 +29,8 @@ var ErrInvalidInput = errors.New("erlang: invalid input")
 //
 // which is Eq. (2) of the paper. The recursion avoids the factorial
 // overflow of the closed form (Eq. 1) and is exact in exact arithmetic.
+// Once Eₖ underflows to 0 every later step keeps it 0, so the loop stops
+// there: B(10⁹, 5) costs a few hundred steps, not 10⁹.
 // B returns an error if ρ < 0 or n < 0. By convention B(0, ρ) = 1 for
 // ρ > 0 (no servers lose everything) and B(n, 0) = 0 for n > 0.
 func B(n int, rho float64) (float64, error) {
@@ -42,7 +44,7 @@ func B(n int, rho float64) (float64, error) {
 		return 0, nil
 	}
 	b := 1.0
-	for k := 1; k <= n; k++ {
+	for k := 1; k <= n && b != 0; k++ {
 		b = rho * b / (float64(k) + rho*b)
 	}
 	return b, nil

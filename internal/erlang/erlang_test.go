@@ -45,6 +45,11 @@ func TestBEdgeCases(t *testing.T) {
 	if b, _ := B(3, 0); b != 0 {
 		t.Fatalf("B(3, 0) = %g, want 0", b)
 	}
+	// The recursion underflows to 0 a few hundred steps in and stops
+	// there; a billion-server pool must not cost a billion steps.
+	if b, err := B(1_000_000_000, 5); err != nil || b != 0 {
+		t.Fatalf("B(1e9, 5) = %g, %v; want 0", b, err)
+	}
 }
 
 func TestBInvalidInputs(t *testing.T) {

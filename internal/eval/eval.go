@@ -120,7 +120,8 @@ func ScenarioResources(s scenario.Scenario) ([]string, error) {
 
 // ClassCapability reports a host class's binding capability across the
 // given resources: the minimum multiplier, since a machine must keep up on
-// every resource it serves (mirrors core.ServerClass.effectiveCapability).
+// every resource it serves. It and FleetUnits are the repository's one
+// capability normalization (the paper's Section III-B.1 sketch).
 func ClassCapability(hc scenario.HostClass, resources []string) float64 {
 	cap := hc.ResolvedCapability()
 	min := math.Inf(1)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/erlang"
+	"repro/internal/plan"
 	"repro/internal/queueing"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -19,13 +20,14 @@ import (
 )
 
 // HeteroRow is one fleet configuration of the heterogeneous-planning
-// experiment.
+// experiment: the planner's placement, its analytic score, and the
+// simulated per-service losses of the same placement.
 type HeteroRow struct {
 	Fleet      string
-	Objective  core.PackObjective
+	Objective  string
 	Machines   int
 	Units      float64
-	IdlePowerW float64
+	Watts      float64
 	ModelLoss  float64
 	SimDBLoss  float64
 	SimWebLoss float64
@@ -39,13 +41,18 @@ type HeteroResult struct {
 	Rows        []HeteroRow
 }
 
-// Hetero plans the group-2 consolidated pool on three fleets — all-AMD
-// (reference), all-Intel (0.83× capability), and a mixed fleet with two
-// AMD machines — packs them with core.PackServers, predicts the loss with
-// the interpolated Erlang approximation, and validates each packing in the
-// cluster simulator at the saturation workloads. The validation runs are a
-// declarative point list on the sweep engine: the packing/model loop stays
-// serial (it is pure arithmetic), the six simulations run concurrently.
+// heteroSupply is the per-class host supply of the hetero fleets (the
+// mixed fleet's AMD class aside): twice the homogeneous N, ample for
+// every objective.
+const heteroSupply = 8
+
+// Hetero places the group-2 consolidated workload on three finite class
+// supplies — all-AMD (reference), all-Intel (0.83× capability, cheaper
+// power envelope), and a mixed fleet with only two AMD machines — under
+// both planner objectives. The planner (plan.Search over eval.Analytic)
+// scores the analytic model's own workload, CaseStudyModel(4, 4)'s
+// arrival rates; each chosen placement is then re-simulated at the
+// saturation workloads, one point batch on the sweep engine.
 func Hetero(cfg Config) (*HeteroResult, error) {
 	m, err := CaseStudyModel(4, 4)
 	if err != nil {
@@ -55,83 +62,60 @@ func Hetero(cfg Config) (*HeteroResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &HeteroResult{Homogeneous: res}
+	base := scenario.CaseStudy(4, 4, "consolidated", 0)
+	base.Seed = cfg.Seed
+	for i := range base.Services {
+		base.Services[i].Arrivals = workload.PoissonSpec(m.Services[i].ArrivalRate)
+	}
 
-	intelCapability := map[core.Resource]float64{
-		core.CPU:    1 / 1.2,
-		core.DiskIO: 1 / 1.2,
+	amd := func(n int) scenario.HostClass {
+		return scenario.HostClass{Name: "amd-2350", Preset: "amd", Count: n}
+	}
+	intel := func(n int) scenario.HostClass {
+		return scenario.HostClass{Name: "intel-5140", Preset: "intel", Count: n,
+			Power: &scenario.Power{BaseW: 230, MaxW: 310}}
 	}
 	fleets := []struct {
 		name    string
-		classes []core.ServerClass
+		classes []scenario.HostClass
 	}{
-		{"all-amd", []core.ServerClass{{Name: "amd-2350"}}},
-		{"all-intel", []core.ServerClass{{Name: "intel-5140", Capability: intelCapability,
-			Power: core.PowerParams{Base: 230, Max: 310}}}},
-		{"mixed-2amd", []core.ServerClass{
-			{Name: "amd-2350", Count: 2},
-			{Name: "intel-5140", Capability: intelCapability,
-				Power: core.PowerParams{Base: 230, Max: 310}},
-		}},
+		{"all-amd", []scenario.HostClass{amd(heteroSupply)}},
+		{"all-intel", []scenario.HostClass{intel(heteroSupply)}},
+		{"mixed-2amd", []scenario.HostClass{amd(2), intel(heteroSupply)}},
 	}
 
 	horizon := cfg.scale(120)
 	warmup := horizon / 6
-
-	var pts []sweep.Point
+	var cases []placement
 	for _, fleet := range fleets {
-		for _, objective := range []core.PackObjective{core.MinMachines, core.MinPower} {
-			plan, err := core.PackServers(res.Consolidated.Servers,
-				[]core.Resource{core.CPU, core.DiskIO}, fleet.classes, objective)
-			if err != nil {
-				return nil, fmt.Errorf("hetero: fleet %s: %w", fleet.name, err)
-			}
-			modelLoss, err := m.HeterogeneousLoss(fleet.classes, plan.Allocation, m.Form)
-			if err != nil {
-				return nil, err
-			}
-
-			// Validate the packing in the simulator.
-			var classes []scenario.HostClass
-			for _, c := range fleet.classes {
-				n := plan.Allocation[c.Name]
-				if n == 0 {
-					continue
-				}
-				capability := map[string]float64{}
-				for r, v := range c.Capability {
-					capability[string(r)] = v
-				}
-				classes = append(classes, scenario.HostClass{
-					Name: c.Name, Count: n, Capability: capability,
-				})
-			}
-			s := scenario.CaseStudy(4, 4, "consolidated", 0)
-			s.Fleet.Classes = classes
-			s.Horizon = horizon
-			s.Warmup = &warmup
-			s.Seed = cfg.Seed + uint64(len(out.Rows))
-			pts = append(pts, sweep.Point{
-				Label:    fmt.Sprintf("%s/%s", fleet.name, objective),
-				Scenario: s,
-			})
-			out.Rows = append(out.Rows, HeteroRow{
-				Fleet:      fleet.name,
-				Objective:  objective,
-				Machines:   plan.Machines,
-				Units:      plan.CapabilityUnits,
-				IdlePowerW: plan.IdlePower,
-				ModelLoss:  modelLoss,
-			})
+		for _, objective := range []string{plan.MinServers, plan.MinPower} {
+			planned := base.Clone()
+			planned.Fleet.Classes = fleet.classes
+			validate := scenario.CaseStudy(4, 4, "consolidated", 0)
+			validate.Fleet.Classes = fleet.classes
+			validate.Horizon = horizon
+			validate.Warmup = &warmup
+			validate.Seed = cfg.Seed + uint64(len(cases))
+			cases = append(cases, placement{fleet.name, objective, planned, validate})
 		}
 	}
-	sims, err := cfg.runPoints("hetero", pts)
+	plans, sims, err := placeAndSimulate(cfg, "hetero", cases)
 	if err != nil {
 		return nil, err
 	}
-	for i := range out.Rows {
-		out.Rows[i].SimDBLoss = float64(sims[i].Services[1].Loss.Point)
-		out.Rows[i].SimWebLoss = float64(sims[i].Services[0].Loss.Point)
+	out := &HeteroResult{Homogeneous: res}
+	for i, c := range cases {
+		p := plans[i]
+		out.Rows = append(out.Rows, HeteroRow{
+			Fleet:      c.fleet,
+			Objective:  c.objective,
+			Machines:   p.Hosts,
+			Units:      p.Result.CapabilityUnits,
+			Watts:      p.Result.Watts,
+			ModelLoss:  p.Result.Loss,
+			SimWebLoss: sims[i].Services[0].Loss,
+			SimDBLoss:  sims[i].Services[1].Loss,
+		})
 	}
 	return out, nil
 }
@@ -142,15 +126,16 @@ func (r *HeteroResult) Tables() []*Table {
 		ID:    "hetero",
 		Title: "heterogeneous fleets for the group-2 consolidated pool (future work of Section V)",
 		Columns: []string{"fleet", "objective", "machines", "capability units",
-			"idle W", "model B", "sim web loss", "sim db loss"},
+			"watts", "model B", "sim web loss", "sim db loss"},
 	}
 	for _, row := range r.Rows {
-		t.AddRow(row.Fleet, row.Objective.String(), row.Machines, row.Units,
-			row.IdlePowerW, row.ModelLoss, row.SimWebLoss, row.SimDBLoss)
+		t.AddRow(row.Fleet, row.Objective, row.Machines, row.Units,
+			row.Watts, row.ModelLoss, row.SimWebLoss, row.SimDBLoss)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("homogeneous model: N = %d reference servers", r.Homogeneous.Consolidated.Servers),
-		"capability normalization per the paper's Section III-B.1 sketch; Intel = AMD/1.2 per its Discussion")
+		"capability normalization per the paper's Section III-B.1 sketch; Intel = AMD/1.2 per its Discussion",
+		fmt.Sprintf("placed by the planner (internal/plan) from %d hosts per class, 2 AMD in the mixed fleet", heteroSupply))
 	return []*Table{t}
 }
 

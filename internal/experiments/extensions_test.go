@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 func TestHeteroFleets(t *testing.T) {
@@ -16,14 +17,14 @@ func TestHeteroFleets(t *testing.T) {
 	}
 	byFleet := map[string]HeteroRow{}
 	for _, row := range r.Rows {
-		if row.Objective == core.MinMachines {
+		if row.Objective == plan.MinServers {
 			byFleet[row.Fleet] = row
 		}
-		// Every packing must cover the homogeneous N.
-		if row.Units < float64(r.Homogeneous.Consolidated.Servers) {
-			t.Fatalf("fleet %s under-covered: %.2f units", row.Fleet, row.Units)
+		// Every placement meets the loss target under the model.
+		if row.ModelLoss > LossTarget {
+			t.Fatalf("fleet %s (%s): model loss %g above target", row.Fleet, row.Objective, row.ModelLoss)
 		}
-		// QoS survives the packing: no meaningful simulated losses.
+		// QoS survives the placement: no meaningful simulated losses.
 		if row.SimDBLoss > 0.05 || row.SimWebLoss > 0.05 {
 			t.Fatalf("fleet %s (%s) lost web=%.3f db=%.3f",
 				row.Fleet, row.Objective, row.SimWebLoss, row.SimDBLoss)

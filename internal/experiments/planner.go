@@ -66,31 +66,25 @@ func PlanAblation(cfg Config) (*PlanAblationResult, error) {
 		{Name: "fast-disk", Count: 2, Capability: map[string]float64{"diskio": 1.5}},
 	}}
 
-	ev := eval.NewAnalytic(nil)
-	sim := eval.NewSim(cfg.engine().Scoped("ablation-plan"))
-	ctx := context.Background()
-
-	cases := []struct {
-		fleet     string
-		s         scenario.Scenario
-		objective string
-	}{
-		{"homogeneous", base, plan.MinServers},
-		{"hetero", hetero, plan.MinServers},
-		{"hetero", hetero, plan.MinPower},
+	// Each placement re-simulates on its own scenario at the ablation's
+	// horizon.
+	simulated := func(s scenario.Scenario) scenario.Scenario {
+		v := s.Clone()
+		v.Horizon = cfg.scale(120)
+		return v
+	}
+	cases := []placement{
+		{"homogeneous", plan.MinServers, base, simulated(base)},
+		{"hetero", plan.MinServers, hetero, simulated(hetero)},
+		{"hetero", plan.MinPower, hetero, simulated(hetero)},
+	}
+	plans, sims, err := placeAndSimulate(cfg, "ablation-plan", cases)
+	if err != nil {
+		return nil, err
 	}
 	res := &PlanAblationResult{AnalyticN: analyticN}
-	for _, c := range cases {
-		p, err := plan.Search(ctx, ev, nil, plan.Spec{Scenario: c.s, Target: LossTarget, Objective: c.objective})
-		if err != nil {
-			return nil, fmt.Errorf("ablation-plan: %s/%s: %w", c.fleet, c.objective, err)
-		}
-		placed := p.Apply(c.s)
-		placed.Horizon = cfg.scale(120)
-		simRes, err := sim.Evaluate(ctx, placed)
-		if err != nil {
-			return nil, fmt.Errorf("ablation-plan: simulating %s/%s placement: %w", c.fleet, c.objective, err)
-		}
+	for i, c := range cases {
+		p := plans[i]
 		res.Rows = append(res.Rows, PlanAblationRow{
 			Fleet:     c.fleet,
 			Objective: c.objective,
@@ -98,11 +92,43 @@ func PlanAblation(cfg Config) (*PlanAblationResult, error) {
 			Units:     p.Result.CapabilityUnits,
 			ModelLoss: p.Result.Loss,
 			Watts:     p.Result.Watts,
-			SimLoss:   simRes.Loss,
+			SimLoss:   sims[i].Loss,
 			Evals:     p.Evaluations,
 		})
 	}
 	return res, nil
+}
+
+// placement is one planner run of the placement experiments: the supply
+// to place under an objective, and the scenario the chosen placement is
+// re-simulated on (same mode and class list, so Plan.Apply fits it).
+type placement struct {
+	fleet, objective string
+	supply, validate scenario.Scenario
+}
+
+// placeAndSimulate places every case with plan.Search over the analytic
+// evaluator at the case-study loss target, then re-simulates each
+// placement, stamped onto its validation scenario by Plan.Apply, as one
+// point batch on the experiment's engine scope. Plans and simulated
+// results come back in case order.
+func placeAndSimulate(cfg Config, id string, cases []placement) ([]plan.Plan, []eval.Result, error) {
+	ctx := context.Background()
+	ev := eval.NewAnalytic(nil)
+	plans := make([]plan.Plan, len(cases))
+	placed := make([]scenario.Scenario, len(cases))
+	for i, c := range cases {
+		p, err := plan.Search(ctx, ev, nil, plan.Spec{Scenario: c.supply, Target: LossTarget, Objective: c.objective})
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %s/%s: %w", id, c.fleet, c.objective, err)
+		}
+		plans[i], placed[i] = p, p.Apply(c.validate)
+	}
+	sims, err := eval.NewSim(cfg.engine().Scoped(id)).EvaluateBatch(ctx, placed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: simulating placements: %w", id, err)
+	}
+	return plans, sims, nil
 }
 
 // Tables renders the ablation.

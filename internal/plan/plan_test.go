@@ -264,12 +264,19 @@ func TestPlanInfeasibleSupply(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	base := loadExamples(t)["casestudy.json"]
+	// A class supply past the planner's bound is refused before the search
+	// builds one candidate per supplied host.
+	oversupplied := base.Clone()
+	oversupplied.Fleet = scenario.Fleet{Classes: []scenario.HostClass{
+		{Preset: "amd", Count: 1 << 12}, {Preset: "intel", Count: 1},
+	}}
 	cases := []plan.Spec{
 		{Scenario: base, Target: 0},
 		{Scenario: base, Target: 1},
 		{Scenario: base, Target: math.NaN()},
 		{Scenario: base, Target: 0.05, Objective: "max-profit"},
 		{Scenario: base, Target: 0.05, MaxIters: -1},
+		{Scenario: oversupplied, Target: 0.05},
 	}
 	for i, spec := range cases {
 		if _, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, spec); err == nil {

@@ -10,9 +10,11 @@ import (
 )
 
 // HeteroConfig describes a loss system whose servers have unequal rates —
-// the queueing ground truth for the heterogeneous-server extension
-// (core.ServerClass / erlang.BContinuous). Requests that find no idle
-// server are lost; an idle server is chosen by the configured policy.
+// the queueing ground truth for the heterogeneous-server extension, which
+// eval.Analytic approximates by a pool of fractional capability units
+// scored with erlang.BContinuous (TestHeteroPooledApproximation bounds
+// the gap). Requests that find no idle server are lost; an idle server is
+// chosen by the configured policy.
 type HeteroConfig struct {
 	// Rates lists each server's service rate (relative or absolute; only
 	// ratios to the arrival rate matter).

@@ -1,10 +1,13 @@
 // Package queueing simulates the loss systems underlying the utility
-// analytic model: G/G/n/n pure-loss pools (the Erlang B setting) and
-// G/G/n/n+q finite-queue pools (for the response-time view of the
-// evaluation). It is the controlled laboratory for the "model vs. reality"
-// experiments: by PASTA and Erlang insensitivity, an M/G/n/n simulation's
-// loss probability must converge to the Erlang B formula regardless of the
-// service-time distribution — and the test suite checks exactly that.
+// analytic model: G/G/n/n pure-loss pools (the Erlang B setting, where a
+// request is lost iff all n servers are busy) and their unequal-rate
+// counterpart (SimulateHetero). It is the controlled laboratory for the
+// "model vs. reality" experiments: by PASTA and Erlang insensitivity, an
+// M/G/n/n simulation's loss probability must converge to the Erlang B
+// formula regardless of the service-time distribution — and the test
+// suite checks exactly that. The cluster simulator cannot stand in for
+// it: cluster dispatches round-robin to processor-sharing hosts and loses
+// a request only at a host's admission cap.
 package queueing
 
 import (
@@ -24,11 +27,6 @@ type Config struct {
 	// Servers is the number of parallel servers (the paper's n).
 	Servers int
 
-	// QueueCap is the waiting-room size: 0 gives the pure loss system
-	// (Erlang B); a positive value gives G/G/n/n+q; Infinite queues are
-	// requested with QueueCapInfinite.
-	QueueCap int
-
 	// Arrivals generates the request stream.
 	Arrivals workload.ArrivalProcess
 
@@ -46,9 +44,6 @@ type Config struct {
 	Seed uint64
 }
 
-// QueueCapInfinite requests an unbounded waiting room.
-const QueueCapInfinite = -1
-
 // ErrInvalidConfig reports an unusable simulation configuration.
 var ErrInvalidConfig = errors.New("queueing: invalid config")
 
@@ -56,9 +51,6 @@ var ErrInvalidConfig = errors.New("queueing: invalid config")
 func (c Config) Validate() error {
 	if c.Servers <= 0 {
 		return fmt.Errorf("%w: servers=%d", ErrInvalidConfig, c.Servers)
-	}
-	if c.QueueCap < QueueCapInfinite {
-		return fmt.Errorf("%w: queue cap=%d", ErrInvalidConfig, c.QueueCap)
 	}
 	if c.Arrivals == nil || c.Service == nil {
 		return fmt.Errorf("%w: nil arrivals or service", ErrInvalidConfig)
@@ -86,9 +78,8 @@ type Result struct {
 	LossCI stats.CI
 
 	// TimeBlocked is the fraction of (post-warmup) time all servers were
-	// busy and the queue (if any) was full — the paper's "loss probability
-	// calculated by time" p_n. PASTA makes it equal LossProb in
-	// distribution for Poisson arrivals.
+	// busy — the paper's "loss probability calculated by time" p_n. PASTA
+	// makes it equal LossProb in distribution for Poisson arrivals.
 	TimeBlocked float64
 
 	// MeanBusy is the time-average number of busy servers (carried
@@ -100,13 +91,6 @@ type Result struct {
 
 	// Throughput is Served divided by the observation window.
 	Throughput float64
-
-	// ResponseTimes summarizes sojourn times (wait + service) of served
-	// requests.
-	ResponseTimes stats.Accumulator
-
-	// QueueLen is the time-average queue length (0 for pure loss systems).
-	QueueLen float64
 
 	// Window is the post-warmup observation duration.
 	Window float64
@@ -122,63 +106,23 @@ func Simulate(cfg Config) (*Result, error) {
 	arrStream := stream.Substream("arrivals")
 	svcStream := stream.Substream("service")
 
-	type job struct {
-		arrived desim.Time
-	}
-
 	var (
 		busy       int
-		queue      []job
 		res        Result
 		busyAvg    desim.TimeAverage
-		queueAvg   desim.TimeAverage
 		blockedAvg desim.TimeAverage
 	)
-	blockedState := func() float64 {
-		full := busy == cfg.Servers
-		if cfg.QueueCap > 0 {
-			full = full && len(queue) >= cfg.QueueCap
-		}
-		if cfg.QueueCap == QueueCapInfinite {
-			full = false
-		}
-		if full {
-			return 1
-		}
-		return 0
-	}
 	record := func() {
 		now := sim.Now()
 		if now < cfg.Warmup {
 			now = cfg.Warmup
 		}
 		busyAvg.Set(now, float64(busy))
-		queueAvg.Set(now, float64(len(queue)))
-		blockedAvg.Set(now, blockedState())
-	}
-
-	var finish func()
-	startService := func(j job) {
-		busy++
-		d := cfg.Service.Sample(svcStream)
-		arrivedAt := j.arrived
-		sim.After(d, func() {
-			if sim.Now() >= cfg.Warmup {
-				res.Served++
-				res.ResponseTimes.Add(sim.Now() - arrivedAt)
-			}
-			busy--
-			finish()
-			record()
-		})
-		record()
-	}
-	finish = func() {
-		if len(queue) > 0 && busy < cfg.Servers {
-			j := queue[0]
-			queue = queue[1:]
-			startService(j)
+		blocked := 0.0
+		if busy == cfg.Servers {
+			blocked = 1
 		}
+		blockedAvg.Set(now, blocked)
 	}
 
 	var arrive func()
@@ -187,17 +131,18 @@ func Simulate(cfg Config) (*Result, error) {
 		if now >= cfg.Warmup {
 			res.Arrivals++
 		}
-		j := job{arrived: now}
-		switch {
-		case busy < cfg.Servers:
-			startService(j)
-		case cfg.QueueCap == QueueCapInfinite || len(queue) < cfg.QueueCap:
-			queue = append(queue, j)
+		if busy < cfg.Servers {
+			busy++
+			sim.After(cfg.Service.Sample(svcStream), func() {
+				if sim.Now() >= cfg.Warmup {
+					res.Served++
+				}
+				busy--
+				record()
+			})
 			record()
-		default:
-			if now >= cfg.Warmup {
-				res.Lost++
-			}
+		} else if now >= cfg.Warmup {
+			res.Lost++
 		}
 		gap := cfg.Arrivals.Next(arrStream)
 		next := now + gap
@@ -215,7 +160,6 @@ func Simulate(cfg Config) (*Result, error) {
 	sim.Run(cfg.Horizon)
 
 	busyAvg.Finish(cfg.Horizon)
-	queueAvg.Finish(cfg.Horizon)
 	blockedAvg.Finish(cfg.Horizon)
 
 	res.Window = cfg.Horizon - cfg.Warmup
@@ -227,9 +171,6 @@ func Simulate(cfg Config) (*Result, error) {
 		res.MeanBusy = v
 	}
 	res.Utilization = res.MeanBusy / float64(cfg.Servers)
-	if v := queueAvg.Average(); !math.IsNaN(v) {
-		res.QueueLen = v
-	}
 	if v := blockedAvg.Average(); !math.IsNaN(v) {
 		res.TimeBlocked = v
 	}

@@ -12,7 +12,6 @@ import (
 func mmnnConfig(n int, lambda, mu float64, seed uint64) Config {
 	return Config{
 		Servers:  n,
-		QueueCap: 0,
 		Arrivals: workload.NewPoisson(lambda),
 		Service:  stats.NewExponential(mu),
 		Horizon:  4000,
@@ -28,7 +27,6 @@ func TestValidate(t *testing.T) {
 	}
 	cases := []func(*Config){
 		func(c *Config) { c.Servers = 0 },
-		func(c *Config) { c.QueueCap = -2 },
 		func(c *Config) { c.Arrivals = nil },
 		func(c *Config) { c.Service = nil },
 		func(c *Config) { c.Horizon = 0 },
@@ -128,58 +126,6 @@ func TestNonPoissonArrivalsBreakErlangB(t *testing.T) {
 	}
 	if res.LossProb <= want*1.2 {
 		t.Fatalf("bursty arrivals lost %.4f, Erlang B %.4f — expected clearly more", res.LossProb, want)
-	}
-}
-
-func TestMM1InfiniteQueueResponseTime(t *testing.T) {
-	// M/M/1 with rho = 0.5: mean sojourn = 1/(mu - lambda) = 2.
-	cfg := Config{
-		Servers:  1,
-		QueueCap: QueueCapInfinite,
-		Arrivals: workload.NewPoisson(0.5),
-		Service:  stats.NewExponential(1),
-		Horizon:  120000,
-		Warmup:   5000,
-		Seed:     3,
-	}
-	res, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lost != 0 {
-		t.Fatalf("infinite queue lost %d requests", res.Lost)
-	}
-	if stats.RelativeError(res.ResponseTimes.Mean(), 2.0) > 0.06 {
-		t.Fatalf("mean sojourn %.3f, want 2", res.ResponseTimes.Mean())
-	}
-	// Utilization = rho.
-	if stats.RelativeError(res.Utilization, 0.5) > 0.05 {
-		t.Fatalf("utilization %.3f", res.Utilization)
-	}
-	// Little's law on the queue: Lq = lambda * Wq = 0.5 * (2 - 1) = 0.5.
-	if stats.RelativeError(res.QueueLen, 0.5) > 0.12 {
-		t.Fatalf("queue length %.3f, want 0.5", res.QueueLen)
-	}
-}
-
-func TestMM1KFiniteQueue(t *testing.T) {
-	// M/M/1/K with K = 3 total slots (1 server + queue cap 2), rho = 1:
-	// loss = 1/(K+1) = 0.25.
-	cfg := Config{
-		Servers:  1,
-		QueueCap: 2,
-		Arrivals: workload.NewPoisson(1),
-		Service:  stats.NewExponential(1),
-		Horizon:  30000,
-		Warmup:   2000,
-		Seed:     5,
-	}
-	res, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RelativeError(res.LossProb, 0.25) > 0.06 {
-		t.Fatalf("M/M/1/3 loss %.4f, want 0.25", res.LossProb)
 	}
 }
 

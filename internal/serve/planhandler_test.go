@@ -32,6 +32,13 @@ const planScenario = `{
   "fleet": { "hosts": 4 }
 }`
 
+// oversupplied swaps a scenario's homogeneous fleet for a host-class
+// supply far past the planner's bound (a request body under 1 KB).
+func oversupplied(scenario string) string {
+	return strings.Replace(scenario, `"fleet": { "hosts": 4 }`,
+		`"fleet": { "classes": [{ "preset": "amd", "count": 100000 }] }`, 1)
+}
+
 func TestPlanEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	w := postPlan(t, s, `{"scenario": `+planScenario+`, "target": 0.05}`)
@@ -76,6 +83,7 @@ func TestPlanEndpointRejections(t *testing.T) {
 		{"negative iters", `{"scenario": ` + planScenario + `, "target": 0.05, "max_iters": -1}`, 400, CodeInvalidArgument},
 		{"unknown field", `{"scenario": ` + planScenario + `, "target": 0.05, "bogus": 1}`, 400, CodeInvalidArgument},
 		{"scenario unknown field", `{"scenario": {"mode": "consolidated", "bogus": 1}, "target": 0.05}`, 400, CodeInvalidArgument},
+		{"class supply above the planner's bound", `{"scenario": ` + oversupplied(planScenario) + `, "target": 0.05}`, 400, CodeInvalidArgument},
 		{"closed-loop scenario", `{"scenario": {"mode": "consolidated",
 			"services": [{"profile": {"preset": "tpcw-ebook"},
 				"clients": 40, "think_time": {"kind": "exponential", "rate": 0.14},
@@ -171,6 +179,7 @@ func TestPlanEndpointPeriodsRejections(t *testing.T) {
 		{"unknown field in periods block", `{"scenario": ` + periodsScenario + `, "target": 0.05, "periods": {"migration_cost_wh": 12, "bogus": 1}}`},
 		{"periods block without periods scenario", `{"scenario": ` + planScenario + `, "target": 0.05, "periods": {"migration_cost_wh": 12}}`},
 		{"periods scenario without periods block", `{"scenario": ` + periodsScenario + `, "target": 0.05}`},
+		{"class supply above the planner's bound", `{"scenario": ` + oversupplied(periodsScenario) + `, "target": 0.05, "periods": {"migration_cost_wh": 12}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

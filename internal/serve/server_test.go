@@ -138,6 +138,14 @@ func TestLossEndpoint(t *testing.T) {
 	if resp.Loss != 1 || resp.Utilization != 0 {
 		t.Errorf("n=0: loss=%g util=%g, want 1 and 0", resp.Loss, resp.Utilization)
 	}
+
+	// Far past the memo's prefix cap the direct recursion answers, and it
+	// stops once B underflows to 0 instead of stepping a billion servers.
+	w = get(t, s, "/v1/loss?n=1000000000&rho=5")
+	want := `{"n":1000000000,"rho":5,"loss":0,"carried":5,"utilization":5e-09,"wait":0}`
+	if w.Code != 200 || w.Body.String() != want {
+		t.Errorf("n=1e9: status %d body %s, want %s", w.Code, w.Body.String(), want)
+	}
 }
 
 // TestQueryEdgeCases drives every malformed single-query shape through the
