@@ -2,7 +2,7 @@
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesimSchedule*,
 // BenchmarkSweep*, BenchmarkServe*, BenchmarkBContinuous/*) plus the
 // whole-pipeline macro benchmarks BenchmarkRepro, BenchmarkShardedRun and
-// BenchmarkPlan — through `go test -bench` and records ns/op, B/op,
+// BenchmarkPlan* — through `go test -bench` and records ns/op, B/op,
 // allocs/op and (for the whole-run benchmarks) events/s in a JSON file,
 // so the performance trajectory of the hot path is tracked in-repo from
 // PR to PR.
@@ -125,10 +125,11 @@ func main() {
 	// microbenchmarks; a fixed 20000x count would run for hours, so it
 	// gets its own much smaller fixed count.
 	records = append(records, runBench("BenchmarkShardedRun", *macrotime, false, "./internal/cluster")...)
-	// The placement planner runs a few dozen evaluations per op (~1 ms);
-	// like the sharded run it gets the macro count, and its pool-parallel
-	// batches make allocation counts jitter, so -benchmem stays off.
-	records = append(records, runBench("BenchmarkPlan", *macrotime, false, "./internal/plan")...)
+	// The placement planner runs tens to hundreds of evaluations per op
+	// (0.05–1 ms); like the sharded run it gets the macro count. Its
+	// analytic candidates score inline on one goroutine, so allocation
+	// counts repeat run to run and -benchmem gates them.
+	records = append(records, runBench("BenchmarkPlan", *macrotime, true, "./internal/plan")...)
 	if len(records) == 0 {
 		fmt.Fprintln(os.Stderr, "simbench: no benchmark results parsed")
 		os.Exit(1)

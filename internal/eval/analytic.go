@@ -13,10 +13,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Analytic scores candidates with the paper's utility analytic model: the
-// scenario is bridged to a core.Model (ModelFromScenario), the fleet's
-// capability units size an Erlang B loss per resource, and utilization and
-// watts follow Eq. (9)–(14) with the platform factors of internal/power.
+// Analytic scores candidates with the paper's utility analytic model. A
+// scenario is compiled once (Compile) into a Kernel, and the kernel scores
+// placements of its fleet: the fleet's capability units size an Erlang B
+// loss per resource, and utilization and watts follow Eq. (9)–(14) with
+// the platform factors of internal/power. Evaluate is Compile plus one
+// Score of the scenario's declared fleet, so the analytic side has one
+// scoring routine.
 //
 // Integer-unit fleets are answered from the shared copy-on-write
 // erlang.Memo tables (lock-free reads, so concurrent candidate batches
@@ -53,90 +56,236 @@ func (a *Analytic) Evaluate(ctx context.Context, s scenario.Scenario) (Result, e
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	resolved := s.Clone()
-	resolved.ApplyDefaults()
-	if err := resolved.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, err := ModelFromScenario(resolved, evalLossTarget)
+	k, err := a.Compile(s)
 	if err != nil {
 		return Result{}, err
 	}
-	resources, err := ScenarioResources(resolved)
-	if err != nil {
-		return Result{}, err
-	}
-	serverModel, platform := scenarioPower(resolved)
-
-	res := Result{Source: "analytic", Mode: resolved.Mode}
-	if resolved.Mode == "dedicated" {
-		return a.evaluateDedicated(res, resolved, m, resources, serverModel, platform)
-	}
-	return a.evaluateConsolidated(res, resolved, m, resources, serverModel, platform)
+	return k.Score(k.declared)
 }
 
-// evaluateConsolidated scores a consolidated fleet: loss per resource is
-// Erlang B of the merged traffic ρ'ⱼ (Eq. 5) over the fleet's capability
+// Placement is one candidate fleet for a compiled scenario, in the shape
+// of its mode: a homogeneous consolidated host count, per-class host
+// counts for a heterogeneous consolidated fleet, or per-service pool
+// sizes in dedicated mode.
+type Placement struct {
+	// Hosts is a homogeneous consolidated fleet's host count.
+	Hosts int
+
+	// Classes holds per-class host counts in scenario class order; a
+	// zero count places no host of that class.
+	Classes []int
+
+	// Dedicated holds per-service pool sizes in scenario service order.
+	Dedicated []int
+}
+
+// Kernel is a scenario compiled for the analytic model. Between the
+// candidates a sizing search tries only the fleet changes — λᵢ, μᵢⱼ, aᵢⱼ
+// and the merged traffic ρ′ⱼ of Eq. (5) stay fixed — so validation and
+// the bridge to core.Model run once, in Compile, and Score prices a
+// Placement with one Erlang B read per resource (per pool and resource in
+// dedicated mode) plus the Eq. (9)–(14) arithmetic, with no scenario
+// clone and no map. A Kernel is immutable and safe for concurrent use.
+type Kernel struct {
+	memo     *erlang.Memo
+	model    *core.Model // the bridged model; Scale rescales its arrival rates
+	mode     string
+	declared Placement // the compiled scenario's own fleet
+
+	services []kernelService
+	rho      []float64 // ρ′ⱼ per resource, in sorted resource order
+	demand   float64   // Σⱼ ρ′ⱼ, the Eq. (10) numerator
+
+	capability []float64           // per host class: ClassCapability
+	classPower []power.ServerModel // per host class: its power model
+	fleetPower power.ServerModel
+	platform   power.Platform
+}
+
+// kernelService is one service's share of a Kernel.
+type kernelService struct {
+	name    string
+	demands []kernelDemand // resources with finite μᵢⱼ, in sorted resource order
+}
+
+// kernelDemand is one resource a service demands.
+type kernelDemand struct {
+	res int     // index into the kernel's resources
+	rho float64 // ρᵢⱼ = λᵢ/μᵢⱼ (Eq. 3), a dedicated pool's offered traffic
+}
+
+// Compile validates s and bridges it to the analytic model once
+// (ModelFromScenario), returning the kernel that scores placements of its
+// fleet. It accepts raw or resolved scenarios and fails exactly where
+// Evaluate does, with ErrUnsupported outside the model's domain.
+func (a *Analytic) Compile(s scenario.Scenario) (*Kernel, error) {
+	resolved := s.Clone()
+	resolved.ApplyDefaults()
+	m, err := bridge(resolved, evalLossTarget)
+	if err != nil {
+		return nil, err
+	}
+	k := &Kernel{memo: a.memo, mode: resolved.Mode}
+	k.fleetPower, k.platform = scenarioPower(resolved)
+	switch {
+	case resolved.Mode == "dedicated":
+		k.declared.Dedicated = make([]int, len(resolved.Services))
+		for i := range resolved.Services {
+			k.declared.Dedicated[i] = resolved.Services[i].DedicatedServers
+		}
+	case len(resolved.Fleet.Classes) == 0:
+		k.declared.Hosts = resolved.Fleet.Hosts
+	default:
+		resources := make([]string, len(m.Resources))
+		for j, r := range m.Resources {
+			resources[j] = string(r)
+		}
+		for _, hc := range resolved.Fleet.Classes {
+			model := k.fleetPower
+			if hc.Power != nil {
+				model = power.ServerModel{Base: hc.Power.BaseW, Max: hc.Power.MaxW}
+			}
+			k.capability = append(k.capability, ClassCapability(hc, resources))
+			k.classPower = append(k.classPower, model)
+			k.declared.Classes = append(k.declared.Classes, hc.Count)
+		}
+	}
+	k.flatten(m)
+	return k, nil
+}
+
+// flatten derives the kernel's traffic from the bridged model: ρ′ⱼ per
+// resource under the model's TrafficForm, and each service's ρᵢⱼ in the
+// model's sorted resource order, so every sum runs in a fixed order.
+func (k *Kernel) flatten(m *core.Model) {
+	k.model = m
+	k.rho = make([]float64, len(m.Resources))
+	k.demand = 0
+	for j, r := range m.Resources {
+		k.rho[j] = m.ConsolidatedTraffic(r, m.Form)
+		k.demand += k.rho[j]
+	}
+	k.services = make([]kernelService, len(m.Services))
+	for i, svc := range m.Services {
+		ks := kernelService{name: svc.Name}
+		for j, r := range m.Resources {
+			if mu, ok := svc.ServingRates[r]; ok && !math.IsInf(mu, 1) {
+				ks.demands = append(ks.demands, kernelDemand{res: j, rho: svc.ArrivalRate / mu})
+			}
+		}
+		k.services[i] = ks
+	}
+}
+
+// Scale returns the kernel of the same scenario with service i's arrival
+// rate multiplied by mults[i]: the stationary operating point
+// scenario.Stationary builds for a periods bin or segment peak, whose
+// Poisson rates are the same rate·mult products, so scoring a placement
+// on the scaled kernel matches compiling that stationary scenario bit for
+// bit. Fleet, classes and power are shared with k.
+func (k *Kernel) Scale(mults []float64) (*Kernel, error) {
+	if len(mults) != len(k.model.Services) {
+		return nil, fmt.Errorf("%w: %d multipliers for %d services", scenario.ErrInvalid, len(mults), len(k.model.Services))
+	}
+	m := *k.model
+	m.Services = make([]core.Service, len(k.model.Services))
+	for i, svc := range k.model.Services {
+		svc.ArrivalRate *= mults[i]
+		// The check validating the stationary scenario's Poisson arrivals;
+		// it also refuses a multiplier that is not positive and finite.
+		if err := workload.PoissonSpec(svc.ArrivalRate).Validate(); err != nil {
+			return nil, fmt.Errorf("service %d: %w", i, err)
+		}
+		m.Services[i] = svc
+	}
+	out := *k
+	out.flatten(&m)
+	return &out, nil
+}
+
+// Score prices placement p, which must have the compiled scenario's
+// shape: per-service pool sizes in dedicated mode, one count per host
+// class for a heterogeneous fleet, else a host count.
+func (k *Kernel) Score(p Placement) (Result, error) {
+	if k.mode == "dedicated" {
+		return k.scoreDedicated(p)
+	}
+	return k.scoreConsolidated(p)
+}
+
+// scoreConsolidated scores a consolidated fleet: loss per resource is
+// Erlang B of the merged traffic ρ′ⱼ (Eq. 5) over the fleet's capability
 // units, a service's loss is the worst over the resources it demands, and
 // watts sum per-class draws at the Eq. (10) utilization.
-func (a *Analytic) evaluateConsolidated(res Result, s scenario.Scenario, m *core.Model, resources []string, serverModel power.ServerModel, platform power.Platform) (Result, error) {
-	hosts, units := FleetUnits(s, resources)
-	res.Hosts = hosts
-	res.CapabilityUnits = units
-
-	lossByResource := make(map[string]float64, len(resources))
-	demand := 0.0
-	for _, r := range resources {
-		rho := m.ConsolidatedTraffic(core.Resource(r), m.Form)
-		demand += rho
-		b, err := a.loss(units, rho)
+func (k *Kernel) scoreConsolidated(p Placement) (Result, error) {
+	if len(p.Dedicated) > 0 || len(p.Classes) != len(k.capability) {
+		return Result{}, fmt.Errorf("eval: placement does not fit a consolidated fleet of %d host classes", len(k.capability))
+	}
+	res := Result{Source: "analytic", Mode: k.mode}
+	if len(k.capability) == 0 {
+		res.Hosts, res.CapabilityUnits = p.Hosts, float64(p.Hosts)
+	}
+	for c, n := range p.Classes {
+		res.Hosts += n
+		res.CapabilityUnits += float64(n) * k.capability[c]
+	}
+	// A stack buffer holds the per-resource losses for the usual few
+	// resources, so a score allocates only its Services slice.
+	var buf [8]float64
+	lossByResource := buf[:0]
+	if len(k.rho) > len(buf) {
+		lossByResource = make([]float64, 0, len(k.rho))
+	}
+	for _, rho := range k.rho {
+		b, err := k.loss(res.CapabilityUnits, rho)
 		if err != nil {
 			return Result{}, err
 		}
-		lossByResource[r] = b
+		lossByResource = append(lossByResource, b)
 		if b > res.Loss {
 			res.Loss = b
 		}
 	}
-	res.Services = make([]ServiceLoss, len(m.Services))
-	for i, svc := range m.Services {
+	res.Services = make([]ServiceLoss, len(k.services))
+	for i, svc := range k.services {
 		worst := 0.0
-		for r, mu := range svc.ServingRates {
-			if math.IsInf(mu, 1) {
-				continue
-			}
-			if b := lossByResource[string(r)]; b > worst {
+		for _, d := range svc.demands {
+			if b := lossByResource[d.res]; b > worst {
 				worst = b
 			}
 		}
-		res.Services[i] = ServiceLoss{Name: svc.Name, Loss: worst}
+		res.Services[i] = ServiceLoss{Name: svc.name, Loss: worst}
 	}
-	if units > 0 {
-		res.Utilization = demand / units
+	if res.CapabilityUnits > 0 {
+		res.Utilization = k.demand / res.CapabilityUnits
 	}
-	res.Watts = fleetWatts(s, res.Utilization, serverModel, platform)
+	if len(k.capability) == 0 {
+		res.Watts = power.SteadyStateDraw(k.fleetPower, res.Hosts, res.Utilization, k.platform)
+	}
+	for c, n := range p.Classes {
+		res.Watts += power.SteadyStateDraw(k.classPower[c], n, res.Utilization, k.platform)
+	}
 	return res, nil
 }
 
-// evaluateDedicated scores per-service dedicated pools: each service's
-// pool of DedicatedServers reference servers sees its own offered traffic
-// ρᵢⱼ = λᵢ/μᵢⱼ (Eq. 3), and watts sum per-pool draws at each pool's
-// Eq. (9) utilization.
-func (a *Analytic) evaluateDedicated(res Result, s scenario.Scenario, m *core.Model, resources []string, serverModel power.ServerModel, platform power.Platform) (Result, error) {
-	res.Services = make([]ServiceLoss, len(m.Services))
+// scoreDedicated scores per-service dedicated pools: each service's pool
+// of reference servers sees its own offered traffic ρᵢⱼ = λᵢ/μᵢⱼ
+// (Eq. 3), and watts sum per-pool draws at each pool's Eq. (9)
+// utilization.
+func (k *Kernel) scoreDedicated(p Placement) (Result, error) {
+	if len(p.Dedicated) != len(k.services) {
+		return Result{}, fmt.Errorf("eval: placement has %d dedicated pools for %d services", len(p.Dedicated), len(k.services))
+	}
+	res := Result{Source: "analytic", Mode: k.mode, Services: make([]ServiceLoss, len(k.services))}
 	totalDemand := 0.0
-	for i, svc := range m.Services {
-		n := s.Services[i].DedicatedServers
+	for i, svc := range k.services {
+		n := p.Dedicated[i]
 		res.Hosts += n
 		worst := 0.0
 		demand := 0.0
-		for _, mu := range svc.ServingRates {
-			if math.IsInf(mu, 1) {
-				continue
-			}
-			rho := svc.ArrivalRate / mu
-			demand += rho
-			b, err := a.loss(float64(n), rho)
+		for _, d := range svc.demands {
+			demand += d.rho
+			b, err := k.loss(float64(n), d.rho)
 			if err != nil {
 				return Result{}, err
 			}
@@ -144,13 +293,13 @@ func (a *Analytic) evaluateDedicated(res Result, s scenario.Scenario, m *core.Mo
 				worst = b
 			}
 		}
-		res.Services[i] = ServiceLoss{Name: svc.Name, Loss: worst}
+		res.Services[i] = ServiceLoss{Name: svc.name, Loss: worst}
 		if worst > res.Loss {
 			res.Loss = worst
 		}
 		totalDemand += demand
 		if n > 0 {
-			res.Watts += power.SteadyStateDraw(serverModel, n, demand/float64(n), platform)
+			res.Watts += power.SteadyStateDraw(k.fleetPower, n, demand/float64(n), k.platform)
 		}
 	}
 	res.CapabilityUnits = float64(res.Hosts)
@@ -163,7 +312,7 @@ func (a *Analytic) evaluateDedicated(res Result, s scenario.Scenario, m *core.Mo
 // loss evaluates Erlang B over a possibly fractional server count: the
 // memoized integer tables when units is whole, the continuous extension
 // otherwise.
-func (a *Analytic) loss(units, rho float64) (float64, error) {
+func (k *Kernel) loss(units, rho float64) (float64, error) {
 	if rho == 0 {
 		if units == 0 {
 			return 1, nil
@@ -171,26 +320,9 @@ func (a *Analytic) loss(units, rho float64) (float64, error) {
 		return 0, nil
 	}
 	if n := math.Round(units); math.Abs(units-n) < 1e-9 && n >= 0 {
-		return a.memo.B(int(n), rho)
+		return k.memo.B(int(n), rho)
 	}
 	return erlang.BContinuous(units, rho)
-}
-
-// fleetWatts sums the steady-state draw of a consolidated fleet at uniform
-// utilization u, honoring per-class power overrides.
-func fleetWatts(s scenario.Scenario, u float64, fleetModel power.ServerModel, platform power.Platform) float64 {
-	if len(s.Fleet.Classes) == 0 {
-		return power.SteadyStateDraw(fleetModel, s.Fleet.Hosts, u, platform)
-	}
-	watts := 0.0
-	for _, hc := range s.Fleet.Classes {
-		model := fleetModel
-		if hc.Power != nil {
-			model = power.ServerModel{Base: hc.Power.BaseW, Max: hc.Power.MaxW}
-		}
-		watts += power.SteadyStateDraw(model, hc.Count, u, platform)
-	}
-	return watts
 }
 
 // scenarioPower reads the resolved scenario's power model and platform.
@@ -225,6 +357,12 @@ func scenarioPower(s scenario.Scenario) (power.ServerModel, power.Platform) {
 func ModelFromScenario(s scenario.Scenario, lossTarget float64) (*core.Model, error) {
 	resolved := s.Clone()
 	resolved.ApplyDefaults()
+	return bridge(resolved, lossTarget)
+}
+
+// bridge is ModelFromScenario on a private scenario with defaults
+// applied.
+func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error) {
 	if err := resolved.Validate(); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,10 @@
 //   - Analytic answers from the paper's utility analytic model (Eq. 5–14)
 //     via the copy-on-write memoized Erlang tables (erlang.Memo) for
 //     integer fleets and the continuous Erlang B extension for fractional
-//     capability units (heterogeneous fleets).
+//     capability units (heterogeneous fleets). It compiles a scenario
+//     once into a Kernel that scores placements of its fleet, which is
+//     how internal/plan tries candidates without rebuilding the scenario
+//     for each.
 //   - Sim lowers the candidate onto the existing sweep engine, so scores
 //     inherit the shared worker-pool budget and the content-addressed
 //     result cache: re-evaluating a candidate a search has already visited

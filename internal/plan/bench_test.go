@@ -2,6 +2,8 @@ package plan_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/eval"
@@ -21,9 +23,30 @@ func BenchmarkPlan(b *testing.B) {
 	}}
 	ev := eval.NewAnalytic(nil)
 	spec := plan.Spec{Scenario: s, Target: 0.05, Objective: plan.MinPower, Seed: 7}
-	// No ReportAllocs: the pool-parallel candidate batches make the count
-	// jitter by a few allocs run to run, and the benchdiff gate treats any
-	// allocs/op increase as a regression (same policy as BenchmarkShardedRun).
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Search(context.Background(), ev, nil, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanMinServers times the heterogeneous search under the
+// default objective on plan-hetero.json's class supply, where the
+// annealer's zero-delta swaps keep it running to MaxIters.
+func BenchmarkPlanMinServers(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "plan-hetero.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := scenario.ParseBytes(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := eval.NewAnalytic(nil)
+	spec := plan.Spec{Scenario: s, Target: 0.05, Objective: plan.MinServers}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.Search(context.Background(), ev, nil, spec); err != nil {
@@ -34,13 +57,13 @@ func BenchmarkPlan(b *testing.B) {
 
 // BenchmarkPlanPeriods times a full analytic multi-period plan over the
 // default 24-bin diurnal day: per-peak segment searches, the bin-grid
-// scoring batch, and the segmentation dynamic program. Same no-
-// ReportAllocs policy as BenchmarkPlan.
+// scoring, and the segmentation dynamic program.
 func BenchmarkPlanPeriods(b *testing.B) {
 	s := scenario.CaseStudy(4, 4, "consolidated", 0)
 	s.Periods = &scenario.Periods{}
 	ev := eval.NewAnalytic(nil)
 	spec := plan.Spec{Scenario: s, Target: 0.05, Seed: 7}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.SearchPeriods(context.Background(), ev, nil, spec, 12); err != nil {

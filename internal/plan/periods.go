@@ -2,12 +2,11 @@ package plan
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/pool"
@@ -138,20 +137,33 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	n := len(bins)
 	services := len(resolved.Services)
 
+	// Under the analytic evaluator the base scenario (periods stripped) is
+	// compiled once, and every segment peak and bin below is a rescaled
+	// kernel: scenario.Stationary's rate·mult products without the
+	// scenario.
+	flat := resolved
+	flat.Periods = nil
+	base, err := compile(ev, flat)
+	if err != nil {
+		return PeriodPlan{}, err
+	}
+
 	// Enumerate every contiguous segment's peak-demand vector,
-	// deduplicated: the day shape revisits levels, so far fewer than
-	// n(n+1)/2 distinct peaks need a search.
+	// deduplicated on the multipliers' bit patterns: the day shape
+	// revisits levels, so far fewer than n(n+1)/2 distinct peaks need a
+	// search.
 	type peakEntry struct {
 		mults    []float64
-		label    string
 		feasible bool
 		plan     Plan
+		place    eval.Placement
 		binRes   []eval.Result
 		binOK    []bool
 	}
 	peakIdx := make(map[string]int)
 	var peaks []*peakEntry
 	segPeak := make([][]int, n) // segPeak[i][j-i] = peak index of segment [i..j]
+	key := make([]byte, 0, 8*services)
 	for i := 0; i < n; i++ {
 		cur := append([]float64(nil), bins[i].Multipliers...)
 		segPeak[i] = make([]int, n-i)
@@ -163,15 +175,15 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 					}
 				}
 			}
-			key := multKey(cur)
-			idx, ok := peakIdx[key]
+			key = key[:0]
+			for _, v := range cur {
+				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+			}
+			idx, ok := peakIdx[string(key)]
 			if !ok {
 				idx = len(peaks)
-				peakIdx[key] = idx
-				peaks = append(peaks, &peakEntry{
-					mults: append([]float64(nil), cur...),
-					label: fmt.Sprintf("peak%02d", idx),
-				})
+				peakIdx[string(key)] = idx
+				peaks = append(peaks, &peakEntry{mults: append([]float64(nil), cur...)})
 			}
 			segPeak[i][j-i] = idx
 		}
@@ -182,14 +194,8 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// plan: with per-service peaks in different bins, splitting can be
 	// feasible where the static peak is not.
 	evaluations := 0
-	for _, pe := range peaks {
-		stat, err := resolved.Stationary(pe.label, pe.mults)
-		if err != nil {
-			return PeriodPlan{}, err
-		}
-		segSpec := spec
-		segSpec.Scenario = stat
-		pl, err := Search(ctx, ev, p, segSpec)
+	for pi, pe := range peaks {
+		pl, err := searchPeak(ctx, ev, p, spec, flat, base, pi, pe.mults)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -198,11 +204,13 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		}
 		pe.feasible = true
 		pe.plan = pl
+		pe.place = pl.placement()
 		evaluations += pl.Evaluations
 	}
 
-	// Score each bin under every placement some segment would run it on
-	// — one batch, deterministic peak-major bin-minor order, so the sim
+	// Score each bin under every placement some segment would run it on,
+	// in deterministic peak-major bin-minor order: on the bins' rescaled
+	// kernels, or as one batch of stamped bin scenarios, so the sim
 	// evaluator lowers the whole grid onto a single engine run.
 	type pairKey struct{ peak, bin int }
 	needed := make(map[pairKey]bool)
@@ -217,7 +225,6 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		}
 	}
 	var order []pairKey
-	var cands []scenario.Scenario
 	for pi, pe := range peaks {
 		if !pe.feasible {
 			continue
@@ -225,18 +232,38 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		pe.binRes = make([]eval.Result, n)
 		pe.binOK = make([]bool, n)
 		for b := 0; b < n; b++ {
-			if !needed[pairKey{pi, b}] {
-				continue
+			if needed[pairKey{pi, b}] {
+				order = append(order, pairKey{pi, b})
 			}
-			order = append(order, pairKey{pi, b})
-			cands = append(cands, pe.plan.Apply(bins[b].Scenario))
 		}
 	}
-	results, err := eval.EvaluateBatch(ctx, ev, cands)
-	if err != nil {
-		return PeriodPlan{}, err
+	var results []eval.Result
+	if base != nil {
+		results = make([]eval.Result, len(order))
+		binKernels := make([]*eval.Kernel, n)
+		for t, pk := range order {
+			if err := ctx.Err(); err != nil {
+				return PeriodPlan{}, err
+			}
+			if binKernels[pk.bin] == nil {
+				if binKernels[pk.bin], err = base.Scale(bins[pk.bin].Multipliers); err != nil {
+					return PeriodPlan{}, err
+				}
+			}
+			if results[t], err = binKernels[pk.bin].Score(peaks[pk.peak].place); err != nil {
+				return PeriodPlan{}, err
+			}
+		}
+	} else {
+		cands := make([]scenario.Scenario, len(order))
+		for t, pk := range order {
+			cands[t] = stamp(bins[pk.bin].Scenario, peaks[pk.peak].place)
+		}
+		if results, err = eval.EvaluateBatch(ctx, ev, cands); err != nil {
+			return PeriodPlan{}, err
+		}
 	}
-	evaluations += len(cands)
+	evaluations += len(order)
 	for t, pk := range order {
 		pe := peaks[pk.peak]
 		pe.binRes[pk.bin] = results[t]
@@ -405,6 +432,25 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	return out, nil
 }
 
+// searchPeak sizes segment peak idx of the periods-free scenario flat:
+// on the base kernel rescaled to the peak under the analytic evaluator,
+// else by Search over the peak's stationary scenario.
+func searchPeak(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, flat scenario.Scenario, base *eval.Kernel, idx int, mults []float64) (Plan, error) {
+	if base != nil {
+		k, err := base.Scale(mults)
+		if err != nil {
+			return Plan{}, err
+		}
+		return search(ctx, ev, p, spec, flat, k)
+	}
+	stat, err := flat.Stationary(fmt.Sprintf("peak%02d", idx), mults)
+	if err != nil {
+		return Plan{}, err
+	}
+	spec.Scenario = stat
+	return Search(ctx, ev, p, spec)
+}
+
 // planMoves counts the VM migrations turning placement a into placement
 // b: dedicated pools move one VM per server resized; consolidated
 // fleets move every co-located service VM of every added or removed
@@ -433,16 +479,4 @@ func intAbs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// multKey canonicalizes a multiplier vector for deduplication.
-func multKey(m []float64) string {
-	var b strings.Builder
-	for i, v := range m {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return b.String()
 }

@@ -249,3 +249,37 @@ func TestSearchPeriodsWithSimEvaluator(t *testing.T) {
 		t.Fatal("sim-backed period plan not deterministic")
 	}
 }
+
+// The multi-period planner plans byte-identically on rescaled kernels and
+// on the stamping route (an Evaluate-only decorator on a 2-slot pool,
+// scoring the bin grid as one batch).
+func TestSearchPeriodsRoutesAgree(t *testing.T) {
+	s, ok := loadExamples(t)["periods-day.json"]
+	if !ok {
+		t.Fatal("missing example periods-day.json")
+	}
+	pl, err := pool.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := plan.Spec{Scenario: s, Target: target}
+	compiled, err := plan.SearchPeriods(context.Background(), eval.NewAnalytic(nil), nil, spec, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped, err := plan.SearchPeriods(context.Background(), evaluateOnly{eval.NewAnalytic(nil)}, pl, spec, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := compiled.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := stamped.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("compiled and stamped period plans differ:\n%s\n%s", a, b)
+	}
+}

@@ -10,12 +10,21 @@
 // the minimal count — the same N and M the paper's Fig. 4 sizing yields.
 // Heterogeneous consolidated fleets walk a first-fit-decreasing seed
 // through local-search moves (remove one host, swap a host across
-// classes) with a seeded annealing kick out of stalls; candidate batches
-// evaluate in parallel through the shared internal/pool budget.
+// classes) with a seeded annealing kick out of stalls.
+//
+// Candidates are placements (eval.Placement): a host count, a class-count
+// vector or per-service pool sizes. Under eval.Analytic the scenario is
+// compiled once per search — once per request for SearchPeriods, whose
+// segment peaks and bins are rescaled kernels — and every placement is
+// scored inline on the kernel. Any other evaluator (the simulator, or a
+// decorator) gets each placement stamped onto the scenario, the same
+// stamping Plan.Apply does, and candidate batches evaluate in parallel
+// through the shared internal/pool budget.
 //
 // Every decision — seed order, move order, batch reduction, annealing
 // draws — is made sequentially from deterministic inputs, so the same
-// Spec yields a byte-identical Plan regardless of pool worker count.
+// Spec yields a byte-identical Plan on either route and regardless of
+// pool worker count.
 package plan
 
 import (
@@ -51,10 +60,13 @@ const maxPoolServers = 1 << 16
 const defaultMaxIters = 200
 
 // maxHeteroSupply caps a heterogeneous scenario's summed class Count. The
-// first-fit-decreasing seed builds one prefix, one scenario clone and one
-// goroutine per supplied host, so the supply sets the cost of a search:
-// at this cap, Search over plan-hetero's three classes took 56–86 ms and
-// allocated 37 MB on a 2-vCPU VM; a supply of 1e5 took 23 s and 789 MB.
+// first-fit-decreasing seed scores one prefix per supplied host, and each
+// fractional-unit score steps erlang.BContinuous once per capability
+// unit, so a search's cost grows with the square of the supply. At this
+// cap, Search over plan-hetero's three classes (1638/1638/820 hosts) on
+// the analytic kernel took 8.2–8.6 ms for min-power (4120 evaluations)
+// and 9.7–10.1 ms for min-servers (5659) on a 2-vCPU VM; cloning a
+// scenario per candidate it had taken 71–75 and 112–117 ms.
 const maxHeteroSupply = 1 << 12
 
 // Spec is one planning request.
@@ -159,35 +171,64 @@ func (p Plan) EncodeJSON() ([]byte, error) {
 }
 
 // Apply stamps the plan's placement onto a scenario: the homogeneous
-// host count, the per-class counts (zero-count classes dropped, exactly
-// as the searcher's own candidates drop them), or the per-service
-// dedicated pool sizes. The scenario must share the plan's mode and
-// shape — same class supply or service list, in order. Apply is how a
-// plan chosen at one operating point is re-evaluated at another: the
-// multi-period planner scores each time bin under its segment's plan,
+// host count, the per-class counts (zero-count classes dropped) or the
+// per-service dedicated pool sizes. The scenario must share the plan's
+// mode and shape — same class supply or service list, in order. Apply is
+// how a plan chosen at one operating point is re-evaluated at another:
+// the multi-period planner scores each time bin under its segment's plan,
 // and the ablation experiments replay a placement against simulation.
 func (p Plan) Apply(s scenario.Scenario) scenario.Scenario {
-	c := s.Clone()
+	return stamp(s, p.placement())
+}
+
+// placement reports the plan's fleet in the shape the evaluation layer
+// scores.
+func (p Plan) placement() eval.Placement {
 	switch {
 	case len(p.Dedicated) > 0:
+		sizes := make([]int, len(p.Dedicated))
+		for i, d := range p.Dedicated {
+			sizes[i] = d.Servers
+		}
+		return eval.Placement{Dedicated: sizes}
+	case len(p.Classes) > 0:
+		counts := make([]int, len(p.Classes))
+		for i, c := range p.Classes {
+			counts[i] = c.Count
+		}
+		return eval.Placement{Classes: counts}
+	}
+	return eval.Placement{Hosts: p.Hosts}
+}
+
+// stamp returns a copy of s carrying placement pl — the one route by
+// which a candidate reaches an evaluator other than eval.Analytic, and
+// the body of Plan.Apply. Dedicated pool sizes land on the services in
+// order; class counts replace the class supply, dropping zero-count
+// classes (a scenario class needs a positive count); a host count
+// replaces the fleet's pool. The fleet's memory sizes are kept.
+func stamp(s scenario.Scenario, pl eval.Placement) scenario.Scenario {
+	c := s.Clone()
+	switch {
+	case len(pl.Dedicated) > 0:
 		for i := range c.Services {
-			if i < len(p.Dedicated) {
-				c.Services[i].DedicatedServers = p.Dedicated[i].Servers
+			if i < len(pl.Dedicated) {
+				c.Services[i].DedicatedServers = pl.Dedicated[i]
 			}
 		}
-	case len(p.Classes) > 0:
+	case len(pl.Classes) > 0:
 		classes := c.Fleet.Classes
-		c.Fleet = scenario.Fleet{}
+		c.Fleet.Hosts, c.Fleet.Classes = 0, nil
 		for k := range classes {
-			if k >= len(p.Classes) || p.Classes[k].Count == 0 {
+			if k >= len(pl.Classes) || pl.Classes[k] == 0 {
 				continue
 			}
 			hc := classes[k]
-			hc.Count = p.Classes[k].Count
+			hc.Count = pl.Classes[k]
 			c.Fleet.Classes = append(c.Fleet.Classes, hc)
 		}
 	default:
-		c.Fleet = scenario.Fleet{Hosts: p.Hosts}
+		c.Fleet.Hosts, c.Fleet.Classes = pl.Hosts, nil
 	}
 	return c
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -312,5 +313,126 @@ func TestPlanWithSimEvaluator(t *testing.T) {
 	b, _ := again.EncodeJSON()
 	if !bytes.Equal(a, b) {
 		t.Fatal("sim-backed plan not deterministic")
+	}
+}
+
+// evaluateOnly hides the evaluator it wraps behind Evaluate alone, so the
+// planner takes the stamping route even for eval.Analytic: each
+// candidate stamped onto the scenario and evaluated on the pool.
+type evaluateOnly struct{ ev eval.Evaluator }
+
+func (e evaluateOnly) Evaluate(ctx context.Context, s scenario.Scenario) (eval.Result, error) {
+	return e.ev.Evaluate(ctx, s)
+}
+
+// The compiled route (the analytic kernel scoring placements inline) and
+// the stamping route (the same evaluator behind an Evaluate-only
+// decorator, fanned out on a 2-slot pool) plan byte-identically.
+func TestSearchRoutesAgree(t *testing.T) {
+	examples := loadExamples(t)
+	pl, err := pool.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, file, objective string
+	}{
+		{"plan-hetero min-servers", "plan-hetero.json", plan.MinServers},
+		{"plan-hetero min-power", "plan-hetero.json", plan.MinPower},
+		{"sharded-fleet", "sharded-fleet.json", ""},
+		{"casestudy-dedicated", "casestudy-dedicated.json", ""},
+	} {
+		s, ok := examples[tc.file]
+		if !ok {
+			t.Fatalf("missing example %s", tc.file)
+		}
+		spec := plan.Spec{Scenario: s, Target: target, Objective: tc.objective}
+		compiled, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		stamped, err := plan.Search(context.Background(), evaluateOnly{eval.NewAnalytic(nil)}, pl, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		a, err := compiled.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := stamped.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: compiled and stamped plans differ:\n%s\n%s", tc.name, a, b)
+		}
+	}
+}
+
+// memoryBound is a two-service workload whose 6 GB VMs plus Domain 0 fit
+// a 16 GB host but not the 8 GB default, on the given fleet.
+func memoryBound(fleet scenario.Fleet) scenario.Scenario {
+	web, db := scenario.WebSpec(200, 0), scenario.DBSpec(20, 0)
+	web.MemoryGB, db.MemoryGB = 6, 6
+	fleet.HostMemoryGB = 16
+	return scenario.Scenario{
+		Name:     "memory-bound",
+		Mode:     "consolidated",
+		Services: []scenario.Service{web, db},
+		Fleet:    fleet,
+		Horizon:  10,
+	}
+}
+
+// Apply stamps a placement without dropping the fleet's memory sizes,
+// and leaves its input untouched.
+func TestPlanApplyKeepsFleetMemory(t *testing.T) {
+	homogeneous := memoryBound(scenario.Fleet{Hosts: 4, Dom0MemoryGB: 2})
+	got := plan.Plan{Hosts: 2}.Apply(homogeneous)
+	if want := (scenario.Fleet{Hosts: 2, HostMemoryGB: 16, Dom0MemoryGB: 2}); !reflect.DeepEqual(got.Fleet, want) {
+		t.Errorf("homogeneous fleet %+v, want %+v", got.Fleet, want)
+	}
+	if homogeneous.Fleet.Hosts != 4 {
+		t.Errorf("Apply changed its input: hosts %d", homogeneous.Fleet.Hosts)
+	}
+
+	hetero := memoryBound(scenario.Fleet{Dom0MemoryGB: 2, Classes: []scenario.HostClass{
+		{Preset: "amd", Count: 2}, {Preset: "intel", Count: 2},
+	}})
+	got = plan.Plan{Hosts: 1, Classes: []plan.ClassCount{{Name: "amd", Count: 0}, {Name: "intel", Count: 1}}}.Apply(hetero)
+	want := scenario.Fleet{HostMemoryGB: 16, Dom0MemoryGB: 2, Classes: []scenario.HostClass{{Preset: "intel", Count: 1}}}
+	if !reflect.DeepEqual(got.Fleet, want) {
+		t.Errorf("heterogeneous fleet %+v, want %+v", got.Fleet, want)
+	}
+
+	dedicated := scenario.CaseStudy(4, 4, "dedicated", 0)
+	got = plan.Plan{Hosts: 5, Dedicated: []plan.PoolSize{{Name: "web", Servers: 3}, {Name: "db", Servers: 2}}}.Apply(dedicated)
+	if got.Services[0].DedicatedServers != 3 || got.Services[1].DedicatedServers != 2 {
+		t.Errorf("dedicated pools %d/%d, want 3/2", got.Services[0].DedicatedServers, got.Services[1].DedicatedServers)
+	}
+}
+
+// A scenario whose declared fleet simulates plans under the sim
+// evaluator too: the candidates keep the fleet's host memory.
+func TestPlanWithSimEvaluatorKeepsMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed planning")
+	}
+	ev := eval.NewSim(nil)
+	for _, fleet := range []scenario.Fleet{
+		{Hosts: 2},
+		{Classes: []scenario.HostClass{{Preset: "amd", Count: 2}, {Preset: "intel", Count: 2}}},
+	} {
+		s := memoryBound(fleet)
+		if _, err := ev.Evaluate(context.Background(), s); err != nil {
+			t.Fatalf("declared fleet %+v: %v", fleet, err)
+		}
+		p, err := plan.Search(context.Background(), ev, nil, plan.Spec{Scenario: s, Target: 0.2, MaxIters: 4})
+		if err != nil {
+			t.Fatalf("fleet %+v: %v", fleet, err)
+		}
+		if p.Hosts <= 0 || p.Result.Loss > 0.2 {
+			t.Fatalf("fleet %+v: hosts=%d loss=%g", fleet, p.Hosts, p.Result.Loss)
+		}
 	}
 }

@@ -14,10 +14,13 @@ import (
 )
 
 // Search finds the cheapest placement of spec.Scenario's workload that
-// meets the loss target, scoring candidates with ev. Candidate batches
-// run in parallel; p bounds that fan-out unless ev already budgets
-// itself against a shared pool (eval.SelfBudgeted), in which case
-// wrapping would risk a slot-holder waiting on a slot.
+// meets the loss target, scoring candidates with ev. The analytic
+// evaluator compiles the scenario once and scores every candidate inline
+// on the calling goroutine. Any other evaluator sees each candidate
+// stamped onto the scenario, and candidate batches run in parallel: p
+// bounds that fan-out unless ev already budgets itself against a shared
+// pool (eval.SelfBudgeted), in which case wrapping would risk a
+// slot-holder waiting on a slot.
 func Search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec) (Plan, error) {
 	spec, err := spec.normalized()
 	if err != nil {
@@ -34,12 +37,34 @@ func Search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec) (Pl
 	if spec.Seed == 0 {
 		spec.Seed = int64(resolved.Seed)
 	}
-	s := &searcher{ctx: ctx, ev: ev, pool: p, spec: spec, resolved: resolved}
+	k, err := compile(ev, resolved)
+	if err != nil {
+		return Plan{}, err
+	}
+	return search(ctx, ev, p, spec, resolved, k)
+}
+
+// compile builds the kernel of a resolved scenario when ev is the
+// analytic evaluator, and returns nil (the stamping route) for any other
+// evaluator, a decorator around the analytic one included.
+func compile(ev eval.Evaluator, resolved scenario.Scenario) (*eval.Kernel, error) {
+	an, ok := ev.(*eval.Analytic)
+	if !ok {
+		return nil, nil
+	}
+	return an.Compile(resolved)
+}
+
+// search places a normalized spec's workload on its resolved scenario,
+// scoring candidates on k when it is non-nil and through ev otherwise.
+func search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, resolved scenario.Scenario, k *eval.Kernel) (Plan, error) {
+	s := &searcher{ctx: ctx, ev: ev, pool: p, spec: spec, resolved: resolved, kernel: k}
 	if sb, ok := ev.(eval.SelfBudgeted); ok && sb.SelfBudgeted() {
 		s.selfBudgeted = true
 	}
 
 	var plan Plan
+	var err error
 	switch {
 	case resolved.Mode == "dedicated":
 		plan, err = s.searchDedicated()
@@ -65,24 +90,41 @@ type searcher struct {
 	pool         *pool.Pool
 	spec         Spec
 	resolved     scenario.Scenario
+	kernel       *eval.Kernel // nil: stamp candidates and call ev
 	selfBudgeted bool
 	evaluations  int
 }
 
-// batch evaluates candidates concurrently, index-addressed, and reduces
-// sequentially: results (and the first error, by index) are independent
-// of worker count and scheduling.
-func (s *searcher) batch(cands []scenario.Scenario) ([]eval.Result, error) {
+// batch scores candidate placements, index-addressed. On the kernel they
+// are scored in order on the calling goroutine; otherwise each is stamped
+// onto the scenario and evaluated concurrently, and the results (and the
+// first error, by index) are reduced sequentially. Either way the outcome
+// is independent of worker count and scheduling.
+func (s *searcher) batch(cands []eval.Placement) ([]eval.Result, error) {
+	s.evaluations += len(cands)
 	results := make([]eval.Result, len(cands))
+	if s.kernel != nil {
+		for i, c := range cands {
+			if err := s.ctx.Err(); err != nil {
+				return nil, err
+			}
+			var err error
+			if results[i], err = s.kernel.Score(c); err != nil {
+				return nil, err
+			}
+		}
+		return results, nil
+	}
 	errs := make([]error, len(cands))
 	var wg sync.WaitGroup
 	for i := range cands {
+		cand := stamp(s.resolved, cands[i])
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			run := func() error {
 				var err error
-				results[i], err = s.ev.Evaluate(s.ctx, cands[i])
+				results[i], err = s.ev.Evaluate(s.ctx, cand)
 				return err
 			}
 			if s.selfBudgeted {
@@ -93,7 +135,6 @@ func (s *searcher) batch(cands []scenario.Scenario) ([]eval.Result, error) {
 		}(i)
 	}
 	wg.Wait()
-	s.evaluations += len(cands)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -102,8 +143,8 @@ func (s *searcher) batch(cands []scenario.Scenario) ([]eval.Result, error) {
 	return results, nil
 }
 
-func (s *searcher) eval1(cand scenario.Scenario) (eval.Result, error) {
-	res, err := s.batch([]scenario.Scenario{cand})
+func (s *searcher) eval1(cand eval.Placement) (eval.Result, error) {
+	res, err := s.batch([]eval.Placement{cand})
 	if err != nil {
 		return eval.Result{}, err
 	}
@@ -138,12 +179,6 @@ func (s *searcher) objValue(r eval.Result) float64 {
 
 // --- homogeneous consolidated ---------------------------------------
 
-func (s *searcher) homogeneousCandidate(n int) scenario.Scenario {
-	c := s.resolved.Clone()
-	c.Fleet = scenario.Fleet{Hosts: n}
-	return c
-}
-
 // searchHomogeneous sizes a single-class consolidated fleet: loss is
 // monotone non-increasing in the host count, so a doubling probe plus
 // binary search finds the minimal feasible n — the analytic N of the
@@ -153,7 +188,7 @@ func (s *searcher) searchHomogeneous() (Plan, error) {
 	lo, hi := 0, 1 // invariant: lo infeasible (0 hosts serve nothing), hi the probe
 	var hiRes eval.Result
 	for {
-		res, err := s.eval1(s.homogeneousCandidate(hi))
+		res, err := s.eval1(eval.Placement{Hosts: hi})
 		if err != nil {
 			return Plan{}, err
 		}
@@ -169,7 +204,7 @@ func (s *searcher) searchHomogeneous() (Plan, error) {
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		res, err := s.eval1(s.homogeneousCandidate(mid))
+		res, err := s.eval1(eval.Placement{Hosts: mid})
 		if err != nil {
 			return Plan{}, err
 		}
@@ -184,14 +219,6 @@ func (s *searcher) searchHomogeneous() (Plan, error) {
 
 // --- dedicated --------------------------------------------------------
 
-func (s *searcher) dedicatedCandidate(sizes []int) scenario.Scenario {
-	c := s.resolved.Clone()
-	for i := range c.Services {
-		c.Services[i].DedicatedServers = sizes[i]
-	}
-	return c
-}
-
 // searchDedicated sizes each service's pool independently: a service's
 // loss depends only on its own pool, so per-service doubling plus binary
 // search is exact (the paper's per-service Mᵢ of Eq. 3/4).
@@ -205,7 +232,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 		lo, hi := 0, 1
 		for {
 			sizes[i] = hi
-			res, err := s.eval1(s.dedicatedCandidate(sizes))
+			res, err := s.eval1(eval.Placement{Dedicated: sizes})
 			if err != nil {
 				return Plan{}, err
 			}
@@ -221,7 +248,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 		for hi-lo > 1 {
 			mid := lo + (hi-lo)/2
 			sizes[i] = mid
-			res, err := s.eval1(s.dedicatedCandidate(sizes))
+			res, err := s.eval1(eval.Placement{Dedicated: sizes})
 			if err != nil {
 				return Plan{}, err
 			}
@@ -233,7 +260,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 		}
 		sizes[i] = hi
 	}
-	final, err := s.eval1(s.dedicatedCandidate(sizes))
+	final, err := s.eval1(eval.Placement{Dedicated: sizes})
 	if err != nil {
 		return Plan{}, err
 	}
@@ -246,21 +273,6 @@ func (s *searcher) searchDedicated() (Plan, error) {
 }
 
 // --- heterogeneous consolidated --------------------------------------
-
-func (s *searcher) heteroCandidate(counts []int) scenario.Scenario {
-	c := s.resolved.Clone()
-	classes := c.Fleet.Classes
-	c.Fleet = scenario.Fleet{}
-	for k := range classes {
-		if counts[k] == 0 {
-			continue
-		}
-		hc := classes[k]
-		hc.Count = counts[k]
-		c.Fleet.Classes = append(c.Fleet.Classes, hc)
-	}
-	return c
-}
 
 // classBaseWatts reports a class's idle-cost proxy for the min-power
 // ranking: its power override's base draw, else the fleet model's.
@@ -326,9 +338,9 @@ func (s *searcher) searchHetero() (Plan, error) {
 			prefixes = append(prefixes, append([]int(nil), counts...))
 		}
 	}
-	cands := make([]scenario.Scenario, len(prefixes))
+	cands := make([]eval.Placement, len(prefixes))
 	for i, p := range prefixes {
-		cands[i] = s.heteroCandidate(p)
+		cands[i] = eval.Placement{Classes: p}
 	}
 	results, err := s.batch(cands)
 	if err != nil {
@@ -356,9 +368,9 @@ func (s *searcher) searchHetero() (Plan, error) {
 		if len(moves) == 0 {
 			break
 		}
-		cands := make([]scenario.Scenario, len(moves))
+		cands := make([]eval.Placement, len(moves))
 		for i, m := range moves {
-			cands[i] = s.heteroCandidate(m)
+			cands[i] = eval.Placement{Classes: m}
 		}
 		results, err := s.batch(cands)
 		if err != nil {
