@@ -1,7 +1,8 @@
 // Command simbench runs the simulation-core benchmarks — the
-// microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesimSchedule*,
-// BenchmarkSweep*, BenchmarkServe*, BenchmarkBContinuous/*) plus the
-// whole-pipeline macro benchmarks BenchmarkRepro, BenchmarkShardedRun and
+// microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesim*,
+// BenchmarkSweepExpand, BenchmarkSweepPointKey, BenchmarkServe*,
+// BenchmarkBContinuous/*) plus the whole-pipeline macro benchmarks
+// BenchmarkRepro, BenchmarkShardedRun, BenchmarkSweepPoint and
 // BenchmarkPlan* — through `go test -bench` and records ns/op, B/op,
 // allocs/op and (for the whole-run benchmarks) events/s in a JSON file,
 // so the performance trajectory of the hot path is tracked in-repo from
@@ -111,20 +112,25 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 func main() {
 	out := flag.String("o", "BENCH_simcore.json", "output file")
 	benchtime := flag.String("benchtime", "20000x", "go test -benchtime value for the microbenchmarks (a fixed count keeps runs comparable)")
-	macrotime := flag.String("macrotime", "30x", "go test -benchtime value for the whole-run BenchmarkShardedRun (tens of ms per op)")
+	macrotime := flag.String("macrotime", "30x", "go test -benchtime value for the macro benchmarks (milliseconds per op)")
 	flag.Parse()
 
 	man := obs.NewManifest("simbench", 0)
 	man.Config = map[string]string{"benchtime": *benchtime, "macrotime": *macrotime}
 
 	records := runBench(
-		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkSweep|BenchmarkRepro|BenchmarkServe|BenchmarkBContinuous",
+		"BenchmarkStationHighOccupancy|BenchmarkDesim|BenchmarkSweepExpand|BenchmarkSweepPointKey|BenchmarkRepro|BenchmarkServe|BenchmarkBContinuous",
 		*benchtime, true,
 		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve", "./internal/erlang")
 	// The whole-run shard benchmark is ~10^5 slower per op than the
 	// microbenchmarks; a fixed 20000x count would run for hours, so it
 	// gets its own much smaller fixed count.
 	records = append(records, runBench("BenchmarkShardedRun", *macrotime, false, "./internal/cluster")...)
+	// One sweep-hosts grid point (the sweep-point rung) is milliseconds per
+	// op, so it too gets the macro count. The engine's arenas live in a
+	// sync.Pool, so its allocation count depends on GC timing and is not
+	// gated.
+	records = append(records, runBench("BenchmarkSweepPoint$", *macrotime, false, "./internal/sweep")...)
 	// The placement planner runs tens to hundreds of evaluations per op
 	// (0.05–1 ms); like the sharded run it gets the macro count. Its
 	// analytic candidates score inline on one goroutine, so allocation

@@ -8,8 +8,9 @@ import (
 
 // Arena is the reusable allocation pool of one simulation run: the
 // discrete-event simulator (whose event storage dominates a run's
-// allocations) plus freelists for the request and jobRef objects churned
-// on the dispatch hot path. A run borrows an arena, allocates through it,
+// allocations), freelists for the request and jobRef objects churned
+// on the dispatch hot path, and the storage of the run's compiled
+// admission routes. A run borrows an arena, allocates through it,
 // and returns it; the next run then schedules into already-grown event
 // storage and recycles the previous run's request graph instead of
 // re-allocating it.
@@ -25,6 +26,7 @@ type Arena struct {
 	sim      *desim.Simulator
 	requests []*request
 	jobRefs  []*jobRef
+	legs     []leg // backing array of the run's admission routes; cleared on Put
 }
 
 // NewArena returns an empty arena ready for its first run.
@@ -52,6 +54,15 @@ func (a *Arena) getJobRef() *jobRef {
 	return &jobRef{}
 }
 
+// routeStorage returns empty leg storage with room for n legs, reusing
+// the arena's backing array when it is large enough.
+func (a *Arena) routeStorage(n int) []leg {
+	if cap(a.legs) < n {
+		a.legs = make([]leg, 0, n)
+	}
+	return a.legs[:0]
+}
+
 // recycleRequest returns a completed request and its job references to
 // the freelists. Only fully drained requests may be recycled: every
 // jobRef must already be off its station's heap. Requests lost to host
@@ -63,11 +74,7 @@ func (a *Arena) recycleRequest(req *request) {
 		a.jobRefs = append(a.jobRefs, j)
 		req.refs[i] = nil
 	}
-	refs, stations := req.refs[:0], req.stations[:0]
-	for i := range req.stations {
-		req.stations[i] = nil
-	}
-	*req = request{refs: refs, stations: stations}
+	*req = request{refs: req.refs[:0]}
 	a.requests = append(a.requests, req)
 }
 
@@ -89,8 +96,11 @@ func NewArenaPool() *ArenaPool {
 // Get borrows an arena, creating one if none is free.
 func (ap *ArenaPool) Get() *Arena { return ap.p.Get().(*Arena) }
 
-// Put resets the arena's simulator and returns it to the pool.
+// Put resets the arena's simulator, clears its route storage (so a
+// parked arena keeps no station of the finished run alive) and returns
+// it to the pool.
 func (ap *ArenaPool) Put(a *Arena) {
 	a.sim.Reset()
+	clear(a.legs[:cap(a.legs)])
 	ap.p.Put(a)
 }

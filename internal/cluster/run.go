@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/desim"
 	"repro/internal/obs"
@@ -11,15 +12,33 @@ import (
 
 // request is one in-flight service request.
 type request struct {
-	service  int
-	host     *host
-	arrived  desim.Time
-	refs     []*jobRef
-	stations []*station
-	left     int  // stations still draining
-	counted  bool // arrived after warmup
-	client   int  // closed-loop client index, -1 for open loop
-	dead     bool // lost to host failure
+	service int
+	host    *host
+	arrived desim.Time
+	refs    []*jobRef
+	left    int  // stations still draining
+	counted bool // arrived after warmup
+	client  int  // closed-loop client index, -1 for open loop
+	dead    bool // lost to host failure
+}
+
+// leg is one resource of a service's compiled admission route on one
+// host: every factor that turns a demand sample into station work, fixed
+// once the run's placement is built.
+type leg struct {
+	st      *station
+	dist    stats.Distribution
+	hwRate  float64 // hardware serving rate μ on the resource (finite)
+	natRate float64 // μ capped by the OS ceiling on the bottleneck resource
+	factor  float64 // impact factor at the host's active-VM count; 0 when none applies
+}
+
+// target is one entry of a service's dispatch pool: a host and the
+// service's admission route on it, one leg per resource with a finite
+// serving rate, in sorted resource order.
+type target struct {
+	host  *host
+	route []leg
 }
 
 // host is one physical server.
@@ -27,6 +46,8 @@ type host struct {
 	id       int
 	shard    int   // which shard simulator owns this host's events
 	services []int // indexes into cfg.Services hosted here
+	// resources lists every resource the hosted services demand, sorted.
+	resources []string
 	// stations[r] in flowing mode; vmStations[vmPos][r] in partitioned
 	// mode (vmPos indexes host.services).
 	stations   map[string]*station
@@ -76,9 +97,8 @@ type runner struct {
 
 	root      *stats.Stream
 	hosts     []*host
-	byService [][]*host  // dispatch pools per service
+	byService [][]target // dispatch pools per service
 	rrNext    []int      // round-robin cursors per service
-	resources [][]string // per-service sorted demanded resources
 	demands   []*stats.Stream
 	thinks    []*stats.Stream
 	p95, p99  []*stats.P2Quantile // per-service response-time percentiles
@@ -160,11 +180,10 @@ func Run(cfg Config) (*Result, error) {
 // build creates hosts and stations.
 func (r *runner) build() {
 	cfg := r.cfg
-	r.byService = make([][]*host, len(cfg.Services))
+	r.byService = make([][]target, len(cfg.Services))
 	r.rrNext = make([]int, len(cfg.Services))
 	r.demands = make([]*stats.Stream, len(cfg.Services))
 	r.thinks = make([]*stats.Stream, len(cfg.Services))
-	r.resources = make([][]string, len(cfg.Services))
 	r.p95 = make([]*stats.P2Quantile, len(cfg.Services))
 	r.p99 = make([]*stats.P2Quantile, len(cfg.Services))
 	for i := range cfg.Services {
@@ -172,9 +191,6 @@ func (r *runner) build() {
 		r.p99[i] = stats.NewP2Quantile(0.99)
 		r.demands[i] = r.root.Substream(fmt.Sprintf("demand/%d", i))
 		r.thinks[i] = r.root.Substream(fmt.Sprintf("think/%d", i))
-		// Map iteration order is randomized; sample demands in a fixed,
-		// sorted resource order so runs are seed-deterministic.
-		r.resources[i] = resourceSet(cfg.Services[i : i+1])
 	}
 
 	mkStation := func(shard int, name string, capacity float64) *station {
@@ -189,8 +205,8 @@ func (r *runner) build() {
 		return st
 	}
 	newHost := func(id, shard int, services []int, capability func(string) float64) *host {
-		h := &host{id: id, shard: shard, services: services, up: true, capability: capability}
 		resources := resourceSet(pick(cfg.Services, services))
+		h := &host{id: id, shard: shard, services: services, resources: resources, up: true, capability: capability}
 		if cfg.Mode == Consolidated && cfg.Alloc != nil {
 			// Partitioned: one station per VM per resource.
 			shares := cfg.Alloc.Shares(make([]float64, len(services)))
@@ -227,7 +243,7 @@ func (r *runner) build() {
 				h := newHost(id, r.shardOf(svc), []int{svc}, referenceHost)
 				id++
 				r.hosts = append(r.hosts, h)
-				r.byService[svc] = append(r.byService[svc], h)
+				r.byService[svc] = append(r.byService[svc], target{host: h})
 			}
 		}
 	case Consolidated:
@@ -239,7 +255,7 @@ func (r *runner) build() {
 			h := newHost(id, 0, all, capability)
 			r.hosts = append(r.hosts, h)
 			for svc := range cfg.Services {
-				r.byService[svc] = append(r.byService[svc], h)
+				r.byService[svc] = append(r.byService[svc], target{host: h})
 			}
 		}
 		if len(cfg.HostClasses) > 0 {
@@ -258,8 +274,12 @@ func (r *runner) build() {
 		}
 	}
 
+	r.compileRoutes()
+
 	// Periodic Rainbow rebalancing. Consolidated mode is a single
-	// coupling component, so the tick always lives on shard 0.
+	// coupling component, so the tick always lives on shard 0. Stations
+	// are visited in the host's sorted resource order: the backlog sum and
+	// the rescheduling order must not follow map order.
 	if cfg.Mode == Consolidated && cfg.Alloc != nil && cfg.Alloc.Period() > 0 {
 		sim := r.sims[0]
 		var tick func()
@@ -270,14 +290,14 @@ func (r *runner) build() {
 				}
 				backlogs := make([]float64, len(h.vmStations))
 				for pos, vm := range h.vmStations {
-					for _, st := range vm {
-						backlogs[pos] += st.backlog()
+					for _, res := range h.resources {
+						backlogs[pos] += vm[res].backlog()
 					}
 				}
 				shares := cfg.Alloc.Shares(backlogs)
 				for pos, vm := range h.vmStations {
-					for res, st := range vm {
-						st.setCapacity(shares[pos] * (1 - cfg.Alloc.Overhead()) * h.capability(res))
+					for _, res := range h.resources {
+						vm[res].setCapacity(shares[pos] * (1 - cfg.Alloc.Overhead()) * h.capability(res))
 					}
 				}
 			}
@@ -289,8 +309,56 @@ func (r *runner) build() {
 	}
 }
 
+// compileRoutes fills in every dispatch target's admission route. Every
+// factor admit applies is a constant once the placement is fixed, so it
+// is computed here once per run instead of per request. The legs of all
+// routes share one allocation, borrowed from shard 0's arena when the run
+// has arenas.
+func (r *runner) compileRoutes() {
+	cfg := r.cfg
+	n := 0
+	for svc, pool := range r.byService {
+		n += len(pool) * len(cfg.Services[svc].Profile.Demands)
+	}
+	var legs []leg
+	if r.arenas != nil {
+		legs = r.arenas[0].routeStorage(n)
+	} else {
+		legs = make([]leg, 0, n)
+	}
+	for svc, pool := range r.byService {
+		spec := &cfg.Services[svc]
+		// Map iteration order is randomized; sample demands in a fixed,
+		// sorted resource order so runs are seed-deterministic.
+		resources := resourceSet(cfg.Services[svc : svc+1])
+		for k := range pool {
+			h := pool[k].host
+			stations := h.stations
+			if h.vmStations != nil {
+				stations = h.vmStations[slices.Index(h.services, svc)]
+			}
+			start := len(legs)
+			for _, res := range resources {
+				hwRate := spec.Profile.ServingRate(res)
+				if math.IsInf(hwRate, 1) {
+					continue // no demand on this resource: nothing to draw
+				}
+				l := leg{st: stations[res], dist: spec.Profile.Demands[res], hwRate: hwRate, natRate: nativeRate(spec.Profile, res)}
+				if cfg.Mode == Consolidated {
+					v := activeVMs(cfg.Services, h.services, res)
+					if factor, err := spec.Overhead.RawFactor(res, v); err == nil && factor > 0 {
+						l.factor = factor
+					}
+				}
+				legs = append(legs, l)
+			}
+			pool[k].route = legs[start:len(legs):len(legs)]
+		}
+	}
+}
+
 // registerObs publishes the run's engine counters: the discrete-event
-// core's schedule/fire/cancel/compaction counts, dispatcher admissions
+// core's schedule/fire/cancel counts, dispatcher admissions
 // and losses (atomic counters — per-request, off the per-event hot
 // path), virtual-time advances summed over stations (each station keeps
 // a plain field; the registry reads them only at snapshot), and one
@@ -321,7 +389,6 @@ func (r *runner) registerObs() {
 		r.reg.CounterFunc("desim/events_scheduled", sum(func(s desim.Stats) uint64 { return s.Scheduled }))
 		r.reg.CounterFunc("desim/events_fired", sum(func(s desim.Stats) uint64 { return s.Fired }))
 		r.reg.CounterFunc("desim/events_cancelled", sum(func(s desim.Stats) uint64 { return s.Cancelled }))
-		r.reg.CounterFunc("desim/arena_compactions", sum(func(s desim.Stats) uint64 { return s.Compactions }))
 		r.reg.GaugeFunc("desim/queue_high_water", func() float64 {
 			m := 0
 			for _, sim := range r.sims {
@@ -439,7 +506,7 @@ func (r *runner) dispatch(svc, client int) {
 	if counted {
 		sm.Arrivals++
 	}
-	h := r.pickHost(svc)
+	h, route := r.pickHost(svc)
 	if h == nil || h.inflight >= r.cfg.admission() {
 		r.obsLosses.Inc()
 		if counted {
@@ -453,76 +520,44 @@ func (r *runner) dispatch(svc, client int) {
 	req := r.newRequest(shard)
 	req.service, req.host, req.arrived = svc, h, now
 	req.counted, req.client = counted, client
-	r.admit(req)
+	r.admit(req, route)
 }
 
-// pickHost returns the next live host in round-robin order. Down hosts are
-// probed but do not burn cursor positions: the cursor lands just past the
-// host actually chosen, so a failed host never shifts the rotation among
-// the survivors.
-func (r *runner) pickHost(svc int) *host {
+// pickHost returns the next live host in round-robin order, with the
+// service's admission route on it. Down hosts are probed but do not burn
+// cursor positions: the cursor lands just past the host actually chosen,
+// so a failed host never shifts the rotation among the survivors.
+func (r *runner) pickHost(svc int) (*host, []leg) {
 	pool := r.byService[svc]
 	n := len(pool)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	start := r.rrNext[svc] % n
 	for k := 0; k < n; k++ {
 		idx := (start + k) % n
-		if h := pool[idx]; h.up {
+		if t := pool[idx]; t.host.up {
 			r.rrNext[svc] = idx + 1
-			return h
+			return t.host, t.route
 		}
 	}
-	return nil
+	return nil, nil
 }
 
-// admit deposits the request's work on its host's stations.
-func (r *runner) admit(req *request) {
-	cfg := r.cfg
-	spec := &cfg.Services[req.service]
-	h := req.host
-	h.inflight++
+// admit deposits the request's work on its host's stations along the
+// service's compiled route.
+func (r *runner) admit(req *request, route []leg) {
+	req.host.inflight++
 	r.obsAdmissions.Inc()
-
-	// Which station set serves this request?
-	vmPos := -1
-	if h.vmStations != nil {
-		for pos, s := range h.services {
-			if s == req.service {
-				vmPos = pos
-				break
-			}
-		}
-	}
-
-	for _, res := range r.resources[req.service] {
-		dist := spec.Profile.Demands[res]
-		hwRate := spec.Profile.ServingRate(res)
-		if math.IsInf(hwRate, 1) {
-			continue
-		}
-		natRate := nativeRate(spec.Profile, res)
+	demand := r.demands[req.service]
+	for i := range route {
+		l := &route[i]
 		// Sample a hardware-speed demand and rescale to native speed.
-		work := dist.Sample(r.demands[req.service]) * hwRate / natRate
-		if cfg.Mode == Consolidated {
-			v := activeVMs(cfg.Services, h.services, res)
-			factor, err := spec.Overhead.RawFactor(res, v)
-			if err == nil && factor > 0 {
-				work /= factor
-			}
+		work := l.dist.Sample(demand) * l.hwRate / l.natRate
+		if l.factor > 0 {
+			work /= l.factor
 		}
-		var st *station
-		if vmPos >= 0 {
-			st = h.vmStations[vmPos][res]
-		} else {
-			st = h.stations[res]
-		}
-		if st == nil {
-			continue
-		}
-		req.stations = append(req.stations, st)
-		req.refs = append(req.refs, st.add(req, work))
+		req.refs = append(req.refs, l.st.add(req, work))
 		req.left++
 	}
 	if req.left == 0 {

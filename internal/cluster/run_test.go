@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/rainbow"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -77,11 +79,11 @@ func TestUtilizationScopedToWindow(t *testing.T) {
 // slot after repair.
 func TestPickHostSkipsDownHosts(t *testing.T) {
 	hosts := []*host{{id: 0, up: true}, {id: 1, up: true}, {id: 2, up: true}}
-	r := &runner{byService: [][]*host{hosts}, rrNext: make([]int, 1)}
+	r := &runner{byService: [][]target{{{host: hosts[0]}, {host: hosts[1]}, {host: hosts[2]}}}, rrNext: make([]int, 1)}
 	picks := func(n int) []int {
 		var ids []int
 		for i := 0; i < n; i++ {
-			h := r.pickHost(0)
+			h, _ := r.pickHost(0)
 			if h == nil {
 				ids = append(ids, -1)
 				continue
@@ -117,7 +119,49 @@ func TestPickHostSkipsDownHosts(t *testing.T) {
 	if got := picks(2); !equal(got, []int{-1, -1}) {
 		t.Fatalf("all-down pool returned %v", got)
 	}
-	if r.pickHost(0) != nil {
+	if h, _ := r.pickHost(0); h != nil {
 		t.Fatal("all-down pool yielded a host")
+	}
+}
+
+// TestRebalanceTickDeterministic runs a partitioned consolidated fleet
+// whose VMs demand three resources, rebalanced every 10 ms, and requires
+// bit-identical results across repeated runs. With three or more stations
+// per VM the tick's float backlog sum and its rescheduling order depend on
+// the order it visits them, so that order must not be map order.
+func TestRebalanceTickDeterministic(t *testing.T) {
+	spec := func(name string, rate float64) ServiceSpec {
+		return ServiceSpec{
+			Profile: workload.ServiceProfile{
+				Name: name,
+				Demands: map[string]stats.Distribution{
+					workload.CPU:    stats.NewExponential(300),
+					workload.DiskIO: stats.NewExponential(200),
+					"net":           stats.NewExponential(400),
+				},
+			},
+			Arrivals: workload.NewPoisson(rate),
+		}
+	}
+	cfg := Config{
+		Mode:                Consolidated,
+		Services:            []ServiceSpec{spec("a", 200), spec("b", 170)},
+		ConsolidatedServers: 2,
+		Alloc:               rainbow.Proportional{RebalancePeriod: 0.01, Cost: 0.01, MinShare: 0.05},
+		Horizon:             5,
+		Seed:                3,
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 39; i++ {
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d differs from the first:\n%+v\nvs\n%+v", i+2, got.Services, want.Services)
+		}
 	}
 }

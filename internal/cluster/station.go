@@ -171,12 +171,11 @@ func (st *station) remove(j *jobRef) {
 }
 
 // reschedule recomputes the station's next completion event from the
-// earliest threshold: O(1) plus the event-queue operation.
+// earliest threshold: O(1) plus the event-queue operation, which re-keys
+// the pending completion in place.
 func (st *station) reschedule() {
-	if st.pending.Pending() {
-		st.pending.Cancel()
-	}
 	if len(st.jobs) == 0 || st.capacity <= 0 {
+		st.pending.Cancel()
 		return
 	}
 	// The min job completes when V grows by (threshold - V), and V grows at
@@ -185,7 +184,7 @@ func (st *station) reschedule() {
 	if eta < 0 {
 		eta = 0
 	}
-	st.pending = st.sim.After(eta, st.completeFn)
+	st.pending = st.sim.Reschedule(st.pending, st.sim.Now()+eta, st.completeFn)
 }
 
 // completeEps absorbs float residue when deciding whether a job's threshold

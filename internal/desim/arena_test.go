@@ -1,14 +1,15 @@
 package desim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
-// TestArenaSlotReuse verifies that firing and reaping return slots to the
-// free list: a bounded working set must not grow the arena no matter how
-// many events pass through it.
+// TestArenaSlotReuse verifies that firing returns slots to the free list:
+// a bounded working set must not grow the arena no matter how many events
+// pass through it.
 func TestArenaSlotReuse(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -22,8 +23,8 @@ func TestArenaSlotReuse(t *testing.T) {
 	}
 }
 
-// TestArenaCancelThenRescheduleReusesSlot verifies the cancel→reap→reuse
-// cycle: a cancelled event's slot is reclaimed once popped and handed to a
+// TestArenaCancelThenRescheduleReusesSlot verifies the cancel→reuse
+// cycle: a cancelled event's slot is reclaimed at once and handed to a
 // later schedule.
 func TestArenaCancelThenRescheduleReusesSlot(t *testing.T) {
 	s := New()
@@ -32,7 +33,9 @@ func TestArenaCancelThenRescheduleReusesSlot(t *testing.T) {
 	if !h.Cancel() {
 		t.Fatal("cancel failed")
 	}
-	s.RunAll() // reaps the cancelled event, freeing its slot
+	if s.Pending() != 0 {
+		t.Fatalf("cancelled event still queued: pending = %d", s.Pending())
+	}
 	size := s.arenaSize()
 	h2 := s.At(2, func() { fired = true })
 	if got := s.arenaSize(); got != size {
@@ -113,8 +116,7 @@ func TestFIFOPropertyAgainstReference(t *testing.T) {
 }
 
 // TestFIFOPropertyWithCancellations extends the reference property with
-// random cancellations (including cancels from inside running events) and
-// compaction churn.
+// random up-front cancellations.
 func TestFIFOPropertyWithCancellations(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
@@ -133,7 +135,7 @@ func TestFIFOPropertyWithCancellations(t *testing.T) {
 			evs[i] = &ev{at: Time(rng.Intn(10)), ord: i}
 			handles[i] = s.At(evs[i].at, func() { got = append(got, i) })
 		}
-		// Cancel a random third up front (triggers compaction at scale).
+		// Cancel a random third up front.
 		for i := range evs {
 			if rng.Intn(3) == 0 {
 				evs[i].cancelled = true
@@ -162,10 +164,163 @@ func TestFIFOPropertyWithCancellations(t *testing.T) {
 	}
 }
 
-// TestCompactionReapsCancelledBacklog verifies that a cancel-heavy workload
-// cannot grow the queue without bound: lazy deletion compacts once
-// cancelled events outnumber live ones.
-func TestCompactionReapsCancelledBacklog(t *testing.T) {
+// TestFIFOPropertyWithReschedules drives the queue and a sort-based
+// reference scheduler through the same random operations — schedules,
+// cancels and reschedules, issued up front and from inside firing events,
+// on pending, fired, cancelled and stale handles, to distinct and equal
+// times — and requires every firing to be the reference's minimum by
+// (time, schedule order). A reschedule is a cancel plus a schedule in the
+// reference, so it must take the next place in schedule order. After every
+// step the engine's counters must account for exactly the pending events.
+func TestFIFOPropertyWithReschedules(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed + 2000))
+		s := New()
+		type refEv struct {
+			at  Time
+			ord int // schedule order; At and Reschedule both take the next
+			id  int
+		}
+		var (
+			ref     []refEv  // the reference's pending events
+			handles []Handle // every handle ever returned, by event id
+			ord     int
+			fired   int
+		)
+		// executing is 1 inside a firing event: it has left the queue but
+		// is not counted as fired until it returns.
+		check := func(executing int) {
+			t.Helper()
+			st := s.Stats()
+			if got := st.Scheduled - st.Fired - st.Cancelled; got != uint64(s.Pending()+executing) {
+				t.Fatalf("seed %d: scheduled %d - fired %d - cancelled %d = %d, pending %d (+%d executing)",
+					seed, st.Scheduled, st.Fired, st.Cancelled, got, s.Pending(), executing)
+			}
+			if s.Pending() != len(ref) {
+				t.Fatalf("seed %d: pending %d, reference holds %d", seed, s.Pending(), len(ref))
+			}
+		}
+		// drop removes event id from the reference, reporting whether it
+		// was pending there.
+		drop := func(id int) (refEv, bool) {
+			for i, e := range ref {
+				if e.id == id {
+					ref = append(ref[:i], ref[i+1:]...)
+					return e, true
+				}
+			}
+			return refEv{}, false
+		}
+		var fire func(id int) func()
+		push := func(at Time, h Handle) {
+			ref = append(ref, refEv{at: at, ord: ord, id: len(handles)})
+			ord++
+			handles = append(handles, h)
+		}
+		act := func() {
+			switch rng.Intn(4) {
+			case 0:
+				at := s.Now() + Time(rng.Intn(4))
+				push(at, s.At(at, fire(len(handles))))
+			case 1:
+				id := rng.Intn(len(handles))
+				_, pending := drop(id)
+				if got := handles[id].Cancel(); got != pending {
+					t.Fatalf("seed %d: Cancel(%d) = %v, reference pending %v", seed, id, got, pending)
+				}
+			default:
+				id := rng.Intn(len(handles))
+				old, pending := drop(id)
+				at := s.Now() + Time(rng.Intn(4))
+				if pending && rng.Intn(3) == 0 {
+					at = old.at // same time: re-keyed behind its ties
+				}
+				push(at, s.Reschedule(handles[id], at, fire(len(handles))))
+				if handles[id].Pending() {
+					t.Fatalf("seed %d: handle %d still pending after Reschedule", seed, id)
+				}
+			}
+		}
+		fire = func(id int) func() {
+			return func() {
+				sort.Slice(ref, func(a, b int) bool {
+					if ref[a].at != ref[b].at {
+						return ref[a].at < ref[b].at
+					}
+					return ref[a].ord < ref[b].ord
+				})
+				if len(ref) == 0 || ref[0].id != id || ref[0].at != s.Now() {
+					t.Fatalf("seed %d: fired event %d at %g, reference next is %v", seed, id, s.Now(), ref[:min(len(ref), 1)])
+				}
+				ref = ref[1:]
+				fired++
+				check(1)
+				if fired < 500 {
+					for k := rng.Intn(3); k > 0; k-- {
+						act()
+						check(1)
+					}
+				}
+			}
+		}
+		for i := 0; i < 50; i++ {
+			at := Time(rng.Intn(6))
+			push(at, s.At(at, fire(len(handles))))
+		}
+		for i := 0; i < 100; i++ {
+			act()
+			check(0)
+		}
+		for step := Time(0); s.Pending() > 0; step++ {
+			s.Run(step)
+			check(0)
+		}
+		if fired == 0 {
+			t.Fatalf("seed %d: nothing fired", seed)
+		}
+	}
+}
+
+// traceRecorder collects scheduler operations as "op at" lines.
+type traceRecorder []string
+
+func (r *traceRecorder) TraceEvent(op TraceOp, _, at Time) {
+	*r = append(*r, fmt.Sprintf("%s %g", op, at))
+}
+
+// TestRescheduleCountsAndTracesCancelPlusSchedule pins Reschedule's
+// accounting: re-keying a pending event counts and traces as one cancel
+// (at its old time) then one schedule (at its new time), and a handle that
+// is no longer pending falls back to a plain schedule.
+func TestRescheduleCountsAndTracesCancelPlusSchedule(t *testing.T) {
+	s := New()
+	var rec traceRecorder
+	s.SetTracer(&rec)
+	fn := func() {}
+	h := s.At(2, fn)
+	rec = rec[:0]
+	h2 := s.Reschedule(h, 3, fn)
+	if want := []string{"cancel 2", "schedule 3"}; fmt.Sprint(rec) != fmt.Sprint(want) {
+		t.Fatalf("traced reschedule = %q, want %q", rec, want)
+	}
+	if h.Pending() || !h2.Pending() {
+		t.Fatalf("after Reschedule: old pending %v, new pending %v", h.Pending(), h2.Pending())
+	}
+	rec = rec[:0]
+	s.Reschedule(h, 4, fn) // h went inert: a plain schedule
+	if want := []string{"schedule 4"}; fmt.Sprint(rec) != fmt.Sprint(want) {
+		t.Fatalf("traced reschedule of an inert handle = %q, want %q", rec, want)
+	}
+	st := s.Stats()
+	if st.Scheduled != 3 || st.Cancelled != 1 || s.Pending() != 2 {
+		t.Fatalf("stats %+v, pending %d; want 3 scheduled, 1 cancelled, 2 pending", st, s.Pending())
+	}
+}
+
+// TestCancelRemovesEventsEagerly verifies that a cancel-heavy workload
+// cannot grow the queue or the arena: Cancel takes its event off the heap
+// and frees its slot at once.
+func TestCancelRemovesEventsEagerly(t *testing.T) {
 	s := New()
 	fn := func() {}
 	for i := 0; i < 10000; i++ {
@@ -175,7 +330,7 @@ func TestCompactionReapsCancelledBacklog(t *testing.T) {
 		h.Cancel()
 	}
 	if got := s.Pending(); got > 256 {
-		t.Fatalf("queue holds %d entries; compaction should have reaped the cancelled backlog", got)
+		t.Fatalf("queue holds %d entries after 10000 cancels", got)
 	}
 	if got := s.arenaSize(); got > 256 {
 		t.Fatalf("arena grew to %d slots under cancel churn", got)
@@ -203,8 +358,8 @@ func TestScheduleFireNoAllocs(t *testing.T) {
 	}
 }
 
-// TestCancelledEventKeepsClockSemantics: reaping a cancelled head event
-// must not advance the clock to its timestamp.
+// TestCancelledEventKeepsClockSemantics: cancelling the head event must
+// not advance the clock to its timestamp.
 func TestCancelledEventKeepsClockSemantics(t *testing.T) {
 	s := New()
 	h := s.At(5, func() {})

@@ -26,9 +26,8 @@ func BenchmarkDesimSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkDesimScheduleCancel measures the schedule→cancel→reap path —
-// the cluster simulator's reschedule pattern, where nearly every pending
-// completion event is cancelled and replaced before it fires.
+// BenchmarkDesimScheduleCancel measures the schedule→cancel path: the
+// cancelled event leaves the heap at once, beside a live one that fires.
 func BenchmarkDesimScheduleCancel(b *testing.B) {
 	s := New()
 	fn := func() {}
@@ -39,6 +38,24 @@ func BenchmarkDesimScheduleCancel(b *testing.B) {
 		h := s.After(2, fn)
 		h.Cancel()
 		s.After(1, tick)
-		s.RunAll() // fires tick, reaps the cancelled event
+		s.RunAll()
+	}
+}
+
+// BenchmarkDesimReschedule measures the cluster station pattern: one
+// pending completion event, re-keyed in place on every arrival and
+// departure at the station, then fired. Each iteration re-keys it eight
+// times before it fires.
+func BenchmarkDesimReschedule(b *testing.B) {
+	s := New()
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := s.After(1, fn)
+		for k := 0; k < 8; k++ {
+			h = s.Reschedule(h, s.Now()+Time(k%4)+0.5, fn)
+		}
+		s.RunAll()
 	}
 }

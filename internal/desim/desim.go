@@ -1,16 +1,18 @@
 // Package desim is a minimal, deterministic discrete-event simulation
 // engine: a simulation clock, a pending-event heap with stable FIFO
-// tie-breaking, cancellable events, and time-weighted statistics. It is the
-// laboratory substrate on which the queueing and cluster simulators run in
-// place of the paper's physical testbed.
+// tie-breaking, cancellable and reschedulable events, and time-weighted
+// statistics. It is the laboratory substrate on which the queueing and
+// cluster simulators run in place of the paper's physical testbed.
 //
 // Events live in a slice-backed arena rather than as individual heap
-// allocations: scheduling reuses slots through a free list, handles address
-// slots by (index, generation) so stale handles go inert when a slot is
-// recycled, and cancellation is lazy — a cancelled event stays queued until
-// it is popped or until cancelled events outnumber live ones, at which
-// point the queue is compacted in place. The steady-state schedule/fire
-// path performs no allocations.
+// allocations: scheduling reuses slots through a free list, and handles
+// address slots by (index, generation) so stale handles go inert when a
+// slot is recycled. The queue is an indexed binary heap whose entries carry
+// their (time, seq) key inline beside the slot index, and every pending
+// slot records its heap position, so Cancel removes its event eagerly and
+// Reschedule re-keys one in place, each in O(log n). The queue therefore
+// holds exactly the pending events. The steady-state
+// schedule/fire/cancel/reschedule paths perform no allocations.
 package desim
 
 import (
@@ -22,34 +24,33 @@ import (
 // Time is simulated time in seconds since the start of the run.
 type Time = float64
 
-// Handle identifies a scheduled event and allows cancelling it. The zero
-// Handle is valid and refers to no event. Handles stay cheap to copy and
-// never keep a fired event alive: once the event fires or is reaped, the
-// slot's generation advances and the handle goes inert.
+// Handle identifies a scheduled event and allows cancelling or
+// rescheduling it. The zero Handle is valid and refers to no event.
+// Handles stay cheap to copy and never keep a fired event alive: once the
+// event fires, is cancelled or is rescheduled, the slot's generation
+// advances and the handle goes inert.
 type Handle struct {
 	sim *Simulator
 	idx int32
 	gen uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. It reports whether the event was
-// still pending.
+// Cancel prevents the event from firing, removing it from the queue.
+// Cancelling an already-fired or already-cancelled event is a no-op. It
+// reports whether the event was still pending.
 func (h Handle) Cancel() bool {
-	if h.sim == nil {
+	if !h.Pending() {
 		return false
 	}
-	ev := &h.sim.arena[h.idx]
-	if ev.gen != h.gen || ev.state != statePending {
-		return false
+	s := h.sim
+	pos := s.arena[h.idx].pos
+	at := s.queue[pos].at
+	s.remove(int(pos))
+	s.release(h.idx)
+	s.cancelled++
+	if s.tracer != nil {
+		s.tracer.TraceEvent(TraceCancel, s.now, at)
 	}
-	ev.state = stateCancelled
-	h.sim.cancelled++
-	h.sim.cancelledTotal++
-	if h.sim.tracer != nil {
-		h.sim.tracer.TraceEvent(TraceCancel, h.sim.now, ev.at)
-	}
-	h.sim.maybeCompact()
 	return true
 }
 
@@ -59,36 +60,35 @@ func (h Handle) Pending() bool {
 		return false
 	}
 	ev := &h.sim.arena[h.idx]
-	return ev.gen == h.gen && ev.state == statePending
+	return ev.gen == h.gen && ev.pos >= 0
 }
 
-// Event slot states. A slot cycles free -> pending -> (cancelled ->) free;
-// the generation counter advances each time the slot returns to free.
-const (
-	stateFree = iota
-	statePending
-	stateCancelled
-)
-
-// event is one arena slot.
+// event is one arena slot. A slot is pending while pos >= 0; the
+// generation advances each time the slot stops being pending (fired,
+// cancelled, rescheduled or reset).
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	gen   uint32
-	state uint8
+	fn  func()
+	pos int32 // index of the slot's entry in Simulator.queue; -1 when free
+	gen uint32
+}
+
+// entry is one queue element: a pending slot and its firing key, kept
+// inline so heap comparisons never touch the arena.
+type entry struct {
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // Simulator owns the clock and the event queue. The zero value is not
 // usable; call New.
 type Simulator struct {
-	now       Time
-	arena     []event // slot storage; grows, never shrinks
-	free      []int32 // recycled slot indexes
-	queue     []int32 // binary min-heap of slot indexes, keyed by (at, seq)
-	seq       uint64
-	cancelled int // cancelled events still sitting in queue
-	stopped   bool
+	now     Time
+	arena   []event // slot storage; grows, never shrinks
+	free    []int32 // recycled slot indexes
+	queue   []entry // binary min-heap keyed by (at, seq)
+	seq     uint64
+	stopped bool
 
 	// Engine counters. The simulator is single-writer by construction
 	// (events fire on one goroutine), so these are plain fields — an
@@ -96,11 +96,10 @@ type Simulator struct {
 	// them through Stats() only when a snapshot is taken. This keeps the
 	// schedule/fire path allocation-free and within noise of the
 	// uninstrumented engine.
-	fired          uint64
-	scheduled      uint64
-	cancelledTotal uint64
-	compactions    uint64
-	maxQueue       int
+	fired     uint64
+	scheduled uint64
+	cancelled uint64
+	maxQueue  int
 
 	tracer Tracer
 }
@@ -110,10 +109,9 @@ type TraceOp uint8
 
 // Scheduler operations reported to a Tracer.
 const (
-	TraceSchedule TraceOp = iota // event accepted by At/After; at = firing time
+	TraceSchedule TraceOp = iota // event accepted by At/After/Reschedule; at = firing time
 	TraceFire                    // event popped and executed; at = firing time
-	TraceCancel                  // pending event cancelled; at = firing time it will no longer get
-	TraceCompact                 // cancelled-event compaction pass; at = now
+	TraceCancel                  // pending event cancelled or rescheduled; at = firing time it will no longer get
 )
 
 // String names the operation.
@@ -125,8 +123,6 @@ func (op TraceOp) String() string {
 		return "fire"
 	case TraceCancel:
 		return "cancel"
-	case TraceCompact:
-		return "compact"
 	}
 	return "unknown"
 }
@@ -142,18 +138,22 @@ type Tracer interface {
 // untraced path costs one predictable nil check per operation.
 func (s *Simulator) SetTracer(t Tracer) { s.tracer = t }
 
-// Stats is a point-in-time copy of the engine counters.
+// Stats is a point-in-time copy of the engine counters. Scheduled −
+// Fired − Cancelled is the number of pending events, except while an
+// event is executing (it has left the queue but is not yet counted as
+// fired).
 type Stats struct {
-	// Scheduled counts events accepted by At/After.
+	// Scheduled counts events accepted by At/After, plus one per
+	// Reschedule.
 	Scheduled uint64
 	// Fired counts events executed.
 	Fired uint64
-	// Cancelled counts successful Handle.Cancel calls.
+	// Cancelled counts successful Handle.Cancel calls, plus one per
+	// Reschedule of a pending event.
 	Cancelled uint64
-	// Compactions counts cancelled-event compaction passes.
-	Compactions uint64
-	// MaxQueue is the high-water mark of the pending-event heap
-	// (including not-yet-reaped cancelled events).
+	// MaxQueue is the high-water mark of the pending-event heap. Cancelled
+	// and rescheduled events leave the heap at once, so this is the peak
+	// number of pending events.
 	MaxQueue int
 	// ArenaSlots is the number of event slots ever allocated.
 	ArenaSlots int
@@ -162,12 +162,11 @@ type Stats struct {
 // Stats reports the engine counters.
 func (s *Simulator) Stats() Stats {
 	return Stats{
-		Scheduled:   s.scheduled,
-		Fired:       s.fired,
-		Cancelled:   s.cancelledTotal,
-		Compactions: s.compactions,
-		MaxQueue:    s.maxQueue,
-		ArenaSlots:  len(s.arena),
+		Scheduled:  s.scheduled,
+		Fired:      s.fired,
+		Cancelled:  s.cancelled,
+		MaxQueue:   s.maxQueue,
+		ArenaSlots: len(s.arena),
 	}
 }
 
@@ -180,16 +179,16 @@ func New() *Simulator {
 // queue, zeroed counters — while keeping the arena, free-list and queue
 // capacity, so a reused simulator runs its next workload without
 // re-growing event storage. Handles from before the Reset go inert: every
-// in-use slot's generation advances, exactly as if its event had fired.
+// pending slot's generation advances, exactly as if its event had fired.
 // A reset simulator is indistinguishable from a fresh one to its events
 // (the clock and the FIFO tie-breaking sequence restart at zero), so
 // reuse never changes simulation results.
 func (s *Simulator) Reset() {
 	for i := range s.arena {
 		ev := &s.arena[i]
-		if ev.state != stateFree {
+		if ev.pos >= 0 {
 			ev.gen++
-			ev.state = stateFree
+			ev.pos = -1
 		}
 		ev.fn = nil
 	}
@@ -201,8 +200,8 @@ func (s *Simulator) Reset() {
 		s.free = append(s.free, int32(i))
 	}
 	s.queue = s.queue[:0]
-	s.now, s.seq, s.cancelled, s.stopped = 0, 0, 0, false
-	s.fired, s.scheduled, s.cancelledTotal, s.compactions, s.maxQueue = 0, 0, 0, 0, 0
+	s.now, s.seq, s.stopped = 0, 0, false
+	s.fired, s.scheduled, s.cancelled, s.maxQueue = 0, 0, 0, 0
 }
 
 // Now reports the current simulated time.
@@ -214,11 +213,17 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // ErrPast reports an attempt to schedule an event before the current time.
 var ErrPast = errors.New("desim: cannot schedule event in the past")
 
+// pastPanic reports a schedule before the current time: a simulation bug,
+// not a recoverable condition.
+func (s *Simulator) pastPanic(t Time) {
+	panic(fmt.Errorf("%w: now=%g, requested=%g", ErrPast, s.now, t))
+}
+
 // At schedules fn to run at absolute time t. It panics if t precedes the
-// current time (a simulation bug, not a recoverable condition).
+// current time.
 func (s *Simulator) At(t Time, fn func()) Handle {
 	if t < s.now || math.IsNaN(t) {
-		panic(fmt.Errorf("%w: now=%g, requested=%g", ErrPast, s.now, t))
+		s.pastPanic(t)
 	}
 	var idx int32
 	if n := len(s.free); n > 0 {
@@ -229,9 +234,9 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 		idx = int32(len(s.arena) - 1)
 	}
 	ev := &s.arena[idx]
-	ev.at, ev.seq, ev.fn, ev.state = t, s.seq, fn, statePending
+	ev.fn = fn
+	s.queue = append(s.queue, entry{at: t, seq: s.seq, idx: idx})
 	s.seq++
-	s.queue = append(s.queue, idx)
 	s.siftUp(len(s.queue) - 1)
 	if len(s.queue) > s.maxQueue {
 		s.maxQueue = len(s.queue)
@@ -248,6 +253,38 @@ func (s *Simulator) After(d Time, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
+// Reschedule moves the pending event h to fire fn at absolute time t and
+// returns the new handle; h goes inert. The event is re-keyed in place
+// with the next sequence number, so it fires exactly where h.Cancel()
+// followed by At(t, fn) would put it, and it is counted and traced as
+// that pair: one cancel and one schedule. When h is not pending (fired,
+// cancelled, stale or zero), Reschedule is At(t, fn). It panics if t
+// precedes the current time.
+func (s *Simulator) Reschedule(h Handle, t Time, fn func()) Handle {
+	if h.sim != s || !h.Pending() {
+		return s.At(t, fn)
+	}
+	if t < s.now || math.IsNaN(t) {
+		s.pastPanic(t)
+	}
+	ev := &s.arena[h.idx]
+	e := &s.queue[ev.pos]
+	s.cancelled++
+	if s.tracer != nil {
+		s.tracer.TraceEvent(TraceCancel, s.now, e.at)
+	}
+	ev.gen++
+	ev.fn = fn
+	e.at, e.seq = t, s.seq
+	s.seq++
+	s.fix(int(ev.pos))
+	s.scheduled++
+	if s.tracer != nil {
+		s.tracer.TraceEvent(TraceSchedule, s.now, t)
+	}
+	return Handle{sim: s, idx: h.idx, gen: ev.gen}
+}
+
 // Stop halts the run loop after the currently executing event returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
@@ -259,23 +296,17 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	s.stopped = false
 	var count uint64
 	for len(s.queue) > 0 && !s.stopped {
-		idx := s.queue[0]
-		ev := &s.arena[idx]
-		if ev.at > horizon {
+		top := s.queue[0]
+		if top.at > horizon {
 			break
 		}
-		s.popTop()
-		if ev.state == stateCancelled {
-			s.cancelled--
-			s.release(idx)
-			continue
-		}
-		s.now = ev.at
-		fn := ev.fn
+		s.remove(0)
+		s.now = top.at
+		fn := s.arena[top.idx].fn
 		// Release before firing: the slot is immediately reusable by events
 		// fn schedules, and handles to this event go inert — matching the
 		// fired-event semantics (Pending false, Cancel a no-op).
-		s.release(idx)
+		s.release(top.idx)
 		if s.tracer != nil {
 			s.tracer.TraceEvent(TraceFire, s.now, s.now)
 		}
@@ -297,8 +328,7 @@ func (s *Simulator) RunAll() uint64 {
 	return s.Run(math.Inf(1))
 }
 
-// Pending reports the number of events still queued (including cancelled
-// events not yet reaped).
+// Pending reports the number of events still queued.
 func (s *Simulator) Pending() int {
 	return len(s.queue)
 }
@@ -309,46 +339,44 @@ func (s *Simulator) release(idx int32) {
 	ev := &s.arena[idx]
 	ev.fn = nil // drop the closure reference for the garbage collector
 	ev.gen++
-	ev.state = stateFree
+	ev.pos = -1
 	s.free = append(s.free, idx)
 }
 
-// maybeCompact reaps cancelled events eagerly once they outnumber live
-// ones, so workloads that cancel far-future events (the cluster stations
-// rescheduling completions) cannot grow the queue without bound. Removing
-// entries never changes the firing order of live events: pop order is the
-// total order (at, seq), independent of the heap's internal arrangement.
-func (s *Simulator) maybeCompact() {
-	if s.cancelled <= len(s.queue)/2 || len(s.queue) < 64 {
-		return
+// less orders queue entries by (at, seq): FIFO among simultaneous events.
+func less(a, b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	kept := s.queue[:0]
-	for _, idx := range s.queue {
-		if s.arena[idx].state == stateCancelled {
-			s.release(idx)
-			continue
-		}
-		kept = append(kept, idx)
-	}
-	s.queue = kept
-	s.cancelled = 0
-	s.compactions++
-	if s.tracer != nil {
-		s.tracer.TraceEvent(TraceCompact, s.now, s.now)
-	}
-	// Heapify bottom-up: O(n).
-	for i := len(s.queue)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+	return a.seq < b.seq
+}
+
+// place stores e at queue position i and records the position in its slot.
+func (s *Simulator) place(i int, e entry) {
+	s.queue[i] = e
+	s.arena[e.idx].pos = int32(i)
+}
+
+// remove deletes the entry at queue position i, keeping the heap valid.
+// The entry's slot is left to the caller.
+func (s *Simulator) remove(i int) {
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue = s.queue[:n]
+	if i < n {
+		s.queue[i] = last
+		s.fix(i)
 	}
 }
 
-// less orders slots by (at, seq): FIFO among simultaneous events.
-func (s *Simulator) less(a, b int32) bool {
-	ea, eb := &s.arena[a], &s.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// fix restores the heap property after the key at position i changed in
+// either direction.
+func (s *Simulator) fix(i int) {
+	if i > 0 && less(&s.queue[i], &s.queue[(i-1)/2]) {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
 	}
-	return ea.seq < eb.seq
 }
 
 // siftUp restores the heap property from position i toward the root.
@@ -357,24 +385,13 @@ func (s *Simulator) siftUp(i int) {
 	node := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(node, q[parent]) {
+		if !less(&node, &q[parent]) {
 			break
 		}
-		q[i] = q[parent]
+		s.place(i, q[parent])
 		i = parent
 	}
-	q[i] = node
-}
-
-// popTop removes the minimum element.
-func (s *Simulator) popTop() {
-	q := s.queue
-	n := len(q) - 1
-	q[0] = q[n]
-	s.queue = q[:n]
-	if n > 0 {
-		s.siftDown(0)
-	}
+	s.place(i, node)
 }
 
 // siftDown restores the heap property from position i toward the leaves.
@@ -387,16 +404,16 @@ func (s *Simulator) siftDown(i int) {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && s.less(q[r], q[child]) {
+		if r := child + 1; r < n && less(&q[r], &q[child]) {
 			child = r
 		}
-		if !s.less(q[child], node) {
+		if !less(&q[child], &node) {
 			break
 		}
-		q[i] = q[child]
+		s.place(i, q[child])
 		i = child
 	}
-	q[i] = node
+	s.place(i, node)
 }
 
 // arenaSize reports the number of slots ever allocated (test hook for slot

@@ -71,6 +71,11 @@ func TestScheduleFireNoAllocsWithMetrics(t *testing.T) {
 		}
 		h := sim.After(100, fn)
 		h.Cancel()
+		// The station pattern: one pending event re-keyed repeatedly.
+		p := sim.After(50, fn)
+		for k := 0; k < 16; k++ {
+			p = sim.Reschedule(p, sim.Now()+desim.Time(k%3)+1, fn)
+		}
 		sim.RunAll()
 	}); n != 0 {
 		t.Fatalf("instrumented schedule/fire path allocates %v allocs/op, want 0", n)

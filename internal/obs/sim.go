@@ -11,7 +11,6 @@ func RegisterSimulator(r *Registry, prefix string, sim *desim.Simulator) {
 	r.CounterFunc(prefix+"/events_scheduled", func() uint64 { return sim.Stats().Scheduled })
 	r.CounterFunc(prefix+"/events_fired", func() uint64 { return sim.Stats().Fired })
 	r.CounterFunc(prefix+"/events_cancelled", func() uint64 { return sim.Stats().Cancelled })
-	r.CounterFunc(prefix+"/arena_compactions", func() uint64 { return sim.Stats().Compactions })
 	r.GaugeFunc(prefix+"/queue_high_water", func() float64 { return float64(sim.Stats().MaxQueue) })
 	r.GaugeFunc(prefix+"/arena_slots", func() float64 { return float64(sim.Stats().ArenaSlots) })
 }

@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"context"
+	"os"
 	"testing"
+
+	"repro/internal/pool"
 )
 
 // benchSpec keeps both benchmarks microsecond-scale: simbench pins a fixed
@@ -101,6 +104,50 @@ func BenchmarkSweepPointKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ky.key(sp.Base); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepPoint is the sweep-point rung of the simulation ladder:
+// one grid point of examples/scenarios/sweep-hosts.json (two
+// replications of the consolidated case study on a partitioned fleet),
+// run through a persistent engine on a one-slot pool. The horizon is cut
+// to 1 s and the reallocation periods to 1/16 and 1/4 s, as perfbench's
+// sim-sweep workload cuts them, so every run still rebalances several
+// times. The cache is off so every iteration simulates.
+func BenchmarkSweepPoint(b *testing.B) {
+	data, err := os.ReadFile("../../examples/scenarios/sweep-hosts.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := ParseSpecBytes(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp.Base.Horizon = 1
+	for i := range sp.Axes {
+		if sp.Axes[i].Path == "alloc.period" {
+			sp.Axes[i].Values = []any{0.0625, 0.25}
+		}
+	}
+	points, err := sp.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots, err := pool.New(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEngine(slots, nil, nil)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.RunPoints(ctx, points[:1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res) != 1 {
+			b.Fatal("bad point count")
 		}
 	}
 }
