@@ -18,6 +18,10 @@
 //   - .../bytes_per_op regresses when new > old × bytes-threshold;
 //   - anything else is reported but never gates.
 //
+// The report opens with each file's machine shape (nproc and GOMAXPROCS,
+// from its manifest config) and warns when the two differ: ns/op then
+// compares machines as well as code.
+//
 // Exit codes: 0 no regression (identical or improved), 1 regression,
 // 2 metric present in old but missing from new, 3 usage or read error.
 package main
@@ -59,7 +63,12 @@ type benchFile struct {
 	} `json:"benchmarks"`
 	Metrics *metricsBlock `json:"metrics"`
 	// A bare manifest carries the snapshot under "metrics"; a manifest
-	// envelope inside a bench file is ignored in favour of "benchmarks".
+	// envelope inside a bench file is ignored in favour of "benchmarks",
+	// except for the machine shape its config records.
+	Config   json.RawMessage `json:"config"`
+	Manifest *struct {
+		Config json.RawMessage `json:"config"`
+	} `json:"manifest"`
 }
 
 type metricsBlock struct {
@@ -67,15 +76,20 @@ type metricsBlock struct {
 	Gauges   map[string]float64 `json:"gauges"`
 }
 
-// loadMetrics flattens one file into metric rows.
-func loadMetrics(path string) (map[string]float64, error) {
+// loadMetrics flattens one file into metric rows and reports the
+// machine shape it was measured on.
+func loadMetrics(path string) (map[string]float64, string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	var f benchFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, "", fmt.Errorf("%s: %w", path, err)
+	}
+	config := f.Config
+	if f.Manifest != nil {
+		config = f.Manifest.Config
 	}
 	m := map[string]float64{}
 	switch {
@@ -93,9 +107,23 @@ func loadMetrics(path string) (map[string]float64, error) {
 			m[k] = float64(v)
 		}
 	default:
-		return nil, fmt.Errorf("%s: neither a benchmarks array nor a metrics snapshot", path)
+		return nil, "", fmt.Errorf("%s: neither a benchmarks array nor a metrics snapshot", path)
 	}
-	return m, nil
+	return m, machineShape(config), nil
+}
+
+// machineShape renders the nproc and GOMAXPROCS a manifest config
+// records (cmd/simbench stamps both), or "unknown".
+func machineShape(config json.RawMessage) string {
+	var c map[string]any
+	// A config that is absent or not an object records no shape.
+	_ = json.Unmarshal(config, &c)
+	nproc, ok := c["nproc"]
+	procs, ok2 := c["gomaxprocs"]
+	if !ok || !ok2 {
+		return "unknown"
+	}
+	return fmt.Sprintf("nproc=%v GOMAXPROCS=%v", nproc, procs)
 }
 
 // verdict classifies one metric's movement.
@@ -210,15 +238,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchdiff: thresholds must be positive")
 		return exitUsageError
 	}
-	oldM, err := loadMetrics(fs.Arg(0))
+	oldM, oldShape, err := loadMetrics(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return exitUsageError
 	}
-	newM, err := loadMetrics(fs.Arg(1))
+	newM, newShape, err := loadMetrics(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return exitUsageError
+	}
+	fmt.Fprintf(stdout, "machine: old %s, new %s\n", oldShape, newShape)
+	if oldShape != newShape {
+		fmt.Fprintln(stdout, "WARNING: the files come from different machine shapes; ns/op compares the machines as well as the code")
 	}
 	return diff(oldM, newM, options{
 		nsThreshold:    *nsThreshold,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,5 +162,45 @@ func TestUsageErrors(t *testing.T) {
 		if got := run(args, &stdout, &stderr); got != exitUsageError {
 			t.Errorf("run(%q) = %d, want %d", args, got, exitUsageError)
 		}
+	}
+}
+
+// TestMachineShapes: the report names each file's machine shape from its
+// manifest config (a bench file's envelope or a bare manifest) and warns
+// when they differ, without changing the verdict.
+func TestMachineShapes(t *testing.T) {
+	bench := func(nproc, procs int) string {
+		return fmt.Sprintf(`{"manifest":{"config":{"benchtime":"20000x","nproc":"%d","gomaxprocs":"%d"}},`, nproc, procs) + baseBench[1:]
+	}
+	twoCore := writeBench(t, "two.json", bench(2, 2))
+	cases := []struct {
+		name, newBody, wantShapes string
+		warn                      bool
+	}{
+		{"same shape", bench(2, 2), "machine: old nproc=2 GOMAXPROCS=2, new nproc=2 GOMAXPROCS=2", false},
+		{"other shape", bench(4, 1), "machine: old nproc=2 GOMAXPROCS=2, new nproc=4 GOMAXPROCS=1", true},
+		{"no shape", baseBench, "machine: old nproc=2 GOMAXPROCS=2, new unknown", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			newPath := writeBench(t, "new.json", tc.newBody)
+			var stdout, stderr bytes.Buffer
+			if got := run([]string{twoCore, newPath}, &stdout, &stderr); got != exitOK {
+				t.Fatalf("exit = %d, want %d\n%s", got, exitOK, stdout.String())
+			}
+			out := stdout.String()
+			if !strings.Contains(out, tc.wantShapes) {
+				t.Fatalf("stdout missing %q:\n%s", tc.wantShapes, out)
+			}
+			if got := strings.Contains(out, "WARNING"); got != tc.warn {
+				t.Fatalf("warning printed = %v, want %v:\n%s", got, tc.warn, out)
+			}
+		})
+	}
+	manifest := writeBench(t, "manifest.json", `{"config":{"nproc":8,"gomaxprocs":8},"metrics":{"gauges":{"X/ns_per_op":100}}}`)
+	var stdout, stderr bytes.Buffer
+	run([]string{manifest, manifest}, &stdout, &stderr)
+	if !strings.Contains(stdout.String(), "machine: old nproc=8 GOMAXPROCS=8, new nproc=8 GOMAXPROCS=8") {
+		t.Fatalf("bare manifest shape missing:\n%s", stdout.String())
 	}
 }

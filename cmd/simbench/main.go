@@ -1,12 +1,17 @@
 // Command simbench runs the simulation-core benchmarks — the
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesim*,
-// BenchmarkSweepExpand, BenchmarkSweepPointKey, BenchmarkServe*,
-// BenchmarkBContinuous/*) plus the whole-pipeline macro benchmarks
-// BenchmarkRepro, BenchmarkShardedRun, BenchmarkSweepPoint and
-// BenchmarkPlan* — through `go test -bench` and records ns/op, B/op,
-// allocs/op and (for the whole-run benchmarks) events/s in a JSON file,
-// so the performance trajectory of the hot path is tracked in-repo from
-// PR to PR.
+// BenchmarkSweepExpand, BenchmarkSweepPointKey, BenchmarkServeQuery,
+// BenchmarkServeLoss, BenchmarkBContinuous/*) plus the whole-pipeline
+// macro benchmarks BenchmarkRepro, BenchmarkShardedRun,
+// BenchmarkSweepPoint, BenchmarkPlan* and BenchmarkServePlan/* — through
+// `go test -bench` and records ns/op, B/op, allocs/op and (for the
+// whole-run benchmarks) events/s in a JSON file, so the performance
+// trajectory of the hot path is tracked in-repo from PR to PR.
+//
+// Benchmark names are recorded without the -N suffix `go test` appends
+// when GOMAXPROCS is above 1, so files from machines of any core count
+// share names; the manifest's config records the machine shape (nproc and
+// GOMAXPROCS) instead.
 //
 // Usage:
 //
@@ -20,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -77,9 +83,20 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 		fmt.Fprintf(os.Stderr, "simbench: go %s: %v\n", strings.Join(args, " "), err)
 		os.Exit(1)
 	}
+	return parseBench(string(raw), runtime.GOMAXPROCS(0))
+}
 
+// parseBench parses `go test -bench` output run at GOMAXPROCS procs,
+// dropping the -<procs> suffix `go test` appends to every benchmark name
+// when procs > 1 (and only that suffix: a sub-benchmark may end in a
+// number of its own).
+func parseBench(out string, procs int) []Record {
+	suffix := ""
+	if procs > 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
 	var records []Record
-	for _, line := range strings.Split(string(raw), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
@@ -98,7 +115,7 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 			allocs, _ = strconv.ParseInt(m[6], 10, 64)
 		}
 		records = append(records, Record{
-			Name:         m[1],
+			Name:         strings.TrimSuffix(m[1], suffix),
 			Iterations:   iters,
 			NsPerOp:      ns,
 			BytesPerOp:   bytes,
@@ -116,10 +133,15 @@ func main() {
 	flag.Parse()
 
 	man := obs.NewManifest("simbench", 0)
-	man.Config = map[string]string{"benchtime": *benchtime, "macrotime": *macrotime}
+	man.Config = map[string]string{
+		"benchtime":  *benchtime,
+		"macrotime":  *macrotime,
+		"nproc":      strconv.Itoa(runtime.NumCPU()),
+		"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
+	}
 
 	records := runBench(
-		"BenchmarkStationHighOccupancy|BenchmarkDesim|BenchmarkSweepExpand|BenchmarkSweepPointKey|BenchmarkRepro|BenchmarkServe|BenchmarkBContinuous",
+		"BenchmarkStationHighOccupancy|BenchmarkDesim|BenchmarkSweepExpand|BenchmarkSweepPointKey|BenchmarkRepro|BenchmarkServeQuery|BenchmarkServeLoss|BenchmarkBContinuous",
 		*benchtime, true,
 		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve", "./internal/erlang")
 	// The whole-run shard benchmark is ~10^5 slower per op than the
@@ -136,6 +158,9 @@ func main() {
 	// analytic candidates score inline on one goroutine, so allocation
 	// counts repeat run to run and -benchmem gates them.
 	records = append(records, runBench("BenchmarkPlan", *macrotime, true, "./internal/plan")...)
+	// POST /v1/plan in process (the served rung) runs the same planners
+	// behind one warm-up request, so its allocation counts repeat too.
+	records = append(records, runBench("BenchmarkServePlan", *macrotime, true, "./internal/serve")...)
 	if len(records) == 0 {
 		fmt.Fprintln(os.Stderr, "simbench: no benchmark results parsed")
 		os.Exit(1)

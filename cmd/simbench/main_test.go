@@ -1,0 +1,40 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+)
+
+// parseBench drops exactly the -<GOMAXPROCS> suffix `go test` appends when
+// GOMAXPROCS > 1 — never a number a sub-benchmark's own name ends in —
+// and reads the optional events/s and -benchmem columns.
+func TestParseBenchStripsProcsSuffix(t *testing.T) {
+	out := `goos: linux
+BenchmarkStationHighOccupancy/k=1000-2   	   20000	       215.2 ns/op	      32 B/op	       1 allocs/op
+BenchmarkShardedRun/shards=4-2           	      30	  49581163 ns/op	   3011370 events/s
+BenchmarkServePlan/plan-day-2            	      30	    315062 ns/op	  187311 B/op	     918 allocs/op
+BenchmarkSweep/n-12-2                    	      10	       100 ns/op
+PASS
+ok  	repro/internal/cluster	1.234s
+`
+	want := []Record{
+		{Name: "BenchmarkStationHighOccupancy/k=1000", Iterations: 20000, NsPerOp: 215.2, BytesPerOp: 32, AllocsPerOp: 1},
+		{Name: "BenchmarkShardedRun/shards=4", Iterations: 30, NsPerOp: 49581163, EventsPerSec: 3011370},
+		{Name: "BenchmarkServePlan/plan-day", Iterations: 30, NsPerOp: 315062, BytesPerOp: 187311, AllocsPerOp: 918},
+		{Name: "BenchmarkSweep/n-12", Iterations: 10, NsPerOp: 100},
+	}
+	if got := parseBench(out, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("GOMAXPROCS=2:\ngot  %+v\nwant %+v", got, want)
+	}
+
+	// At GOMAXPROCS=1 go test appends nothing, so nothing is stripped.
+	one := parseBench("BenchmarkSweep/n-1   \t10\t100 ns/op\n", 1)
+	if len(one) != 1 || one[0].Name != "BenchmarkSweep/n-1" {
+		t.Fatalf("GOMAXPROCS=1: %+v", one)
+	}
+	// Only the exact suffix goes: -12 at GOMAXPROCS=12, not a trailing -2.
+	twelve := parseBench("BenchmarkA/x-2-12   \t10\t100 ns/op\nBenchmarkB-12   \t10\t100 ns/op\n", 12)
+	if len(twelve) != 2 || twelve[0].Name != "BenchmarkA/x-2" || twelve[1].Name != "BenchmarkB" {
+		t.Fatalf("GOMAXPROCS=12: %+v", twelve)
+	}
+}

@@ -113,7 +113,8 @@ func (p PeriodPlan) EncodeJSON() ([]byte, error) {
 //
 // Like Search, every decision is sequential over deterministic inputs,
 // so the same inputs yield a byte-identical PeriodPlan for any pool
-// worker count.
+// worker count. A cancelled ctx stops it between scores and between rows
+// of the segment enumeration and of the dynamic program.
 func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, migrationCostWh float64) (PeriodPlan, error) {
 	spec, err := spec.normalized()
 	if err != nil {
@@ -127,7 +128,7 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	if err := resolved.Validate(); err != nil {
 		return PeriodPlan{}, err
 	}
-	bins, err := resolved.ResolvePeriods()
+	bins, err := resolved.PeriodBins()
 	if err != nil {
 		return PeriodPlan{}, err
 	}
@@ -151,29 +152,27 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// Enumerate every contiguous segment's peak-demand vector,
 	// deduplicated on the multipliers' bit patterns: the day shape
 	// revisits levels, so far fewer than n(n+1)/2 distinct peaks need a
-	// search.
+	// search. need[pi*n+b] marks the bins some segment at peak pi covers
+	// — the (peak, bin) pairs to score.
 	type peakEntry struct {
-		mults    []float64
-		feasible bool
-		plan     Plan
-		place    eval.Placement
-		binRes   []eval.Result
-		binOK    []bool
+		mults []float64
+		plan  *Plan // nil: the supply cannot serve this peak
+		place eval.Placement
 	}
 	peakIdx := make(map[string]int)
-	var peaks []*peakEntry
-	segPeak := make([][]int, n) // segPeak[i][j-i] = peak index of segment [i..j]
+	var peaks []peakEntry
+	var need []bool
+	segPeak := make([]int, n*n) // segPeak[i*n+j] = peak index of segment [i..j]
 	key := make([]byte, 0, 8*services)
+	cur := make([]float64, services)
 	for i := 0; i < n; i++ {
-		cur := append([]float64(nil), bins[i].Multipliers...)
-		segPeak[i] = make([]int, n-i)
+		if err := ctx.Err(); err != nil {
+			return PeriodPlan{}, err
+		}
+		copy(cur, bins[i].Multipliers)
 		for j := i; j < n; j++ {
-			if j > i {
-				for t, v := range bins[j].Multipliers {
-					if v > cur[t] {
-						cur[t] = v
-					}
-				}
+			for t, v := range bins[j].Multipliers {
+				cur[t] = max(cur[t], v)
 			}
 			key = key[:0]
 			for _, v := range cur {
@@ -183,9 +182,13 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 			if !ok {
 				idx = len(peaks)
 				peakIdx[string(key)] = idx
-				peaks = append(peaks, &peakEntry{mults: append([]float64(nil), cur...)})
+				peaks = append(peaks, peakEntry{mults: append([]float64(nil), cur...)})
+				need = append(need, make([]bool, n)...)
 			}
-			segPeak[i][j-i] = idx
+			segPeak[i*n+j] = idx
+			for b := i; b <= j; b++ {
+				need[idx*n+b] = true
+			}
 		}
 	}
 
@@ -194,117 +197,105 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// plan: with per-service peaks in different bins, splitting can be
 	// feasible where the static peak is not.
 	evaluations := 0
-	for pi, pe := range peaks {
-		pl, err := searchPeak(ctx, ev, p, spec, flat, base, pi, pe.mults)
+	for pi := range peaks {
+		pl, err := searchPeak(ctx, ev, p, spec, flat, base, pi, peaks[pi].mults)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
 			}
 			return PeriodPlan{}, err
 		}
-		pe.feasible = true
-		pe.plan = pl
-		pe.place = pl.placement()
+		peaks[pi].plan, peaks[pi].place = &pl, pl.placement()
 		evaluations += pl.Evaluations
 	}
 
 	// Score each bin under every placement some segment would run it on,
 	// in deterministic peak-major bin-minor order: on the bins' rescaled
 	// kernels, or as one batch of stamped bin scenarios, so the sim
-	// evaluator lowers the whole grid onto a single engine run.
-	type pairKey struct{ peak, bin int }
-	needed := make(map[pairKey]bool)
-	for i := range segPeak {
-		for dj, idx := range segPeak[i] {
-			if !peaks[idx].feasible {
-				continue
-			}
-			for b := i; b <= i+dj; b++ {
-				needed[pairKey{idx, b}] = true
-			}
+	// evaluator lowers the whole grid onto a single engine run. Only the
+	// stamping route builds a bin's stationary scenario, once per bin it
+	// scores.
+	var order []int // pi*n + b
+	for at, ok := range need {
+		if ok && peaks[at/n].plan != nil {
+			order = append(order, at)
 		}
 	}
-	var order []pairKey
-	for pi, pe := range peaks {
-		if !pe.feasible {
-			continue
-		}
-		pe.binRes = make([]eval.Result, n)
-		pe.binOK = make([]bool, n)
-		for b := 0; b < n; b++ {
-			if needed[pairKey{pi, b}] {
-				order = append(order, pairKey{pi, b})
-			}
-		}
-	}
-	var results []eval.Result
+	res := make([]eval.Result, len(need))
 	if base != nil {
-		results = make([]eval.Result, len(order))
 		binKernels := make([]*eval.Kernel, n)
-		for t, pk := range order {
+		for _, at := range order {
 			if err := ctx.Err(); err != nil {
 				return PeriodPlan{}, err
 			}
-			if binKernels[pk.bin] == nil {
-				if binKernels[pk.bin], err = base.Scale(bins[pk.bin].Multipliers); err != nil {
+			b := at % n
+			if binKernels[b] == nil {
+				if binKernels[b], err = base.Scale(bins[b].Multipliers); err != nil {
 					return PeriodPlan{}, err
 				}
 			}
-			if results[t], err = binKernels[pk.bin].Score(peaks[pk.peak].place); err != nil {
+			if res[at], err = binKernels[b].Score(peaks[at/n].place); err != nil {
 				return PeriodPlan{}, err
 			}
 		}
 	} else {
+		stat := make([]scenario.Scenario, n) // Services stays nil until built
 		cands := make([]scenario.Scenario, len(order))
-		for t, pk := range order {
-			cands[t] = stamp(bins[pk.bin].Scenario, peaks[pk.peak].place)
+		for t, at := range order {
+			b := at % n
+			if stat[b].Services == nil {
+				if stat[b], err = resolved.Stationary(bins[b].Name, bins[b].Multipliers); err != nil {
+					return PeriodPlan{}, fmt.Errorf("periods bin %d: %w", b, err)
+				}
+			}
+			cands[t] = stamp(stat[b], peaks[at/n].place)
 		}
-		if results, err = eval.EvaluateBatch(ctx, ev, cands); err != nil {
+		results, err := eval.EvaluateBatch(ctx, ev, cands)
+		if err != nil {
 			return PeriodPlan{}, err
+		}
+		for t, at := range order {
+			res[at] = results[t]
 		}
 	}
 	evaluations += len(order)
-	for t, pk := range order {
-		pe := peaks[pk.peak]
-		pe.binRes[pk.bin] = results[t]
-		pe.binOK[pk.bin] = !math.IsNaN(results[t].Loss) && results[t].Loss <= spec.Target
+	binOK := make([]bool, len(need))
+	energy := make([]float64, len(need))
+	for _, at := range order {
+		binOK[at] = !math.IsNaN(res[at].Loss) && res[at].Loss <= spec.Target
+		energy[at] = res[at].Watts * bins[at%n].Seconds / 3600
 	}
 
 	// Segment validity: a segment stands only if its peak sizing
 	// succeeded and every bin stays under the target when run on that
-	// placement. (Energies are not pre-summed per segment: the dynamic
-	// program accumulates them bin by bin in time order, so partitions
-	// whose per-bin placements coincide get bitwise-equal costs and the
-	// tie-break below can see the tie.)
-	segOK := make([][]bool, n)
+	// placement (an infeasible peak scored no bin, so none is OK). Its
+	// energy is not pre-summed: the dynamic program accumulates it bin by
+	// bin in time order, so partitions whose per-bin placements coincide
+	// get bitwise-equal costs and the tie-break below can see the tie.
+	segOK := make([]bool, n*n)
 	for i := 0; i < n; i++ {
-		segOK[i] = make([]bool, n-i)
 		pePrev, ok := -1, true
 		for j := i; j < n; j++ {
-			idx := segPeak[i][j-i]
-			pe := peaks[idx]
+			idx := segPeak[i*n+j]
 			if idx != pePrev {
 				// The peak grew: re-check earlier bins under the new
 				// placement.
-				pePrev = idx
-				ok = pe.feasible
+				pePrev, ok = idx, true
 				for b := i; ok && b < j; b++ {
-					ok = pe.binOK[b]
+					ok = binOK[idx*n+b]
 				}
 			}
-			ok = ok && pe.binOK[j]
-			segOK[i][j-i] = ok
+			ok = ok && binOK[idx*n+j]
+			segOK[i*n+j] = ok
 		}
 	}
-	binEnergy := func(peak, b int) float64 {
-		return peaks[peak].binRes[b].Watts * bins[b].Seconds / 3600
-	}
 
-	// Dynamic program over contiguous segmentations. dp[k][j] is the
-	// best partition of bins [0..j-1] whose last segment is [k..j-1];
-	// transitions charge the boundary between the previous segment's
-	// placement and this one's. Ties on cost keep more segments, then
-	// the earliest previous start — all deterministic.
+	// Dynamic program over contiguous segmentations. dp[k*(n+1)+j] is
+	// the best partition of bins [0..j-1] whose last segment is
+	// [k..j-1]; transitions charge the boundary between the previous
+	// segment's placement and this one's, read through the peaks' plan
+	// pointers. Ties on cost keep more segments, then the earliest
+	// previous start — all deterministic.
 	type cell struct {
 		cost float64
 		segs int
@@ -317,56 +308,57 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		}
 		return a.segs > b.segs
 	}
-	charge := func(a, b Plan) (int, float64) {
+	charge := func(a, b *Plan) (int, float64) {
 		mv := planMoves(a, b, services)
 		if mv == 0 {
 			return 0, 0
 		}
 		return mv, float64(mv) * migrationCostWh
 	}
-	dp := make([][]cell, n)
-	for k := range dp {
-		dp[k] = make([]cell, n+1)
-	}
+	w := n + 1
+	dp := make([]cell, n*w)
 	for j := 1; j <= n; j++ {
+		if err := ctx.Err(); err != nil {
+			return PeriodPlan{}, err
+		}
 		for k := 0; k < j; k++ {
-			if !segOK[k][j-1-k] {
+			if !segOK[k*n+j-1] {
 				continue
 			}
-			idx := segPeak[k][j-1-k]
+			idx := segPeak[k*n+j-1]
 			if k == 0 {
 				cost := 0.0
 				for b := 0; b < j; b++ {
-					cost += binEnergy(idx, b)
+					cost += energy[idx*n+b]
 				}
-				dp[0][j] = cell{cost: cost, segs: 1, prev: -1, ok: true}
+				dp[j] = cell{cost: cost, segs: 1, prev: -1, ok: true}
 				continue
 			}
 			var best cell
 			for m := 0; m < k; m++ {
-				pc := dp[m][k]
+				pc := dp[m*w+k]
 				if !pc.ok {
 					continue
 				}
-				_, ch := charge(peaks[segPeak[m][k-1-m]].plan, peaks[idx].plan)
+				_, ch := charge(peaks[segPeak[m*n+k-1]].plan, peaks[idx].plan)
 				cost := pc.cost + ch
 				for b := k; b < j; b++ {
-					cost += binEnergy(idx, b)
+					cost += energy[idx*n+b]
 				}
 				c := cell{cost: cost, segs: pc.segs + 1, prev: m, ok: true}
 				if !best.ok || better(c, best) {
 					best = c
 				}
 			}
-			dp[k][j] = best
+			dp[k*w+j] = best
 		}
 	}
 	bestK := -1
 	for k := 0; k < n; k++ {
-		if !dp[k][n].ok {
+		if !dp[k*w+n].ok {
 			continue
 		}
-		if bestK < 0 || better(dp[k][n], dp[bestK][n]) {
+		if bestK < 0 || better(dp[k*w+n], dp[bestK*w+n]) {
 			bestK = k
 		}
 	}
@@ -376,7 +368,7 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	var starts []int
 	for k, j := bestK, n; ; {
 		starts = append(starts, k)
-		prev := dp[k][j].prev
+		prev := dp[k*w+j].prev
 		if prev < 0 {
 			break
 		}
@@ -399,24 +391,23 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		if si+1 < len(starts) {
 			end = starts[si+1] - 1
 		}
-		pe := peaks[segPeak[start][end-start]]
+		idx := segPeak[start*n+end]
+		pl := peaks[idx].plan
 		for b := start; b <= end; b++ {
-			e := pe.binRes[b].Watts * bins[b].Seconds / 3600
 			out.Bins = append(out.Bins, BinPlan{
 				Name:      bins[b].Name,
 				Seconds:   bins[b].Seconds,
 				Segment:   si,
-				Hosts:     pe.plan.Hosts,
-				Classes:   pe.plan.Classes,
-				Dedicated: pe.plan.Dedicated,
-				Result:    pe.binRes[b],
-				EnergyWh:  e,
+				Hosts:     pl.Hosts,
+				Classes:   pl.Classes,
+				Dedicated: pl.Dedicated,
+				Result:    res[idx*n+b],
+				EnergyWh:  energy[idx*n+b],
 			})
-			out.EnergyWh += e
+			out.EnergyWh += energy[idx*n+b]
 		}
 		if si > 0 {
-			prev := peaks[segPeak[starts[si-1]][start-1-starts[si-1]]]
-			if mv, ch := charge(prev.plan, pe.plan); mv > 0 {
+			if mv, ch := charge(peaks[segPeak[starts[si-1]*n+start-1]].plan, pl); mv > 0 {
 				out.Migrations = append(out.Migrations, Migration{
 					From:   bins[start-1].Name,
 					To:     bins[start].Name,
@@ -456,7 +447,7 @@ func searchPeak(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec,
 // fleets move every co-located service VM of every added or removed
 // host. Plans from the same spec share a mode, so exactly one shape
 // matches.
-func planMoves(a, b Plan, services int) int {
+func planMoves(a, b *Plan, services int) int {
 	moves := 0
 	switch {
 	case len(a.Dedicated) > 0 || len(b.Dedicated) > 0:

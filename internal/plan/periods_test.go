@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/eval"
@@ -281,5 +282,56 @@ func TestSearchPeriodsRoutesAgree(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("compiled and stamped period plans differ:\n%s\n%s", a, b)
+	}
+}
+
+// cancelAfter is an Evaluate-only decorator that cancels a context once
+// its n-th Evaluate has returned, counting calls from every goroutine.
+type cancelAfter struct {
+	ev     eval.Evaluator
+	n      int64
+	calls  *atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c cancelAfter) Evaluate(ctx context.Context, s scenario.Scenario) (eval.Result, error) {
+	r, err := c.ev.Evaluate(ctx, s)
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return r, err
+}
+
+// A context cancelled inside the last evaluation of the day still stops
+// the plan: the segment-validity pass and the dynamic program that follow
+// the bin scores check ctx, so SearchPeriods returns context.Canceled
+// rather than a full plan.
+func TestSearchPeriodsStopsWhenCancelled(t *testing.T) {
+	s, ok := loadExamples(t)["periods-day.json"]
+	if !ok {
+		t.Fatal("missing example periods-day.json")
+	}
+	pl, err := pool.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := plan.Spec{Scenario: s, Target: target}
+	var calls atomic.Int64
+	full, err := plan.SearchPeriods(context.Background(),
+		cancelAfter{ev: eval.NewAnalytic(nil), n: -1, calls: &calls}, pl, spec, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := calls.Load(); last != int64(full.Evaluations) {
+		t.Fatalf("%d Evaluate calls for %d evaluations", last, full.Evaluations)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls.Store(0)
+	pp, err := plan.SearchPeriods(ctx,
+		cancelAfter{ev: eval.NewAnalytic(nil), n: int64(full.Evaluations), calls: &calls, cancel: cancel}, pl, spec, 12)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled in the last evaluation: err = %v with %d bins, want context.Canceled", err, len(pp.Bins))
 	}
 }

@@ -15,11 +15,17 @@
 // Candidates are placements (eval.Placement): a host count, a class-count
 // vector or per-service pool sizes. Under eval.Analytic the scenario is
 // compiled once per search — once per request for SearchPeriods, whose
-// segment peaks and bins are rescaled kernels — and every placement is
-// scored inline on the kernel. Any other evaluator (the simulator, or a
-// decorator) gets each placement stamped onto the scenario, the same
-// stamping Plan.Apply does, and candidate batches evaluate in parallel
-// through the shared internal/pool budget.
+// segment peaks and bins are rescaled kernels, so no per-bin scenario is
+// built — and every placement is scored inline on the kernel. Any other
+// evaluator (the simulator, or a decorator) gets each placement stamped
+// onto the scenario, the same stamping Plan.Apply does (SearchPeriods
+// builds a bin's stationary scenario only for the bins it scores), and
+// candidate batches evaluate in parallel through the shared internal/pool
+// budget. SearchPeriods keeps its bookkeeping in flat arrays indexed by
+// segment peak and bin — the bins each peak must score, their results,
+// energies and feasibility, and the dynamic program's cells — with a map
+// only to deduplicate peaks, and prices migrations on the peaks' plans by
+// pointer.
 //
 // Every decision — seed order, move order, batch reduction, annealing
 // draws — is made sequentially from deterministic inputs, so the same

@@ -57,6 +57,7 @@ func (s Scenario) Compile() (Compiled, error) {
 	if s.Periods != nil {
 		return Compiled{}, fmt.Errorf("%w: a periods scenario has no single cluster configuration; resolve it to per-bin sub-scenarios first (ResolvePeriods)", ErrInvalid)
 	}
+	s = s.ownDefaults()
 	s.ApplyDefaults()
 
 	var out Compiled

@@ -12,10 +12,10 @@ import (
 // named time bins, each scaling the services' mean arrival rates, so one
 // scenario describes a whole (typically diurnal) traffic cycle instead of
 // a single stationary load. A periods scenario is a planning construct —
-// it does not compile to one cluster configuration; ResolvePeriods lowers
-// it to one stationary sub-scenario per bin, which eval.EvaluatePeriods
-// scores and plan.SearchPeriods plans with migration charging (DESIGN.md
-// §13).
+// it does not compile to one cluster configuration: PeriodBins resolves
+// its bins' multipliers, which plan.SearchPeriods applies to a compiled
+// kernel, and ResolvePeriods lowers each bin to a stationary sub-scenario
+// for eval.EvaluatePeriods (DESIGN.md §13).
 type Periods struct {
 	// BinSec is each bin's duration in seconds; zero defaults to 3600
 	// (an hour of the canonical day).
@@ -121,8 +121,8 @@ func (p *Periods) binMultipliers(bin, services int) []float64 {
 }
 
 // PeriodScenario is one resolved time bin: its identity, duration,
-// per-service rate multipliers, and the stationary periods-free
-// sub-scenario that evaluators and planners consume.
+// per-service rate multipliers, and (from ResolvePeriods, not PeriodBins)
+// the stationary periods-free sub-scenario evaluators consume.
 type PeriodScenario struct {
 	Index       int
 	Name        string
@@ -180,14 +180,12 @@ func (s Scenario) Stationary(label string, mults []float64) (Scenario, error) {
 	return resolved, nil
 }
 
-// ResolvePeriods lowers a periods scenario into one stationary
-// sub-scenario per bin: bin b keeps everything about the scenario except
-// that each service's arrival process becomes Poisson at the bin's
-// multiplier times the service's mean rate. The mean (not instantaneous)
-// rate is deliberate: a bin is the stationary regime the paper's model
-// prices, so an NHPP or MMPP base process contributes its cycle mean.
-func (s Scenario) ResolvePeriods() ([]PeriodScenario, error) {
-	resolved := s.Clone()
+// PeriodBins resolves a periods scenario's bins — index, name, duration
+// and per-service multipliers — with ResolvePeriods' validation, but
+// leaves each bin's Scenario zero: a caller scoring rescaled kernels
+// needs no more.
+func (s Scenario) PeriodBins() ([]PeriodScenario, error) {
+	resolved := s.ownDefaults()
 	resolved.ApplyDefaults()
 	if err := resolved.validate(); err != nil {
 		return nil, err
@@ -198,18 +196,26 @@ func (s Scenario) ResolvePeriods() ([]PeriodScenario, error) {
 	p := resolved.Periods
 	out := make([]PeriodScenario, len(p.Bins))
 	for b := range p.Bins {
-		mults := p.binMultipliers(b, len(resolved.Services))
-		sub, err := resolved.Stationary(p.Bins[b].Name, mults)
-		if err != nil {
-			return nil, fmt.Errorf("periods bin %d: %w", b, err)
-		}
-		out[b] = PeriodScenario{
-			Index:       b,
-			Name:        p.Bins[b].Name,
-			Seconds:     p.BinSec,
-			Multipliers: mults,
-			Scenario:    sub,
-		}
+		out[b] = PeriodScenario{Index: b, Name: p.Bins[b].Name, Seconds: p.BinSec, Multipliers: p.binMultipliers(b, len(resolved.Services))}
 	}
 	return out, nil
+}
+
+// ResolvePeriods is PeriodBins plus each bin's stationary sub-scenario:
+// bin b keeps everything about the scenario except that each service's
+// arrival process becomes Poisson at the bin's multiplier times the
+// service's mean rate. The mean (not instantaneous) rate is deliberate: a
+// bin is the stationary regime the paper's model prices, so an NHPP or
+// MMPP base process contributes its cycle mean.
+func (s Scenario) ResolvePeriods() ([]PeriodScenario, error) {
+	bins, err := s.PeriodBins()
+	if err != nil {
+		return nil, err
+	}
+	for b := range bins {
+		if bins[b].Scenario, err = s.Stationary(bins[b].Name, bins[b].Multipliers); err != nil {
+			return nil, fmt.Errorf("periods bin %d: %w", b, err)
+		}
+	}
+	return bins, nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/diurnal"
@@ -144,11 +145,27 @@ func TestResolvePeriods(t *testing.T) {
 		}
 	}
 
+	// PeriodBins is the same resolution without the sub-scenarios.
+	bare, err := s.PeriodBins()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bins {
+		want := bins[i]
+		want.Scenario = Scenario{}
+		if !reflect.DeepEqual(bare[i], want) {
+			t.Fatalf("PeriodBins bin %d = %+v, want %+v", i, bare[i], want)
+		}
+	}
+
 	// A periods-free scenario does not resolve.
 	plain := periodsBase()
 	plain.Periods = nil
 	if _, err := plain.ResolvePeriods(); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("resolve without periods: err = %v", err)
+	}
+	if _, err := plain.PeriodBins(); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("bins without periods: err = %v", err)
 	}
 }
 

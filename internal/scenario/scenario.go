@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -85,9 +86,9 @@ type Scenario struct {
 	// Periods, when non-nil, makes the scenario time-aware: named time
 	// bins scaling the services' arrival rates (defaulting to the
 	// canonical 24-bin diurnal day). Periods scenarios do not compile to
-	// one cluster configuration — ResolvePeriods lowers them to one
-	// stationary sub-scenario per bin for eval.EvaluatePeriods and
-	// plan.SearchPeriods.
+	// one cluster configuration: PeriodBins resolves the bins' multipliers
+	// for plan.SearchPeriods, and ResolvePeriods lowers each bin to a
+	// stationary sub-scenario for eval.EvaluatePeriods.
 	Periods *Periods `json:"periods,omitempty"`
 }
 
@@ -401,10 +402,38 @@ func (s *Scenario) ApplyDefaults() {
 
 // Validate checks the scenario. It accepts both raw and resolved
 // scenarios: zero-valued optional fields are treated as their defaults.
+// The receiver is left as it was.
 func (s Scenario) Validate() error {
-	resolved := s
+	resolved := s.ownDefaults()
 	resolved.ApplyDefaults()
 	return resolved.validate()
+}
+
+// ownDefaults returns a copy of s that owns whatever ApplyDefaults is
+// about to write through — Power, Replication and the fleet's class list
+// when one of their fields is unset, Periods and its bins always — so
+// defaulting the copy leaves the caller's scenario untouched. It copies
+// nothing for a resolved periods-free scenario, which the planners and
+// every sweep point validate on their request paths; a default added to
+// ApplyDefaults behind a shared pointer must be added here too.
+func (s Scenario) ownDefaults() Scenario {
+	if p := s.Power; p != nil && (p.BaseW == 0 && p.MaxW == 0 || p.Platform == "") {
+		c := *p
+		s.Power = &c
+	}
+	if r := s.Replication; r != nil && r.Reps == 0 {
+		c := *r
+		s.Replication = &c
+	}
+	if slices.ContainsFunc(s.Fleet.Classes, func(hc HostClass) bool { return hc.Name == "" }) {
+		s.Fleet.Classes = slices.Clone(s.Fleet.Classes)
+	}
+	if s.Periods != nil {
+		p := *s.Periods
+		p.Bins = slices.Clone(p.Bins)
+		s.Periods = &p
+	}
+	return s
 }
 
 func (s Scenario) validate() error {

@@ -172,6 +172,51 @@ func TestApplyDefaults(t *testing.T) {
 	}
 }
 
+// Validate and Compile default a private working copy: a scenario whose
+// power, replication, periods and class list were left for defaulting
+// marshals byte-identically afterwards, even through the pointers a
+// periods-free copy shares with it.
+func TestValidateAndCompileLeaveScenarioUntouched(t *testing.T) {
+	s, err := ParseBytes([]byte(`{
+  "services": [{"profile": {"preset": "specweb-ecommerce"}, "arrivals": {"kind": "poisson", "rate": 100}}],
+  "fleet": {"classes": [{"preset": "amd", "count": 2}]},
+  "power": {},
+  "replication": {},
+  "periods": {}
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(step string) {
+		t.Helper()
+		after, err := s.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s changed the scenario:\n%s\nwas\n%s", step, after, before)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Validate")
+	if _, err := s.PeriodBins(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("PeriodBins")
+	flat := s
+	flat.Periods = nil
+	if _, err := flat.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Compile of a periods-free copy")
+}
+
 func TestValidateRejects(t *testing.T) {
 	web := WebSpec(100, 2)
 	base := func(mut func(*Scenario)) Scenario {
