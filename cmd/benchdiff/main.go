@@ -16,7 +16,8 @@
 //   - .../allocs_per_op regresses on any increase (allocation counts are
 //     deterministic — 0 allocs/op is a property, not a measurement);
 //   - .../bytes_per_op regresses when new > old × bytes-threshold;
-//   - anything else is reported but never gates.
+//   - anything else is reported but never gates, such as the spread
+//     (.../ns_per_op_min and _max) around simbench's median ns_per_op.
 //
 // The report opens with each file's machine shape (nproc and GOMAXPROCS,
 // from its manifest config) and warns when the two differ: ns/op then
@@ -58,6 +59,8 @@ type benchFile struct {
 	Benchmarks []struct {
 		Name        string  `json:"name"`
 		NsPerOp     float64 `json:"ns_per_op"`
+		NsPerOpMin  float64 `json:"ns_per_op_min"`
+		NsPerOpMax  float64 `json:"ns_per_op_max"`
 		BytesPerOp  int64   `json:"bytes_per_op"`
 		AllocsPerOp int64   `json:"allocs_per_op"`
 	} `json:"benchmarks"`
@@ -98,6 +101,10 @@ func loadMetrics(path string) (map[string]float64, string, error) {
 			m[b.Name+"/ns_per_op"] = b.NsPerOp
 			m[b.Name+"/bytes_per_op"] = float64(b.BytesPerOp)
 			m[b.Name+"/allocs_per_op"] = float64(b.AllocsPerOp)
+			if b.NsPerOpMax > 0 {
+				m[b.Name+"/ns_per_op_min"] = b.NsPerOpMin
+				m[b.Name+"/ns_per_op_max"] = b.NsPerOpMax
+			}
 		}
 	case f.Metrics != nil:
 		for k, v := range f.Metrics.Gauges {

@@ -204,3 +204,29 @@ func TestMachineShapes(t *testing.T) {
 		t.Fatalf("bare manifest shape missing:\n%s", stdout.String())
 	}
 }
+
+// TestSpreadPrinted: the gate compares the recorded medians, not a slow
+// outlier run, and reports each benchmark's run spread as info rows.
+func TestSpreadPrinted(t *testing.T) {
+	old := writeBench(t, "old.json", `{"benchmarks":[
+  {"name":"BenchmarkA","iterations":30,"ns_per_op":100,"ns_per_op_min":90,"ns_per_op_max":300,"runs":3,"bytes_per_op":32,"allocs_per_op":1}
+]}`)
+	newPath := writeBench(t, "new.json", `{"benchmarks":[
+  {"name":"BenchmarkA","iterations":30,"ns_per_op":120,"ns_per_op_min":110,"ns_per_op_max":1000,"runs":3,"bytes_per_op":32,"allocs_per_op":1}
+]}`)
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{old, newPath}, &stdout, &stderr); got != exitOK {
+		t.Fatalf("exit = %d, want %d\n%s", got, exitOK, stdout.String())
+	}
+	for _, row := range []string{"BenchmarkA/ns_per_op_min", "BenchmarkA/ns_per_op_max"} {
+		line := ""
+		for _, l := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(l, row+" ") {
+				line = l
+			}
+		}
+		if !strings.HasSuffix(line, "info") {
+			t.Fatalf("no info row for %s:\n%s", row, stdout.String())
+		}
+	}
+}

@@ -77,7 +77,6 @@ func main() {
 	doPeriods := flag.Bool("periods", false, "plan the scenario's time bins as a multi-period schedule (requires -plan and a periods scenario)")
 	migrationCost := flag.Float64("migration-cost", 0, "period-plan charge in Wh per VM move, finite and >= 0 (requires -periods)")
 	objective := flag.String("objective", plan.MinServers, `plan objective: "min-servers" or "min-power"`)
-	planSeed := flag.Int64("plan-seed", 0, "plan annealing seed (0 adopts the scenario's seed)")
 	evaluator := flag.String("evaluator", "analytic", `plan candidate scorer: "analytic" or "sim"`)
 	sensitivity := flag.Float64("sensitivity", 0, "also run a ±FRACTION input-sensitivity sweep (e.g. 0.1)")
 	writeSpec := flag.String("write", "", "write the resolved model spec as JSON to this file ('-' for stdout)")
@@ -109,7 +108,7 @@ func main() {
 			die("%v", err)
 		}
 		if *doPlan {
-			out, err := runPlan(s, *target, *objective, *planSeed, *evaluator, *doPeriods, *migrationCost)
+			out, err := runPlan(s, *target, *objective, *evaluator, *doPeriods, *migrationCost)
 			if err != nil {
 				die("%v", err)
 			}
@@ -228,7 +227,7 @@ func checkFlagConflicts(explicit map[string]bool, scenarioPath, specPath string,
 		}
 		return nil
 	}
-	for _, name := range []string{"objective", "plan-seed", "evaluator"} {
+	for _, name := range []string{"objective", "evaluator"} {
 		if explicit[name] {
 			return fmt.Errorf("-%s needs -plan", name)
 		}
@@ -256,7 +255,7 @@ func loadScenario(path string) (scenario.Scenario, error) {
 // runPlan searches a placement for the scenario — a single fleet, or
 // with periods a per-bin schedule — and renders it as the stable JSON
 // cmd output and CI goldens byte-diff.
-func runPlan(s scenario.Scenario, target float64, objective string, seed int64, evaluator string, periods bool, migrationCostWh float64) ([]byte, error) {
+func runPlan(s scenario.Scenario, target float64, objective string, evaluator string, periods bool, migrationCostWh float64) ([]byte, error) {
 	var ev eval.Evaluator
 	switch evaluator {
 	case "analytic":
@@ -270,7 +269,6 @@ func runPlan(s scenario.Scenario, target float64, objective string, seed int64, 
 		Scenario:  s,
 		Target:    target,
 		Objective: objective,
-		Seed:      seed,
 	}
 	if periods {
 		// JSON cannot carry ±Inf, so the encodable CLI surface insists on

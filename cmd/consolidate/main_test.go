@@ -100,7 +100,6 @@ func TestCheckFlagConflicts(t *testing.T) {
 		{name: "plan+sensitivity", explicit: []string{"sensitivity"}, scenarioPath: "s.json", doPlan: true, wantErr: true},
 		{name: "plan+write", explicit: []string{"write"}, scenarioPath: "s.json", doPlan: true, wantErr: true},
 		{name: "objective without plan", explicit: []string{"objective"}, scenarioPath: "s.json", wantErr: true},
-		{name: "plan-seed without plan", explicit: []string{"plan-seed"}, scenarioPath: "s.json", wantErr: true},
 		{name: "evaluator without plan", explicit: []string{"evaluator"}, scenarioPath: "s.json", wantErr: true},
 		{name: "target with scenario", explicit: []string{"target"}, scenarioPath: "s.json"},
 		{name: "periods plan", explicit: []string{"periods"}, scenarioPath: "s.json", doPlan: true, doPeriods: true},
@@ -128,11 +127,11 @@ func TestRunPlanOnExampleScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runPlan(s, 0.05, "min-servers", 0, "analytic", false, 0)
+	out, err := runPlan(s, 0.05, "min-servers", "analytic", false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := runPlan(s, 0.05, "min-servers", 0, "analytic", false, 0)
+	again, err := runPlan(s, 0.05, "min-servers", "analytic", false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +141,11 @@ func TestRunPlanOnExampleScenario(t *testing.T) {
 	if out[len(out)-1] != '\n' {
 		t.Fatal("plan output must be newline-terminated for byte-diffed goldens")
 	}
-	if _, err := runPlan(s, 0.05, "min-servers", 0, "quantum", false, 0); err == nil {
+	if _, err := runPlan(s, 0.05, "min-servers", "quantum", false, 0); err == nil {
 		t.Fatal("unknown evaluator accepted")
 	}
 	s.Fleet = scenario.Fleet{Classes: []scenario.HostClass{{Preset: "amd", Count: 100000}}}
-	if _, err := runPlan(s, 0.05, "min-servers", 0, "analytic", false, 0); err == nil || !strings.Contains(err.Error(), "supply") {
+	if _, err := runPlan(s, 0.05, "min-servers", "analytic", false, 0); err == nil || !strings.Contains(err.Error(), "supply") {
 		t.Fatalf("class supply past the planner's bound: err = %v", err)
 	}
 }
@@ -159,7 +158,7 @@ func TestRunPlanPeriodsRejectsNonFiniteCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cost := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -3} {
-		if _, err := runPlan(s, 0.05, "min-servers", 0, "analytic", true, cost); err == nil {
+		if _, err := runPlan(s, 0.05, "min-servers", "analytic", true, cost); err == nil {
 			t.Errorf("migration cost %g accepted", cost)
 		}
 	}
@@ -178,6 +177,7 @@ func TestPlanGoldens(t *testing.T) {
 	}{
 		{golden: "plan-sharded-fleet.json", scenario: "../../examples/scenarios/sharded-fleet.json", objective: "min-servers"},
 		{golden: "plan-hetero.json", scenario: "../../examples/scenarios/plan-hetero.json", objective: "min-power"},
+		{golden: "plan-hetero-min-servers.json", scenario: "../../examples/scenarios/plan-hetero.json", objective: "min-servers"},
 		{golden: "plan-periods.json", scenario: "../../examples/scenarios/periods-day.json", objective: "min-servers", periods: true, costWh: 12},
 	}
 	for _, c := range cases {
@@ -185,7 +185,7 @@ func TestPlanGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.scenario, err)
 		}
-		out, err := runPlan(s, 0.05, c.objective, 0, "analytic", c.periods, c.costWh)
+		out, err := runPlan(s, 0.05, c.objective, "analytic", c.periods, c.costWh)
 		if err != nil {
 			t.Fatalf("%s: %v", c.golden, err)
 		}

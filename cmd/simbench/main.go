@@ -8,6 +8,9 @@
 // whole-run benchmarks) events/s in a JSON file, so the performance
 // trajectory of the hot path is tracked in-repo from PR to PR.
 //
+// Each benchmark runs benchRuns times; its record is the median run by
+// ns/op, with the extremes beside it and the largest B/op and allocs/op.
+//
 // Benchmark names are recorded without the -N suffix `go test` appends
 // when GOMAXPROCS is above 1, so files from machines of any core count
 // share names; the manifest's config records the machine shape (nproc and
@@ -26,6 +29,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,11 +37,17 @@ import (
 	"repro/internal/obs"
 )
 
+// benchRuns is the -count of every `go test -bench` invocation.
+const benchRuns = 3
+
 // Record is one benchmark measurement.
 type Record struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// NsPerOpMin and NsPerOpMax bound NsPerOp, the median, over the runs.
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// EventsPerSec is the simulator's aggregate event rate, reported only
@@ -65,12 +75,12 @@ type File struct {
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.eE+]+) events/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
-// runBench executes one `go test -bench` invocation and parses its rows.
-// benchmem is off for the parallel whole-run benchmark: its allocation
-// counts jitter with goroutine scheduling, and the allocs gate treats any
-// increase as a regression.
+// runBench executes one `go test -bench` invocation and aggregates its
+// rows. benchmem is off for the parallel whole-run benchmark: its
+// allocation counts jitter with goroutine scheduling, and the allocs gate
+// treats any increase as a regression.
 func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record {
-	args := []string{"test", "-run", "^$", "-bench", pattern}
+	args := []string{"test", "-run", "^$", "-bench", pattern, "-count", strconv.Itoa(benchRuns)}
 	if benchmem {
 		args = append(args, "-benchmem")
 	}
@@ -83,7 +93,33 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 		fmt.Fprintf(os.Stderr, "simbench: go %s: %v\n", strings.Join(args, " "), err)
 		os.Exit(1)
 	}
-	return parseBench(string(raw), runtime.GOMAXPROCS(0))
+	return aggregate(parseBench(string(raw), runtime.GOMAXPROCS(0)))
+}
+
+// aggregate folds the runs of each benchmark, in first-seen order, into
+// its median run by ns/op (the upper one of an even count), with the
+// ns/op extremes and the largest B/op and allocs/op of all runs.
+func aggregate(runs []Record) []Record {
+	var names []string
+	byName := map[string][]Record{}
+	for _, r := range runs {
+		if byName[r.Name] == nil {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Record, len(names))
+	for i, name := range names {
+		rs := byName[name]
+		sort.Slice(rs, func(a, b int) bool { return rs[a].NsPerOp < rs[b].NsPerOp })
+		out[i] = rs[len(rs)/2]
+		out[i].NsPerOpMin, out[i].NsPerOpMax = rs[0].NsPerOp, rs[len(rs)-1].NsPerOp
+		for _, r := range rs {
+			out[i].BytesPerOp = max(out[i].BytesPerOp, r.BytesPerOp)
+			out[i].AllocsPerOp = max(out[i].AllocsPerOp, r.AllocsPerOp)
+		}
+	}
+	return out
 }
 
 // parseBench parses `go test -bench` output run at GOMAXPROCS procs,
@@ -136,6 +172,7 @@ func main() {
 	man.Config = map[string]string{
 		"benchtime":  *benchtime,
 		"macrotime":  *macrotime,
+		"count":      strconv.Itoa(benchRuns),
 		"nproc":      strconv.Itoa(runtime.NumCPU()),
 		"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
 	}
@@ -153,8 +190,8 @@ func main() {
 	// sync.Pool, so its allocation count depends on GC timing and is not
 	// gated.
 	records = append(records, runBench("BenchmarkSweepPoint$", *macrotime, false, "./internal/sweep")...)
-	// The placement planner runs tens to hundreds of evaluations per op
-	// (0.05–1 ms); like the sharded run it gets the macro count. Its
+	// The placement planner scores a few to a few hundred placements per
+	// op (10 µs–0.3 ms); like the sharded run it gets the macro count. Its
 	// analytic candidates score inline on one goroutine, so allocation
 	// counts repeat run to run and -benchmem gates them.
 	records = append(records, runBench("BenchmarkPlan", *macrotime, true, "./internal/plan")...)
@@ -198,7 +235,7 @@ func main() {
 		os.Exit(1)
 	}
 	for _, r := range records {
-		fmt.Printf("%-45s %12.1f ns/op %6d B/op %4d allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		fmt.Printf("%-45s %12.1f ns/op [%.1f, %.1f] %6d B/op %4d allocs/op", r.Name, r.NsPerOp, r.NsPerOpMin, r.NsPerOpMax, r.BytesPerOp, r.AllocsPerOp)
 		if r.EventsPerSec > 0 {
 			fmt.Printf(" %12.0f events/s", r.EventsPerSec)
 		}

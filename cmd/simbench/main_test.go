@@ -38,3 +38,28 @@ ok  	repro/internal/cluster	1.234s
 		t.Fatalf("GOMAXPROCS=12: %+v", twelve)
 	}
 }
+
+// aggregate folds -count runs per benchmark, in first-seen order, into
+// the median run by ns/op with the ns/op extremes beside it and the
+// largest B/op and allocs/op any run reported.
+func TestAggregateRuns(t *testing.T) {
+	runs := []Record{
+		{Name: "BenchmarkPlan", Iterations: 30, NsPerOp: 300, BytesPerOp: 100, AllocsPerOp: 9},
+		{Name: "BenchmarkShardedRun/shards=4", Iterations: 30, NsPerOp: 5e7, EventsPerSec: 3e6},
+		{Name: "BenchmarkPlan", Iterations: 30, NsPerOp: 100, BytesPerOp: 120, AllocsPerOp: 9},
+		{Name: "BenchmarkShardedRun/shards=4", Iterations: 30, NsPerOp: 4e7, EventsPerSec: 4e6},
+		{Name: "BenchmarkPlan", Iterations: 30, NsPerOp: 200, BytesPerOp: 100, AllocsPerOp: 10},
+		{Name: "BenchmarkShardedRun/shards=4", Iterations: 30, NsPerOp: 6e7, EventsPerSec: 2e6},
+		{Name: "BenchmarkSweepPoint", Iterations: 30, NsPerOp: 9},
+		{Name: "BenchmarkSweepPoint", Iterations: 30, NsPerOp: 7},
+	}
+	want := []Record{
+		{Name: "BenchmarkPlan", Iterations: 30, NsPerOp: 200, NsPerOpMin: 100, NsPerOpMax: 300, BytesPerOp: 120, AllocsPerOp: 10},
+		{Name: "BenchmarkShardedRun/shards=4", Iterations: 30, NsPerOp: 5e7, NsPerOpMin: 4e7, NsPerOpMax: 6e7, EventsPerSec: 3e6},
+		// An even count takes the upper of the middle two runs.
+		{Name: "BenchmarkSweepPoint", Iterations: 30, NsPerOp: 9, NsPerOpMin: 7, NsPerOpMax: 9},
+	}
+	if got := aggregate(runs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("got  %+v\nwant %+v", got, want)
+	}
+}

@@ -22,9 +22,9 @@ import (
 // scoring routine.
 //
 // Integer-unit fleets are answered from the shared copy-on-write
-// erlang.Memo tables (lock-free reads, so concurrent candidate batches
-// share one growing table set); fractional capability units fall back to
-// the continuous Erlang B extension.
+// erlang.Memo tables (lock-free reads, so concurrent plans share one
+// growing table set); fractional capability units fall back to the
+// continuous Erlang B extension.
 type Analytic struct {
 	memo *erlang.Memo
 }
@@ -213,22 +213,90 @@ func (k *Kernel) Score(p Placement) (Result, error) {
 	return k.scoreConsolidated(p)
 }
 
+// Price is consolidated placement p's score without its losses: the host
+// count, the capability units summed in class order, the Eq. (10)
+// utilization and the per-class draws summed in class order. Score runs
+// the same arithmetic, so a placement's price and its score agree bit for
+// bit; Price reads no Erlang B and does not check p's shape.
+func (k *Kernel) Price(p Placement) Result {
+	pr := Result{Source: "analytic", Mode: k.mode}
+	if len(k.capability) == 0 {
+		pr.Hosts, pr.CapabilityUnits = p.Hosts, float64(p.Hosts)
+	}
+	for c, n := range p.Classes {
+		pr.Hosts += n
+		pr.CapabilityUnits += float64(n) * k.capability[c]
+	}
+	if pr.CapabilityUnits > 0 {
+		pr.Utilization = k.demand / pr.CapabilityUnits
+	}
+	if len(k.capability) == 0 {
+		pr.Watts = power.SteadyStateDraw(k.fleetPower, pr.Hosts, pr.Utilization, k.platform)
+	}
+	for c, n := range p.Classes {
+		pr.Watts += power.SteadyStateDraw(k.classPower[c], n, pr.Utilization, k.platform)
+	}
+	return pr
+}
+
+// ClassCost is one host class as Price sees it: a host's capability units,
+// its idle draw, and the draw it adds at full utilization on the kernel's
+// platform.
+type ClassCost struct{ Units, IdleW, ActiveW float64 }
+
+// ClassCosts reports the compiled fleet's host classes in class order.
+func (k *Kernel) ClassCosts() []ClassCost {
+	out := make([]ClassCost, len(k.capability))
+	for c, m := range k.classPower {
+		idle := m.IdleDraw(k.platform)
+		out[c] = ClassCost{Units: k.capability[c], IdleW: idle, ActiveW: m.Draw(1, k.platform) - idle}
+	}
+	return out
+}
+
+// Demand reports Σⱼ ρ′ⱼ, the offered work whose ratio to a fleet's
+// capability units is its Eq. (10) utilization.
+func (k *Kernel) Demand() float64 { return k.demand }
+
+// UnitsFloor reports the largest whole number of capability units that
+// cannot meet loss target: maxⱼ n*ⱼ − 1, where n*ⱼ is the smallest integer
+// with B(n*ⱼ, ρ′ⱼ) <= target in the kernel's memo. Erlang B falls as the
+// units grow, so a fleet of at most that many units misses the target on
+// some resource. The search for n*ⱼ starts where B(n, ρ) >= 1 − n/ρ
+// still rules n out and stops at ceil(maxUnits): a resource that needs
+// more reports that ceiling.
+func (k *Kernel) UnitsFloor(target, maxUnits float64) (float64, error) {
+	top := math.Ceil(maxUnits)
+	floor := 0.0
+	for _, rho := range k.rho {
+		if !(rho >= 0 && rho < math.Inf(1)) {
+			return 0, fmt.Errorf("eval: capability bound at traffic %g", rho)
+		}
+		// Every n <= ρ(1 − target) − 1 misses the target by the bound.
+		n := math.Max(0, math.Floor(rho*(1-target))-1)
+		for ; n < top; n++ {
+			b, err := k.loss(n+1, rho)
+			if err != nil {
+				return 0, err
+			}
+			if b <= target {
+				break
+			}
+		}
+		floor = math.Max(floor, math.Min(n, top))
+	}
+	return floor, nil
+}
+
 // scoreConsolidated scores a consolidated fleet: loss per resource is
 // Erlang B of the merged traffic ρ′ⱼ (Eq. 5) over the fleet's capability
 // units, a service's loss is the worst over the resources it demands, and
-// watts sum per-class draws at the Eq. (10) utilization.
+// watts sum per-class draws at the Eq. (10) utilization (Price).
 func (k *Kernel) scoreConsolidated(p Placement) (Result, error) {
 	if len(p.Dedicated) > 0 || len(p.Classes) != len(k.capability) {
 		return Result{}, fmt.Errorf("eval: placement does not fit a consolidated fleet of %d host classes", len(k.capability))
 	}
-	res := Result{Source: "analytic", Mode: k.mode}
-	if len(k.capability) == 0 {
-		res.Hosts, res.CapabilityUnits = p.Hosts, float64(p.Hosts)
-	}
-	for c, n := range p.Classes {
-		res.Hosts += n
-		res.CapabilityUnits += float64(n) * k.capability[c]
-	}
+	res := k.Price(p)
 	// A stack buffer holds the per-resource losses for the usual few
 	// resources, so a score allocates only its Services slice.
 	var buf [8]float64
@@ -255,15 +323,6 @@ func (k *Kernel) scoreConsolidated(p Placement) (Result, error) {
 			}
 		}
 		res.Services[i] = ServiceLoss{Name: svc.name, Loss: worst}
-	}
-	if res.CapabilityUnits > 0 {
-		res.Utilization = k.demand / res.CapabilityUnits
-	}
-	if len(k.capability) == 0 {
-		res.Watts = power.SteadyStateDraw(k.fleetPower, res.Hosts, res.Utilization, k.platform)
-	}
-	for c, n := range p.Classes {
-		res.Watts += power.SteadyStateDraw(k.classPower[c], n, res.Utilization, k.platform)
 	}
 	return res, nil
 }

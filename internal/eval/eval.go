@@ -84,8 +84,8 @@ type Result struct {
 }
 
 // Evaluator scores one resolved scenario candidate. Implementations must
-// be safe for concurrent use: the placement search evaluates candidate
-// batches in parallel.
+// be safe for concurrent use: the service plans concurrent requests on
+// one evaluator.
 type Evaluator interface {
 	Evaluate(ctx context.Context, s scenario.Scenario) (Result, error)
 }

@@ -4,14 +4,15 @@ package obs
 
 import "syscall"
 
-// cpuSeconds reports the process's consumed CPU time (user + system).
+// cpuSeconds reports the CPU time (user + system) of the process and of
+// the children it has waited for, such as cmd/simbench's `go test` runs.
 func cpuSeconds() float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
+	var ns int64
+	for _, who := range []int{syscall.RUSAGE_SELF, syscall.RUSAGE_CHILDREN} {
+		var ru syscall.Rusage
+		if syscall.Getrusage(who, &ru) == nil {
+			ns += ru.Utime.Nano() + ru.Stime.Nano()
+		}
 	}
-	sec := func(tv syscall.Timeval) float64 {
-		return float64(tv.Sec) + float64(tv.Usec)/1e6
-	}
-	return sec(ru.Utime) + sec(ru.Stime)
+	return float64(ns) / 1e9
 }

@@ -39,7 +39,8 @@ type Manifest struct {
 	StartedAt string `json:"started_at"`
 
 	// WallSeconds and CPUSeconds are the run's elapsed wall time and
-	// process CPU time (user+system), filled by Finish.
+	// CPU time (user+system) of the process and the children it waited
+	// for, filled by Finish.
 	WallSeconds float64 `json:"wall_seconds"`
 	CPUSeconds  float64 `json:"cpu_seconds"`
 

@@ -11,8 +11,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// BenchmarkPlan times a full heterogeneous analytic placement search —
-// FFD seed, local-search descent and final evaluation — sharing one memo
+// BenchmarkPlan times a full heterogeneous analytic placement search under
+// min-power — the capability bound, the priced walk over the 124 class
+// mixes and the scores of the few it cannot rule out — sharing one memo
 // across iterations the way a long-lived planner process would.
 func BenchmarkPlan(b *testing.B) {
 	s := scenario.CaseStudy(4, 4, "consolidated", 0)
@@ -22,7 +23,7 @@ func BenchmarkPlan(b *testing.B) {
 		{Preset: "blade", Count: 4},
 	}}
 	ev := eval.NewAnalytic(nil)
-	spec := plan.Spec{Scenario: s, Target: 0.05, Objective: plan.MinPower, Seed: 7}
+	spec := plan.Spec{Scenario: s, Target: 0.05, Objective: plan.MinPower}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,8 +34,7 @@ func BenchmarkPlan(b *testing.B) {
 }
 
 // BenchmarkPlanMinServers times the heterogeneous search under the
-// default objective on plan-hetero.json's class supply, where the
-// annealer's zero-delta swaps keep it running to MaxIters.
+// default objective on plan-hetero.json's class supply.
 func BenchmarkPlanMinServers(b *testing.B) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "plan-hetero.json"))
 	if err != nil {
@@ -62,7 +62,7 @@ func BenchmarkPlanPeriods(b *testing.B) {
 	s := scenario.CaseStudy(4, 4, "consolidated", 0)
 	s.Periods = &scenario.Periods{}
 	ev := eval.NewAnalytic(nil)
-	spec := plan.Spec{Scenario: s, Target: 0.05, Seed: 7}
+	spec := plan.Spec{Scenario: s, Target: 0.05}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -82,9 +82,8 @@ type PeriodPlan struct {
 	TotalKWh    float64 `json:"total_kwh"`
 
 	// Evaluations counts candidate evaluations across every segment
-	// search and bin scoring; Seed echoes the search seed.
-	Evaluations int   `json:"evaluations"`
-	Seed        int64 `json:"seed"`
+	// search and bin scoring.
+	Evaluations int `json:"evaluations"`
 }
 
 // EncodeJSON renders the period plan as stable, newline-terminated
@@ -111,10 +110,11 @@ func (p PeriodPlan) EncodeJSON() ([]byte, error) {
 // segments (the finest equivalent schedule). The planning day is linear:
 // the wrap-around boundary back to the first bin is not charged.
 //
-// Like Search, every decision is sequential over deterministic inputs,
-// so the same inputs yield a byte-identical PeriodPlan for any pool
-// worker count. A cancelled ctx stops it between scores and between rows
-// of the segment enumeration and of the dynamic program.
+// Like Search, it takes no slot of p, and every decision is sequential
+// over deterministic inputs, so the same inputs yield a byte-identical
+// PeriodPlan for any pool worker count. A cancelled ctx stops it between
+// scores and between rows of the segment enumeration and of the dynamic
+// program.
 func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, migrationCostWh float64) (PeriodPlan, error) {
 	spec, err := spec.normalized()
 	if err != nil {
@@ -131,9 +131,6 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	bins, err := resolved.PeriodBins()
 	if err != nil {
 		return PeriodPlan{}, err
-	}
-	if spec.Seed == 0 {
-		spec.Seed = int64(resolved.Seed)
 	}
 	n := len(bins)
 	services := len(resolved.Services)
@@ -198,7 +195,7 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// feasible where the static peak is not.
 	evaluations := 0
 	for pi := range peaks {
-		pl, err := searchPeak(ctx, ev, p, spec, flat, base, pi, peaks[pi].mults)
+		pl, err := searchPeak(ctx, ev, spec, flat, base, pi, peaks[pi].mults)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -384,7 +381,6 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		Mode:            resolved.Mode,
 		MigrationCostWh: migrationCostWh,
 		Evaluations:     evaluations,
-		Seed:            spec.Seed,
 	}
 	for si, start := range starts {
 		end := n - 1
@@ -426,20 +422,20 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 // searchPeak sizes segment peak idx of the periods-free scenario flat:
 // on the base kernel rescaled to the peak under the analytic evaluator,
 // else by Search over the peak's stationary scenario.
-func searchPeak(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, flat scenario.Scenario, base *eval.Kernel, idx int, mults []float64) (Plan, error) {
+func searchPeak(ctx context.Context, ev eval.Evaluator, spec Spec, flat scenario.Scenario, base *eval.Kernel, idx int, mults []float64) (Plan, error) {
 	if base != nil {
 		k, err := base.Scale(mults)
 		if err != nil {
 			return Plan{}, err
 		}
-		return search(ctx, ev, p, spec, flat, k)
+		return search(ctx, ev, spec, flat, k)
 	}
 	stat, err := flat.Stationary(fmt.Sprintf("peak%02d", idx), mults)
 	if err != nil {
 		return Plan{}, err
 	}
 	spec.Scenario = stat
-	return Search(ctx, ev, p, spec)
+	return Search(ctx, ev, nil, spec)
 }
 
 // planMoves counts the VM migrations turning placement a into placement

@@ -41,9 +41,6 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 	if err != nil {
 		return PeriodPlan{}, err
 	}
-	if spec.Seed == 0 {
-		spec.Seed = int64(resolved.Seed)
-	}
 	n := len(bins)
 	services := len(resolved.Services)
 
@@ -105,7 +102,7 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 	// feasible where the static peak is not.
 	evaluations := 0
 	for pi, pe := range peaks {
-		pl, err := searchPeak(ctx, ev, p, spec, flat, base, pi, pe.mults)
+		pl, err := searchPeak(ctx, ev, spec, flat, base, pi, pe.mults)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -302,7 +299,6 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 		Mode:            resolved.Mode,
 		MigrationCostWh: migrationCostWh,
 		Evaluations:     evaluations,
-		Seed:            spec.Seed,
 	}
 	for si, start := range starts {
 		end := n - 1
@@ -388,15 +384,14 @@ func TestSearchPeriodsMatchesReference(t *testing.T) {
 	// infeasible.
 	mixed := [][]float64{{0.5, 1}, {1, 0.5}, {1, 1}, {1.5, 0.25}, {0.25, 1.5}}
 	kinds := []struct {
-		name     string
-		s        scenario.Scenario
-		scalars  []float64
-		vectors  [][]float64
-		maxIters int
+		name    string
+		s       scenario.Scenario
+		scalars []float64
+		vectors [][]float64
 	}{
-		{"homogeneous", load("periods-day.json"), []float64{0.25, 0.5, 1, 1.5}, mixed, 0},
-		{"heterogeneous", load("plan-hetero.json"), []float64{0.3, 1, 2.6}, [][]float64{{2.6, 0.3}, {0.3, 12}, {1, 12}, {1, 1}, {0.3, 1}}, 20},
-		{"dedicated", load("casestudy-dedicated.json"), []float64{0.3, 0.5, 1, 1.5}, mixed, 0},
+		{"homogeneous", load("periods-day.json"), []float64{0.25, 0.5, 1, 1.5}, mixed},
+		{"heterogeneous", load("plan-hetero.json"), []float64{0.3, 1, 2.6}, [][]float64{{2.6, 0.3}, {0.3, 12}, {1, 12}, {1, 1}, {0.3, 1}}},
+		{"dedicated", load("casestudy-dedicated.json"), []float64{0.3, 0.5, 1, 1.5}, mixed},
 	}
 	costs := []float64{0, 0.5, 12, 1e9, math.Inf(1)}
 	objectives := []string{MinServers, MinPower}
@@ -427,7 +422,7 @@ func TestSearchPeriodsMatchesReference(t *testing.T) {
 					bins[rng.Intn(len(bins))] = scenario.PeriodBin{Multipliers: []float64{1}}
 				}
 				cost := costs[trial%len(costs)]
-				spec := Spec{Scenario: s, Target: 0.05, Objective: objectives[trial/len(costs)%2], MaxIters: kind.maxIters}
+				spec := Spec{Scenario: s, Target: 0.05, Objective: objectives[trial/len(costs)%2]}
 				name := fmt.Sprintf("%s/stamped=%v/trial=%d", kind.name, stamped, trial)
 
 				want, wantErr := refSearchPeriods(ctx, ev, pl, spec, cost)

@@ -41,7 +41,7 @@ func periodsFixture() scenario.Scenario {
 func mustPlanPeriods(t *testing.T, s scenario.Scenario, costWh float64) plan.PeriodPlan {
 	t.Helper()
 	pp, err := plan.SearchPeriods(context.Background(), eval.NewAnalytic(nil), nil,
-		plan.Spec{Scenario: s, Target: target, Seed: 7}, costWh)
+		plan.Spec{Scenario: s, Target: target}, costWh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSearchPeriodsDomain(t *testing.T) {
 // placement deltas.
 func TestSearchPeriodsAccounting(t *testing.T) {
 	pp := mustPlanPeriods(t, periodsFixture(), 10)
-	if pp.Mode != "consolidated" || pp.Objective != plan.MinServers || pp.Seed != 7 {
+	if pp.Mode != "consolidated" || pp.Objective != plan.MinServers {
 		t.Fatalf("header: %+v", pp)
 	}
 	if len(pp.Bins) != 4 {
@@ -139,7 +139,7 @@ func TestSearchPeriodsZeroCostIsPerBin(t *testing.T) {
 			t.Errorf("bin %d in segment %d: zero cost must keep every bin its own segment", i, b.Segment)
 		}
 		want, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil,
-			plan.Spec{Scenario: bins[i].Scenario, Target: target, Seed: 7})
+			plan.Spec{Scenario: bins[i].Scenario, Target: target})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestSearchPeriodsInfiniteCostIsStaticPeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil,
-		plan.Spec{Scenario: peak, Target: target, Seed: 7})
+		plan.Spec{Scenario: peak, Target: target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSearchPeriodsDeterminismAcrossPoolSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			pp, err := plan.SearchPeriods(context.Background(), eval.NewAnalytic(nil), pl,
-				plan.Spec{Scenario: s, Target: target, Seed: 7}, 12)
+				plan.Spec{Scenario: s, Target: target}, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +252,7 @@ func TestSearchPeriodsWithSimEvaluator(t *testing.T) {
 }
 
 // The multi-period planner plans byte-identically on rescaled kernels and
-// on the stamping route (an Evaluate-only decorator on a 2-slot pool,
+// on the stamping route (an Evaluate-only decorator handed a 2-slot pool,
 // scoring the bin grid as one batch).
 func TestSearchPeriodsRoutesAgree(t *testing.T) {
 	s, ok := loadExamples(t)["periods-day.json"]

@@ -4,13 +4,14 @@
 // servers or fewest watts — whose worst per-service loss probability
 // still meets B.
 //
-// The search is exact where the model is exact and heuristic where it is
-// not. Homogeneous consolidated fleets and dedicated pools have monotone
-// loss in the server count, so a doubling probe plus binary search finds
-// the minimal count — the same N and M the paper's Fig. 4 sizing yields.
-// Heterogeneous consolidated fleets walk a first-fit-decreasing seed
-// through local-search moves (remove one host, swap a host across
-// classes) with a seeded annealing kick out of stalls.
+// The search is exact. Homogeneous consolidated fleets and dedicated
+// pools have monotone loss in the server count, so a doubling probe plus
+// binary search finds the minimal count — the same N and M the paper's
+// Fig. 4 sizing yields. A heterogeneous class mix reaches the analytic
+// loss only through its capability units (Section III-B.1), so the search
+// prices class-count vectors with plain arithmetic and scores only the
+// mixes that a capability bound cannot rule out and that rank ahead of
+// the best feasible mix found.
 //
 // Candidates are placements (eval.Placement): a host count, a class-count
 // vector or per-service pool sizes. Under eval.Analytic the scenario is
@@ -19,17 +20,16 @@
 // built — and every placement is scored inline on the kernel. Any other
 // evaluator (the simulator, or a decorator) gets each placement stamped
 // onto the scenario, the same stamping Plan.Apply does (SearchPeriods
-// builds a bin's stationary scenario only for the bins it scores), and
-// candidate batches evaluate in parallel through the shared internal/pool
-// budget. SearchPeriods keeps its bookkeeping in flat arrays indexed by
+// builds a bin's stationary scenario only for the bins it scores), one at
+// a time, while a heterogeneous search prices its mixes on an analytic
+// kernel. SearchPeriods keeps its bookkeeping in flat arrays indexed by
 // segment peak and bin — the bins each peak must score, their results,
 // energies and feasibility, and the dynamic program's cells — with a map
 // only to deduplicate peaks, and prices migrations on the peaks' plans by
 // pointer.
 //
-// Every decision — seed order, move order, batch reduction, annealing
-// draws — is made sequentially from deterministic inputs, so the same
-// Spec yields a byte-identical Plan on either route and regardless of
+// Every decision is made sequentially from deterministic inputs, so the
+// same Spec yields a byte-identical Plan on either route and regardless of
 // pool worker count.
 package plan
 
@@ -61,18 +61,13 @@ var ErrInfeasible = errors.New("plan: no feasible placement meets the loss targe
 // sizing, bounding pathological inputs (target → 0 at huge ρ).
 const maxPoolServers = 1 << 16
 
-// defaultMaxIters bounds the heterogeneous local-search rounds when the
-// Spec does not say otherwise.
-const defaultMaxIters = 200
-
-// maxHeteroSupply caps a heterogeneous scenario's summed class Count. The
-// first-fit-decreasing seed scores one prefix per supplied host, and each
-// fractional-unit score steps erlang.BContinuous once per capability
-// unit, so a search's cost grows with the square of the supply. At this
-// cap, Search over plan-hetero's three classes (1638/1638/820 hosts) on
-// the analytic kernel took 8.2–8.6 ms for min-power (4120 evaluations)
-// and 9.7–10.1 ms for min-servers (5659) on a 2-vCPU VM; cloning a
-// scenario per candidate it had taken 71–75 and 112–117 ms.
+// maxHeteroSupply caps a heterogeneous scenario's summed class Count: the
+// search prices count vectors, whose number grows with the product of the
+// class supplies. At the cap, Search over plan-hetero's classes
+// (1638/1638/820 hosts, about 2.2e9 mixes) took 0.03–0.04 ms at the
+// example's rates and 13–15 ms at 200 times them (396 hosts, about 1,450
+// scores) on a 2-vCPU VM; the annealing search it replaced took 10–13 and
+// 46–61 ms.
 const maxHeteroSupply = 1 << 12
 
 // Spec is one planning request.
@@ -90,11 +85,11 @@ type Spec struct {
 	// Objective selects MinServers (default) or MinPower.
 	Objective string `json:"objective,omitempty"`
 
-	// Seed drives the annealing kick; zero adopts the scenario's seed.
-	Seed int64 `json:"seed,omitempty"`
-
-	// MaxIters bounds local-search rounds (default 200).
-	MaxIters int `json:"max_iters,omitempty"`
+	// Seed and MaxIters tuned the annealing search this exact search
+	// replaced; they are kept so existing callers compile, and a non-zero
+	// value is an error that names the removal.
+	Seed     int64 `json:"seed,omitempty"`
+	MaxIters int   `json:"max_iters,omitempty"`
 }
 
 // normalized applies Spec defaults and rejects out-of-domain fields with
@@ -109,16 +104,13 @@ func (s Spec) normalized() (Spec, error) {
 	if math.IsNaN(s.Target) || s.Target <= 0 || s.Target >= 1 {
 		return Spec{}, fmt.Errorf("plan: target %g outside (0, 1)", s.Target)
 	}
-	if s.MaxIters < 0 {
-		return Spec{}, fmt.Errorf("plan: max_iters=%d (negative; 0 selects the default %d)", s.MaxIters, defaultMaxIters)
-	}
-	if s.MaxIters == 0 {
-		s.MaxIters = defaultMaxIters
+	if s.Seed != 0 || s.MaxIters != 0 {
+		return Spec{}, fmt.Errorf("plan: seed=%d max_iters=%d: seed and max_iters were removed with the annealing search (the search is exact)", s.Seed, s.MaxIters)
 	}
 	supply := 0
 	for _, hc := range s.Scenario.Fleet.Classes {
 		if hc.Count > maxHeteroSupply-supply {
-			return Spec{}, fmt.Errorf("plan: host-class supply above %d hosts (the search evaluates one candidate per supplied host)", maxHeteroSupply)
+			return Spec{}, fmt.Errorf("plan: host-class supply above %d hosts (the search prices class-count vectors, whose number grows with the product of the class supplies)", maxHeteroSupply)
 		}
 		supply += max(hc.Count, 0)
 	}
@@ -160,9 +152,6 @@ type Plan struct {
 
 	// Evaluations counts candidate evaluations the search spent.
 	Evaluations int `json:"evaluations"`
-
-	// Seed echoes the annealing seed the search ran with.
-	Seed int64 `json:"seed"`
 }
 
 // EncodeJSON renders the plan as stable, newline-terminated indented

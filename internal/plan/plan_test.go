@@ -215,7 +215,7 @@ func TestPlanHeteroAtLeastContinuousBound(t *testing.T) {
 	}
 }
 
-// Same seed, any pool size: byte-identical plan JSON.
+// Any pool size: byte-identical plan JSON.
 func TestPlanDeterminismAcrossPoolSizes(t *testing.T) {
 	examples := loadExamples(t)
 	for _, name := range []string{"plan-hetero.json", "casestudy.json", "sharded-fleet.json"} {
@@ -230,7 +230,7 @@ func TestPlanDeterminismAcrossPoolSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			p, err := plan.Search(context.Background(), eval.NewAnalytic(nil), pl,
-				plan.Spec{Scenario: s, Target: target, Seed: 7})
+				plan.Spec{Scenario: s, Target: target})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,22 +266,31 @@ func TestPlanInfeasibleSupply(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	base := loadExamples(t)["casestudy.json"]
 	// A class supply past the planner's bound is refused before the search
-	// builds one candidate per supplied host.
+	// prices a mix.
 	oversupplied := base.Clone()
 	oversupplied.Fleet = scenario.Fleet{Classes: []scenario.HostClass{
 		{Preset: "amd", Count: 1 << 12}, {Preset: "intel", Count: 1},
 	}}
-	cases := []plan.Spec{
-		{Scenario: base, Target: 0},
-		{Scenario: base, Target: 1},
-		{Scenario: base, Target: math.NaN()},
-		{Scenario: base, Target: 0.05, Objective: "max-profit"},
-		{Scenario: base, Target: 0.05, MaxIters: -1},
-		{Scenario: oversupplied, Target: 0.05},
+	cases := []struct {
+		spec plan.Spec
+		want string // a substring of the error
+	}{
+		{plan.Spec{Scenario: base, Target: 0}, "target"},
+		{plan.Spec{Scenario: base, Target: 1}, "target"},
+		{plan.Spec{Scenario: base, Target: math.NaN()}, "target"},
+		{plan.Spec{Scenario: base, Target: 0.05, Objective: "max-profit"}, "objective"},
+		// The annealing search's knobs are gone: any non-zero value names
+		// the removal.
+		{plan.Spec{Scenario: base, Target: 0.05, Seed: 7}, "seed and max_iters were removed"},
+		{plan.Spec{Scenario: base, Target: 0.05, Seed: -1}, "seed and max_iters were removed"},
+		{plan.Spec{Scenario: base, Target: 0.05, MaxIters: 200}, "seed and max_iters were removed"},
+		{plan.Spec{Scenario: base, Target: 0.05, MaxIters: -1}, "seed and max_iters were removed"},
+		{plan.Spec{Scenario: oversupplied, Target: 0.05}, "supply above"},
 	}
-	for i, spec := range cases {
-		if _, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, spec); err == nil {
-			t.Errorf("case %d: invalid spec accepted", i)
+	for i, c := range cases {
+		_, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want one naming %q", i, err, c.want)
 		}
 	}
 }
@@ -318,7 +327,7 @@ func TestPlanWithSimEvaluator(t *testing.T) {
 
 // evaluateOnly hides the evaluator it wraps behind Evaluate alone, so the
 // planner takes the stamping route even for eval.Analytic: each
-// candidate stamped onto the scenario and evaluated on the pool.
+// candidate stamped onto the scenario and evaluated through Evaluate.
 type evaluateOnly struct{ ev eval.Evaluator }
 
 func (e evaluateOnly) Evaluate(ctx context.Context, s scenario.Scenario) (eval.Result, error) {
@@ -327,7 +336,8 @@ func (e evaluateOnly) Evaluate(ctx context.Context, s scenario.Scenario) (eval.R
 
 // The compiled route (the analytic kernel scoring placements inline) and
 // the stamping route (the same evaluator behind an Evaluate-only
-// decorator, fanned out on a 2-slot pool) plan byte-identically.
+// decorator, handed a 2-slot pool) plan byte-identically, evaluations
+// included.
 func TestSearchRoutesAgree(t *testing.T) {
 	examples := loadExamples(t)
 	pl, err := pool.New(2)
@@ -427,7 +437,7 @@ func TestPlanWithSimEvaluatorKeepsMemory(t *testing.T) {
 		if _, err := ev.Evaluate(context.Background(), s); err != nil {
 			t.Fatalf("declared fleet %+v: %v", fleet, err)
 		}
-		p, err := plan.Search(context.Background(), ev, nil, plan.Spec{Scenario: s, Target: 0.2, MaxIters: 4})
+		p, err := plan.Search(context.Background(), ev, nil, plan.Spec{Scenario: s, Target: 0.2})
 		if err != nil {
 			t.Fatalf("fleet %+v: %v", fleet, err)
 		}

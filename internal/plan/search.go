@@ -4,23 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/pool"
-	"repro/internal/power"
 	"repro/internal/scenario"
 )
 
 // Search finds the cheapest placement of spec.Scenario's workload that
-// meets the loss target, scoring candidates with ev. The analytic
-// evaluator compiles the scenario once and scores every candidate inline
-// on the calling goroutine. Any other evaluator sees each candidate
-// stamped onto the scenario, and candidate batches run in parallel: p
-// bounds that fan-out unless ev already budgets itself against a shared
-// pool (eval.SelfBudgeted), in which case wrapping would risk a
-// slot-holder waiting on a slot.
+// meets the loss target, scoring candidates with ev one at a time on the
+// calling goroutine: inline on a compiled kernel for the analytic
+// evaluator, stamped onto the scenario for any other. The search fans
+// nothing out, so it takes no slot of p; an evaluator that does, such as
+// eval.Sim, budgets its own work.
 func Search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec) (Plan, error) {
 	spec, err := spec.normalized()
 	if err != nil {
@@ -34,14 +29,11 @@ func Search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec) (Pl
 	if resolved.Periods != nil {
 		return Plan{}, fmt.Errorf("%w: a periods scenario is time-varying; plan it bin by bin (SearchPeriods)", eval.ErrUnsupported)
 	}
-	if spec.Seed == 0 {
-		spec.Seed = int64(resolved.Seed)
-	}
 	k, err := compile(ev, resolved)
 	if err != nil {
 		return Plan{}, err
 	}
-	return search(ctx, ev, p, spec, resolved, k)
+	return search(ctx, ev, spec, resolved, k)
 }
 
 // compile builds the kernel of a resolved scenario when ev is the
@@ -57,12 +49,8 @@ func compile(ev eval.Evaluator, resolved scenario.Scenario) (*eval.Kernel, error
 
 // search places a normalized spec's workload on its resolved scenario,
 // scoring candidates on k when it is non-nil and through ev otherwise.
-func search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, resolved scenario.Scenario, k *eval.Kernel) (Plan, error) {
-	s := &searcher{ctx: ctx, ev: ev, pool: p, spec: spec, resolved: resolved, kernel: k}
-	if sb, ok := ev.(eval.SelfBudgeted); ok && sb.SelfBudgeted() {
-		s.selfBudgeted = true
-	}
-
+func search(ctx context.Context, ev eval.Evaluator, spec Spec, resolved scenario.Scenario, k *eval.Kernel) (Plan, error) {
+	s := &searcher{ctx: ctx, ev: ev, spec: spec, resolved: resolved, kernel: k}
 	var plan Plan
 	var err error
 	switch {
@@ -80,101 +68,33 @@ func search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec, res
 	plan.Target = spec.Target
 	plan.Mode = resolved.Mode
 	plan.Evaluations = s.evaluations
-	plan.Seed = spec.Seed
 	return plan, nil
 }
 
 type searcher struct {
-	ctx          context.Context
-	ev           eval.Evaluator
-	pool         *pool.Pool
-	spec         Spec
-	resolved     scenario.Scenario
-	kernel       *eval.Kernel // nil: stamp candidates and call ev
-	selfBudgeted bool
-	evaluations  int
+	ctx         context.Context
+	ev          eval.Evaluator
+	spec        Spec
+	resolved    scenario.Scenario
+	kernel      *eval.Kernel // nil: stamp candidates and call ev
+	evaluations int
 }
 
-// batch scores candidate placements, index-addressed. On the kernel they
-// are scored in order on the calling goroutine; otherwise each is stamped
-// onto the scenario and evaluated concurrently, and the results (and the
-// first error, by index) are reduced sequentially. Either way the outcome
-// is independent of worker count and scheduling.
-func (s *searcher) batch(cands []eval.Placement) ([]eval.Result, error) {
-	s.evaluations += len(cands)
-	results := make([]eval.Result, len(cands))
-	if s.kernel != nil {
-		for i, c := range cands {
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-			var err error
-			if results[i], err = s.kernel.Score(c); err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	errs := make([]error, len(cands))
-	var wg sync.WaitGroup
-	for i := range cands {
-		cand := stamp(s.resolved, cands[i])
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run := func() error {
-				var err error
-				results[i], err = s.ev.Evaluate(s.ctx, cand)
-				return err
-			}
-			if s.selfBudgeted {
-				errs[i] = run()
-			} else {
-				errs[i] = s.pool.Run(s.ctx, run)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func (s *searcher) eval1(cand eval.Placement) (eval.Result, error) {
-	res, err := s.batch([]eval.Placement{cand})
-	if err != nil {
+// score evaluates one candidate placement: on the kernel, or stamped onto
+// the scenario and evaluated by ev.
+func (s *searcher) score(pl eval.Placement) (eval.Result, error) {
+	if err := s.ctx.Err(); err != nil {
 		return eval.Result{}, err
 	}
-	return res[0], nil
+	s.evaluations++
+	if s.kernel != nil {
+		return s.kernel.Score(pl)
+	}
+	return s.ev.Evaluate(s.ctx, stamp(s.resolved, pl))
 }
 
 func (s *searcher) feasible(r eval.Result) bool {
 	return !math.IsNaN(r.Loss) && r.Loss <= s.spec.Target
-}
-
-// better reports whether a beats b under the spec's objective.
-func (s *searcher) better(a, b eval.Result) bool {
-	if s.spec.Objective == MinPower {
-		if a.Watts != b.Watts {
-			return a.Watts < b.Watts
-		}
-		return a.Hosts < b.Hosts
-	}
-	if a.Hosts != b.Hosts {
-		return a.Hosts < b.Hosts
-	}
-	return a.Watts < b.Watts
-}
-
-// objValue scalarizes a result for the annealing acceptance test.
-func (s *searcher) objValue(r eval.Result) float64 {
-	if s.spec.Objective == MinPower {
-		return r.Watts
-	}
-	return float64(r.Hosts)
 }
 
 // --- homogeneous consolidated ---------------------------------------
@@ -188,7 +108,7 @@ func (s *searcher) searchHomogeneous() (Plan, error) {
 	lo, hi := 0, 1 // invariant: lo infeasible (0 hosts serve nothing), hi the probe
 	var hiRes eval.Result
 	for {
-		res, err := s.eval1(eval.Placement{Hosts: hi})
+		res, err := s.score(eval.Placement{Hosts: hi})
 		if err != nil {
 			return Plan{}, err
 		}
@@ -204,7 +124,7 @@ func (s *searcher) searchHomogeneous() (Plan, error) {
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		res, err := s.eval1(eval.Placement{Hosts: mid})
+		res, err := s.score(eval.Placement{Hosts: mid})
 		if err != nil {
 			return Plan{}, err
 		}
@@ -232,7 +152,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 		lo, hi := 0, 1
 		for {
 			sizes[i] = hi
-			res, err := s.eval1(eval.Placement{Dedicated: sizes})
+			res, err := s.score(eval.Placement{Dedicated: sizes})
 			if err != nil {
 				return Plan{}, err
 			}
@@ -248,7 +168,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 		for hi-lo > 1 {
 			mid := lo + (hi-lo)/2
 			sizes[i] = mid
-			res, err := s.eval1(eval.Placement{Dedicated: sizes})
+			res, err := s.score(eval.Placement{Dedicated: sizes})
 			if err != nil {
 				return Plan{}, err
 			}
@@ -260,7 +180,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 		}
 		sizes[i] = hi
 	}
-	final, err := s.eval1(eval.Placement{Dedicated: sizes})
+	final, err := s.score(eval.Placement{Dedicated: sizes})
 	if err != nil {
 		return Plan{}, err
 	}
@@ -274,185 +194,180 @@ func (s *searcher) searchDedicated() (Plan, error) {
 
 // --- heterogeneous consolidated --------------------------------------
 
-// classBaseWatts reports a class's idle-cost proxy for the min-power
-// ranking: its power override's base draw, else the fleet model's.
-func (s *searcher) classBaseWatts(hc scenario.HostClass) float64 {
-	if hc.Power != nil {
-		return hc.Power.BaseW
-	}
-	if s.resolved.Power != nil && (s.resolved.Power.BaseW != 0 || s.resolved.Power.MaxW != 0) {
-		return s.resolved.Power.BaseW
-	}
-	return power.DefaultServer.Base
-}
-
-// ffdOrder ranks classes for the first-fit-decreasing seed: best
-// capability first (min-servers) or best capability per idle watt
-// (min-power); ties keep scenario order.
-func (s *searcher) ffdOrder(resources []string) []int {
-	classes := s.resolved.Fleet.Classes
-	keys := make([]float64, len(classes))
-	for k, hc := range classes {
-		cap := eval.ClassCapability(hc, resources)
-		if s.spec.Objective == MinPower {
-			keys[k] = cap / s.classBaseWatts(hc)
-		} else {
-			keys[k] = cap
-		}
-	}
-	order := make([]int, len(classes))
-	for k := range order {
-		order[k] = k
-	}
-	// Insertion sort keeps equal keys in scenario order (stable).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && keys[order[j]] > keys[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
-}
-
-// searchHetero places hosts across the scenario's class supply: an FFD
-// seed fills best-ranked classes first until feasible, then local search
-// (remove one host; swap one host across classes) descends under the
-// objective, with a seeded simulated-annealing kick accepting bounded
-// uphill moves out of stalls. Heterogeneous loss is not monotone in any
-// single class count, so this is a heuristic; the homogeneous and
-// dedicated paths stay exact.
+// searchHetero places hosts across the scenario's class supply exactly.
+// A mix reaches the analytic loss only through its capability units
+// U = Σₖ nₖ·cₖ, and Erlang B falls as U grows, so no mix at or below the
+// capability bound (eval.Kernel.UnitsFloor) is scored. Prices and the
+// bound come from an analytic kernel, compiled for pricing on the
+// stamping route, where ev's Evaluate decides feasibility: a simulator
+// certifies the cheapest analytically admissible mix it accepts.
 func (s *searcher) searchHetero() (Plan, error) {
-	classes := s.resolved.Fleet.Classes
-	resources, err := eval.ScenarioResources(s.resolved)
-	if err != nil {
-		return Plan{}, err
-	}
-	order := s.ffdOrder(resources)
-
-	// FFD seed: all add-one-host prefixes, evaluated as one batch; the
-	// first feasible prefix is the seed.
-	var prefixes [][]int
-	counts := make([]int, len(classes))
-	for _, k := range order {
-		for c := 0; c < classes[k].Count; c++ {
-			counts[k]++
-			prefixes = append(prefixes, append([]int(nil), counts...))
-		}
-	}
-	cands := make([]eval.Placement, len(prefixes))
-	for i, p := range prefixes {
-		cands[i] = eval.Placement{Classes: p}
-	}
-	results, err := s.batch(cands)
-	if err != nil {
-		return Plan{}, err
-	}
-	seed := -1
-	for i, r := range results {
-		if s.feasible(r) {
-			seed = i
-			break
-		}
-	}
-	if seed < 0 {
-		return Plan{}, fmt.Errorf("%w: the full class supply (%d hosts) stays above loss %g", ErrInfeasible, len(prefixes), s.spec.Target)
-	}
-	cur := append([]int(nil), prefixes[seed]...)
-	curRes := results[seed]
-	best := append([]int(nil), cur...)
-	bestRes := curRes
-
-	rng := rand.New(rand.NewSource(s.spec.Seed))
-	temp := math.Max(1, s.objValue(curRes)) * 0.05
-	for iter := 0; iter < s.spec.MaxIters; iter++ {
-		moves := s.moves(cur)
-		if len(moves) == 0 {
-			break
-		}
-		cands := make([]eval.Placement, len(moves))
-		for i, m := range moves {
-			cands[i] = eval.Placement{Classes: m}
-		}
-		results, err := s.batch(cands)
-		if err != nil {
+	k := s.kernel
+	if k == nil {
+		var err error
+		if k, err = eval.NewAnalytic(nil).Compile(s.resolved); err != nil {
 			return Plan{}, err
 		}
-		pick := -1
-		for i, r := range results {
-			if !s.feasible(r) || !s.better(r, curRes) {
-				continue
-			}
-			if pick < 0 || s.better(r, results[pick]) {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			// Stalled: annealing kick — accept one random feasible
-			// worsening move with Boltzmann probability, else stop.
-			feas := make([]int, 0, len(results))
-			for i, r := range results {
-				if s.feasible(r) {
-					feas = append(feas, i)
-				}
-			}
-			if len(feas) == 0 {
-				break
-			}
-			i := feas[rng.Intn(len(feas))]
-			delta := s.objValue(results[i]) - s.objValue(curRes)
-			if rng.Float64() >= math.Exp(-delta/temp) {
-				break
-			}
-			pick = i
-			temp *= 0.8
-		}
-		cur = moves[pick]
-		curRes = results[pick]
-		if s.better(curRes, bestRes) {
-			best = append([]int(nil), cur...)
-			bestRes = curRes
-		}
 	}
-
-	plan := Plan{Result: bestRes}
-	for k, hc := range classes {
-		plan.Hosts += best[k]
-		plan.Classes = append(plan.Classes, ClassCount{Name: className(hc), Count: best[k]})
+	w := newWalker(s, k)
+	if err := w.visit(0, 0, 0, 0); err != nil {
+		return Plan{}, err
+	}
+	if w.best == nil {
+		return Plan{}, fmt.Errorf("%w: the full class supply (%d hosts) stays above loss %g", ErrInfeasible, w.hosts, s.spec.Target)
+	}
+	plan := Plan{Result: w.bestRes}
+	for c, hc := range s.resolved.Fleet.Classes {
+		plan.Hosts += w.best[c]
+		plan.Classes = append(plan.Classes, ClassCount{Name: className(hc), Count: w.best[c]})
 	}
 	return plan, nil
 }
 
-// moves generates the local-search neighborhood of a class assignment:
-// remove one host from each occupied class, then swap one host from each
-// occupied class to each class with spare supply. Order is
-// deterministic (class-index major).
-func (s *searcher) moves(counts []int) [][]int {
+// roundoff is the relative allowance the walk's real-valued bounds give
+// the rounding of the exact sums Price computes, so a bound never cuts a
+// mix that ties or beats the one it is compared with.
+const roundoff = 1e-9
+
+// walker enumerates a class supply's count vectors, classes in order and
+// each count ascending. It cuts a prefix when the capability bound is out
+// of reach even with every remaining host, or when a lower bound on its
+// completions' price — its idle draw plus the active floor, then its host
+// count — loses to the best feasible mix found. Both bounds rise with
+// every count, so the first loss ends a class's loop.
+type walker struct {
+	s        *searcher
+	k        *eval.Kernel
+	minPower bool
+	supply   []int
+	cost     []eval.ClassCost
+	hosts    int // the full supply's host count
+
+	floor     float64   // no mix of at most floor units meets the target
+	reach     float64   // floor less a rounding allowance on sums of units
+	activeLB  float64   // a floor under every admissible mix's active draw
+	restUnits []float64 // restUnits[c]: the most units classes c.. can add
+
+	counts  []int
+	best    []int // the best feasible mix found; nil before the first
+	bestPr  eval.Result
+	bestRes eval.Result
+}
+
+func newWalker(s *searcher, k *eval.Kernel) *walker {
 	classes := s.resolved.Fleet.Classes
-	total := 0
-	for _, c := range counts {
-		total += c
+	n := len(classes)
+	w := &walker{
+		s:         s,
+		k:         k,
+		minPower:  s.spec.Objective == MinPower,
+		supply:    make([]int, n),
+		cost:      k.ClassCosts(),
+		counts:    make([]int, n),
+		restUnits: make([]float64, n+1),
 	}
-	var out [][]int
-	for a := range counts {
-		if counts[a] == 0 || total == 1 {
-			continue
-		}
-		m := append([]int(nil), counts...)
-		m[a]--
-		out = append(out, m)
+	for c, hc := range classes {
+		w.supply[c] = hc.Count
+		w.hosts += hc.Count
 	}
-	for a := range counts {
-		if counts[a] == 0 {
-			continue
+	// A bound that cannot be computed prunes nothing: floor stays 0.
+	if floor, err := k.UnitsFloor(s.spec.Target, k.Price(eval.Placement{Classes: w.supply}).CapabilityUnits); err == nil {
+		w.floor = floor
+	}
+	w.reach = w.floor - roundoff*math.Max(1, w.floor)
+	minActive := math.Inf(1)
+	for c := n - 1; c >= 0; c-- {
+		w.restUnits[c] = w.restUnits[c+1] + float64(w.supply[c])*w.cost[c].Units
+		minActive = math.Min(minActive, w.cost[c].ActiveW/w.cost[c].Units)
+	}
+	// An admissible mix has U > floor units at utilization
+	// u = min(1, demand/U), so its active draw u·Σₖ nₖ·ActiveWₖ is at
+	// least min(U, demand)·minₖ ActiveWₖ/cₖ, above activeLB.
+	w.activeLB = math.Min(w.floor, k.Demand()) * minActive
+	return w
+}
+
+// visit walks the counts of class c after a prefix of hosts hosts, units
+// capability units and idle watts of idle draw; past the last class it
+// is at a complete count vector.
+func (w *walker) visit(c, hosts int, units, idle float64) error {
+	if c == len(w.supply) {
+		return w.leaf()
+	}
+	if err := w.s.ctx.Err(); err != nil {
+		return err
+	}
+	cost := w.cost[c]
+	n := 0
+	if gap := w.reach - units - w.restUnits[c+1]; gap > 0 {
+		n = max(int(math.Min(gap/cost.Units, float64(w.supply[c]+1)))-1, 0)
+	}
+	for ; n <= w.supply[c]; n++ {
+		u := units + float64(n)*cost.Units
+		if u+w.restUnits[c+1] < w.reach {
+			continue // the bound is out of reach even with every remaining host
 		}
-		for b := range counts {
-			if b == a || counts[b] >= classes[b].Count {
-				continue
-			}
-			m := append([]int(nil), counts...)
-			m[a]--
-			m[b]++
-			out = append(out, m)
+		h, i := hosts+n, idle+float64(n)*cost.IdleW
+		if w.best != nil && w.loses(h, i) {
+			break
+		}
+		w.counts[c] = n
+		if err := w.visit(c+1, h, u, i); err != nil {
+			return err
 		}
 	}
-	return out
+	w.counts[c] = 0
+	return nil
+}
+
+// loses reports whether every completion of a prefix of h hosts and
+// idle watts of idle draw ranks behind the best mix: by watts alone under
+// min-power, by hosts first under min-servers.
+func (w *walker) loses(h int, idle float64) bool {
+	over := idle+w.activeLB > w.bestPr.Watts*(1+roundoff)
+	if w.minPower {
+		return over
+	}
+	return h > w.bestPr.Hosts || h == w.bestPr.Hosts && over
+}
+
+// leaf scores the complete count vector when it is admissible and ranks
+// ahead of the best mix, and keeps it when it meets the target.
+func (w *walker) leaf() error {
+	pr := w.k.Price(eval.Placement{Classes: w.counts})
+	if pr.CapabilityUnits <= w.floor || w.best != nil && !w.ahead(pr, w.counts) {
+		return nil
+	}
+	res, err := w.s.score(eval.Placement{Classes: w.counts})
+	if err != nil || !w.s.feasible(res) {
+		return err
+	}
+	w.best, w.bestPr, w.bestRes = append(w.best[:0], w.counts...), pr, res
+	return nil
+}
+
+// ahead reports whether mix counts at price pr ranks ahead of the best:
+// by (watts, hosts) under min-power and (hosts, watts) under min-servers,
+// then by more capability units, then by the lexicographically larger
+// count vector in class order.
+func (w *walker) ahead(pr eval.Result, counts []int) bool {
+	b := w.bestPr
+	if w.minPower && pr.Watts != b.Watts {
+		return pr.Watts < b.Watts
+	}
+	if pr.Hosts != b.Hosts {
+		return pr.Hosts < b.Hosts
+	}
+	if pr.Watts != b.Watts {
+		return pr.Watts < b.Watts
+	}
+	if pr.CapabilityUnits != b.CapabilityUnits {
+		return pr.CapabilityUnits > b.CapabilityUnits
+	}
+	for c := range counts {
+		if counts[c] != w.best[c] {
+			return counts[c] > w.best[c]
+		}
+	}
+	return false
 }

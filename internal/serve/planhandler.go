@@ -13,8 +13,8 @@ import (
 )
 
 // PlanRequest is the POST /v1/plan request: a declarative scenario (the
-// same JSON cmd/simulate runs), a loss target, and optional knobs of the
-// placement search.
+// same JSON cmd/simulate runs), a loss target, and the placement search's
+// objective and evaluator.
 type PlanRequest struct {
 	// Scenario is the embedded scenario document; it is parsed with the
 	// scenario package's strict decoder so unknown fields are rejected.
@@ -26,11 +26,11 @@ type PlanRequest struct {
 	// Objective selects "min-servers" (default) or "min-power".
 	Objective string `json:"objective,omitempty"`
 
-	// Seed drives the annealing kick; zero adopts the scenario's seed.
-	Seed int64 `json:"seed,omitempty"`
-
-	// MaxIters bounds local-search rounds; zero selects the default.
-	MaxIters int `json:"max_iters,omitempty"`
+	// Seed and MaxIters tuned the annealing search the exact search
+	// replaced. They still decode, so a non-zero value gets the planner's
+	// 400 naming the removal rather than an unknown-field error.
+	Seed     int64 `json:"seed,omitempty"`
+	MaxIters int   `json:"max_iters,omitempty"`
 
 	// Evaluator selects the candidate scorer: "analytic" (default,
 	// shares the hot path's Erlang memo) or "sim" (runs candidates
@@ -81,11 +81,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
 			fmt.Sprintf("objective %q (want %q or %q)", req.Objective, plan.MinServers, plan.MinPower))
-		return
-	}
-	if req.MaxIters < 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("max_iters=%d (negative; 0 selects the default)", req.MaxIters))
 		return
 	}
 	var ev eval.Evaluator
@@ -142,7 +137,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		// Scenario validation failures surface here (Search revalidates
 		// its private clone); treat anything that is not an execution
 		// error as a bad request. A periods block on a periods-free
-		// scenario (and the converse) lands here too.
+		// scenario (and the converse), or a retired knob, lands here too.
 		if r.Context().Err() == nil && ctx.Err() == nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 			return

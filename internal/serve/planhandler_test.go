@@ -81,6 +81,10 @@ func TestPlanEndpointRejections(t *testing.T) {
 		{"bad objective", `{"scenario": ` + planScenario + `, "target": 0.05, "objective": "max-profit"}`, 400, CodeInvalidArgument},
 		{"bad evaluator", `{"scenario": ` + planScenario + `, "target": 0.05, "evaluator": "oracle"}`, 400, CodeInvalidArgument},
 		{"negative iters", `{"scenario": ` + planScenario + `, "target": 0.05, "max_iters": -1}`, 400, CodeInvalidArgument},
+		{"retired max_iters", `{"scenario": ` + planScenario + `, "target": 0.05, "max_iters": 200}`, 400, CodeInvalidArgument},
+		{"retired seed", `{"scenario": ` + planScenario + `, "target": 0.05, "seed": 7}`, 400, CodeInvalidArgument},
+		{"retired seed on a periods plan", `{"scenario": ` + periodsScenario + `, "target": 0.05, "seed": 7, "periods": {}}`, 400, CodeInvalidArgument},
+		{"retired seed under sim", `{"scenario": ` + planScenario + `, "target": 0.05, "seed": -3, "evaluator": "sim"}`, 400, CodeInvalidArgument},
 		{"unknown field", `{"scenario": ` + planScenario + `, "target": 0.05, "bogus": 1}`, 400, CodeInvalidArgument},
 		{"scenario unknown field", `{"scenario": {"mode": "consolidated", "bogus": 1}, "target": 0.05}`, 400, CodeInvalidArgument},
 		{"class supply above the planner's bound", `{"scenario": ` + oversupplied(planScenario) + `, "target": 0.05}`, 400, CodeInvalidArgument},
@@ -96,8 +100,16 @@ func TestPlanEndpointRejections(t *testing.T) {
 			if w.Code != c.status {
 				t.Fatalf("status %d, want %d; body %s", w.Code, c.status, w.Body.String())
 			}
-			if got := decodeError(t, w); got.Code != c.code {
+			got := decodeError(t, w)
+			if got.Code != c.code {
 				t.Fatalf("code %s, want %s", got.Code, c.code)
+			}
+			// The annealing search's knobs are retired, and the message
+			// says so.
+			if strings.HasPrefix(c.name, "retired") || c.name == "negative iters" {
+				if !strings.Contains(got.Message, "were removed") {
+					t.Fatalf("message %q does not name the removal", got.Message)
+				}
 			}
 		})
 	}
