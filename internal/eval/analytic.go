@@ -98,6 +98,8 @@ type Kernel struct {
 
 	capability []float64           // per host class: ClassCapability
 	classPower []power.ServerModel // per host class: its power model
+	twin       []int               // per host class: the first class of the same hardware
+	nextTwin   []int               // per host class: the next class of its hardware, or -1
 	fleetPower power.ServerModel
 	platform   power.Platform
 }
@@ -140,7 +142,8 @@ func (a *Analytic) Compile(s scenario.Scenario) (*Kernel, error) {
 		for j, r := range m.Resources {
 			resources[j] = string(r)
 		}
-		for _, hc := range resolved.Fleet.Classes {
+		classes := resolved.Fleet.Classes
+		for c, hc := range classes {
 			model := k.fleetPower
 			if hc.Power != nil {
 				model = power.ServerModel{Base: hc.Power.BaseW, Max: hc.Power.MaxW}
@@ -148,6 +151,19 @@ func (a *Analytic) Compile(s scenario.Scenario) (*Kernel, error) {
 			k.capability = append(k.capability, ClassCapability(hc, resources))
 			k.classPower = append(k.classPower, model)
 			k.declared.Classes = append(k.declared.Classes, hc.Count)
+			k.twin = append(k.twin, c)
+			k.nextTwin = append(k.nextTwin, -1)
+			for d := range c {
+				if k.twin[d] == d && k.classPower[d] == model && sameCapability(classes[d], hc) {
+					k.twin[c] = d
+					last := d
+					for k.nextTwin[last] >= 0 {
+						last = k.nextTwin[last]
+					}
+					k.nextTwin[last] = c
+					break
+				}
+			}
 		}
 	}
 	k.flatten(m)
@@ -213,11 +229,29 @@ func (k *Kernel) Score(p Placement) (Result, error) {
 	return k.scoreConsolidated(p)
 }
 
+// sameCapability reports whether two host classes list the same
+// capability multipliers once presets are expanded.
+func sameCapability(a, b scenario.HostClass) bool {
+	ca, cb := a.ResolvedCapability(), b.ResolvedCapability()
+	if len(ca) != len(cb) {
+		return false
+	}
+	for r, v := range ca {
+		if w, ok := cb[r]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}
+
 // Price is consolidated placement p's score without its losses: the host
 // count, the capability units summed in class order, the Eq. (10)
-// utilization and the per-class draws summed in class order. Score runs
-// the same arithmetic, so a placement's price and its score agree bit for
-// bit; Price reads no Erlang B and does not check p's shape.
+// utilization and the per-class draws summed in class order. Twins —
+// classes listing the same capability and power, which no evaluator
+// tells apart — are summed as one class where the first of them is
+// listed, so a count prices alike however it is split among them. Score
+// runs the same arithmetic, so a placement's price and its score agree
+// bit for bit; Price reads no Erlang B and does not check p's shape.
 func (k *Kernel) Price(p Placement) Result {
 	pr := Result{Source: "analytic", Mode: k.mode}
 	if len(k.capability) == 0 {
@@ -225,7 +259,9 @@ func (k *Kernel) Price(p Placement) Result {
 	}
 	for c, n := range p.Classes {
 		pr.Hosts += n
-		pr.CapabilityUnits += float64(n) * k.capability[c]
+		if k.twin[c] == c {
+			pr.CapabilityUnits += float64(k.twinHosts(p.Classes, c)) * k.capability[c]
+		}
 	}
 	if pr.CapabilityUnits > 0 {
 		pr.Utilization = k.demand / pr.CapabilityUnits
@@ -233,23 +269,38 @@ func (k *Kernel) Price(p Placement) Result {
 	if len(k.capability) == 0 {
 		pr.Watts = power.SteadyStateDraw(k.fleetPower, pr.Hosts, pr.Utilization, k.platform)
 	}
-	for c, n := range p.Classes {
-		pr.Watts += power.SteadyStateDraw(k.classPower[c], n, pr.Utilization, k.platform)
+	for c := range p.Classes {
+		if k.twin[c] == c {
+			pr.Watts += power.SteadyStateDraw(k.classPower[c], k.twinHosts(p.Classes, c), pr.Utilization, k.platform)
+		}
 	}
 	return pr
 }
 
+// twinHosts reports the hosts counts places on class c and its later twins.
+func (k *Kernel) twinHosts(counts []int, c int) int {
+	n := counts[c]
+	for d := k.nextTwin[c]; d >= 0 && d < len(counts); d = k.nextTwin[d] {
+		n += counts[d]
+	}
+	return n
+}
+
 // ClassCost is one host class as Price sees it: a host's capability units,
-// its idle draw, and the draw it adds at full utilization on the kernel's
-// platform.
-type ClassCost struct{ Units, IdleW, ActiveW float64 }
+// its idle draw, the draw it adds at full utilization on the kernel's
+// platform, and Twin, the first class of the same hardware (the class
+// itself when no earlier class is its twin).
+type ClassCost struct {
+	Units, IdleW, ActiveW float64
+	Twin                  int
+}
 
 // ClassCosts reports the compiled fleet's host classes in class order.
 func (k *Kernel) ClassCosts() []ClassCost {
 	out := make([]ClassCost, len(k.capability))
 	for c, m := range k.classPower {
 		idle := m.IdleDraw(k.platform)
-		out[c] = ClassCost{Units: k.capability[c], IdleW: idle, ActiveW: m.Draw(1, k.platform) - idle}
+		out[c] = ClassCost{Units: k.capability[c], IdleW: idle, ActiveW: m.Draw(1, k.platform) - idle, Twin: k.twin[c]}
 	}
 	return out
 }

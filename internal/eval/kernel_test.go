@@ -214,3 +214,58 @@ func TestAnalyticDedicatedSumOrder(t *testing.T) {
 		}
 	}
 }
+
+// Twins — classes listing the same capability and power — price as one
+// class where the first of them is listed, so every split of a count
+// among them scores bit for bit alike; a class the analytic model merely
+// cannot tell apart from AMD (a faster disk) keeps its own sums.
+func TestKernelPricesTwinsAsOneClass(t *testing.T) {
+	s := scenario.CaseStudy(4, 4, "consolidated", 0)
+	s.Fleet = scenario.Fleet{Classes: []scenario.HostClass{
+		{Name: "a", Preset: "amd", Count: 4},
+		{Name: "i", Preset: "intel", Count: 4},
+		{Name: "b", Capability: map[string]float64{}, Count: 4},
+		{Name: "f", Capability: map[string]float64{"diskio": 1.5}, Count: 4},
+		{Name: "j", Preset: "intel", Count: 4, Power: &scenario.Power{BaseW: 230, MaxW: 310}},
+		{Name: "k", Preset: "intel", Count: 4},
+	}}
+	k, err := eval.NewAnalytic(nil).Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twins []int
+	for _, cc := range k.ClassCosts() {
+		twins = append(twins, cc.Twin)
+	}
+	if want := []int{0, 1, 0, 3, 4, 1}; !equalInts(twins, want) {
+		t.Fatalf("twins %v, want %v", twins, want)
+	}
+	// Summed class by class, moving the Intel host to its twin would move
+	// the units by an ulp (4.833333333333334 → 4.833333333333333).
+	first := eval.Placement{Classes: []int{0, 1, 3, 1, 0, 0}}
+	want, err := k.Score(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, split := range [][]int{{0, 0, 3, 1, 0, 1}, {3, 1, 0, 1, 0, 0}, {1, 0, 2, 1, 0, 1}} {
+		got, err := k.Score(eval.Placement{Classes: split})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) || !sameBits(k.Price(eval.Placement{Classes: split}), k.Price(first)) {
+			t.Errorf("split %v scores %+v, want %+v", split, got, want)
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,12 +88,12 @@ func bruteForceHetero(s scenario.Scenario, target float64, objective string) (pl
 	return p, nil
 }
 
-// randomHetero draws a two-service workload over 1–4 host classes of at
-// most 6 hosts each: capabilities per resource both below and above the
-// reference server, per-class power overrides or the fleet's model (with
-// an idle draw of 0 W at times), and twins that copy an earlier class's
-// capability and power so equal-watt mixes tie.
-func randomHetero(rng *rand.Rand) scenario.Scenario {
+// randomHetero draws a two-service workload over 1–classes host classes
+// of at most hosts hosts each: capabilities per resource both below and
+// above the reference server, per-class power overrides or the fleet's
+// model (with an idle draw of 0 W at times), and twins that copy an
+// earlier class's capability and power so equal-watt mixes tie.
+func randomHetero(rng *rand.Rand, classes, hosts int) scenario.Scenario {
 	s := scenario.Scenario{
 		Mode: "consolidated",
 		Services: []scenario.Service{
@@ -104,8 +107,8 @@ func randomHetero(rng *rand.Rand) scenario.Scenario {
 	case 1:
 		s.Power = &scenario.Power{BaseW: 100 + rng.Float64()*200, MaxW: 350, Platform: []string{"xen", "linux"}[rng.Intn(2)]}
 	}
-	for c, n := 0, 1+rng.Intn(4); c < n; c++ {
-		hc := scenario.HostClass{Name: fmt.Sprintf("c%d", c), Count: 1 + rng.Intn(6)}
+	for c, n := 0, 1+rng.Intn(classes); c < n; c++ {
+		hc := scenario.HostClass{Name: fmt.Sprintf("c%d", c), Count: 1 + rng.Intn(hosts)}
 		if c > 0 && rng.Intn(3) == 0 {
 			twin := s.Fleet.Classes[rng.Intn(c)]
 			hc.Preset, hc.Capability, hc.Power = twin.Preset, twin.Capability, twin.Power
@@ -132,25 +135,47 @@ func randomHetero(rng *rand.Rand) scenario.Scenario {
 // On seeded random supplies the exact search returns the brute-force
 // optimum — deeply equal plans, or the same error — under both
 // objectives, on the kernel route and through an Evaluate-only decorator
-// (the stamping route), which also agree on the evaluations spent.
+// (the stamping route), which also agree on the evaluations spent. The
+// wide corpus, up to six classes of up to four hosts, gives the walk's
+// bounds more classes to order.
 func TestHeteroSearchMatchesBruteForce(t *testing.T) {
-	budget, minTrials := 3*time.Second, 300
-	if testing.Short() {
-		budget, minTrials = 500*time.Millisecond, 50
+	for _, c := range []struct {
+		name           string
+		seed           int64
+		classes, hosts int
+		budget         time.Duration
+		minTrials      int
+	}{
+		{"narrow", 20, 4, 6, 3 * time.Second, 300},
+		{"wide", 21, 6, 4, 2 * time.Second, 200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() {
+				c.budget, c.minTrials = c.budget/6, c.minTrials/6
+			}
+			matchBruteForce(t, c.seed, c.classes, c.hosts, c.budget, c.minTrials)
+		})
 	}
+}
+
+// matchBruteForce compares Search with bruteForceHetero on supplies drawn
+// by randomHetero(classes, hosts) from seed, for at least minTrials
+// trials and budget of time.
+func matchBruteForce(t *testing.T, seed int64, classes, hosts int, budget time.Duration, minTrials int) {
+	t.Helper()
 	pl, err := pool.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(20))
+	rng := rand.New(rand.NewSource(seed))
 	start := time.Now()
 	trials, feasible := 0, 0
 	for ; trials < minTrials || time.Since(start) < budget; trials++ {
 		if trials >= 10*minTrials {
 			break
 		}
-		s := randomHetero(rng)
+		s := randomHetero(rng, classes, hosts)
 		target := 0.005 + rng.Float64()*0.495
 		for _, objective := range []string{plan.MinServers, plan.MinPower} {
 			name := fmt.Sprintf("trial %d %s target %g", trials, objective, target)
@@ -192,6 +217,74 @@ func TestHeteroSearchMatchesBruteForce(t *testing.T) {
 		t.Fatalf("%d of %d searches feasible: the corpus must cover both outcomes", feasible, 2*trials)
 	}
 	t.Logf("%d trials, %d feasible searches", trials, feasible)
+}
+
+// At the supply cap and 200 times plan-hetero's rates the walk stays
+// bounded with five classes. Five AMD classes are twins, walked as one
+// class, so they plan at once; five classes of distinct hardware plan
+// within the step limit; five classes that differ only in disk speed
+// price alike to the analytic model — ties that rounding alone breaks,
+// about 1e9 of them — and are refused with eval.ErrUnsupported instead of
+// walked without end.
+func TestHeteroSearchIsBounded(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "plan-hetero.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := scenario.ParseBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rate := range []float64{2800 * 200, 200 * 200} {
+		base.Services[i].Arrivals = workload.PoissonSpec(rate)
+	}
+	var twins, disks []scenario.HostClass
+	for i := range 5 {
+		twins = append(twins, scenario.HostClass{Name: fmt.Sprintf("amd%d", i), Preset: "amd", Count: 800})
+		disks = append(disks, scenario.HostClass{Name: fmt.Sprintf("disk%d", i), Count: 800,
+			Capability: map[string]float64{workload.DiskIO: 1.1 + 0.1*float64(i)}})
+	}
+	distinct := []scenario.HostClass{
+		{Preset: "amd", Count: 800},
+		{Preset: "intel", Count: 800, Power: &scenario.Power{BaseW: 230, MaxW: 310}},
+		{Preset: "blade", Count: 800, Power: &scenario.Power{BaseW: 140, MaxW: 190}},
+		{Name: "big", Count: 800, Capability: map[string]float64{workload.CPU: 1.25, workload.DiskIO: 1.25},
+			Power: &scenario.Power{BaseW: 330, MaxW: 450}},
+		{Name: "small", Count: 800, Capability: map[string]float64{workload.CPU: 0.7, workload.DiskIO: 0.7},
+			Power: &scenario.Power{BaseW: 150, MaxW: 240}},
+	}
+	for _, tc := range []struct {
+		name    string
+		classes []scenario.HostClass
+		want    map[string][]int // per objective; nil: refused
+	}{
+		{"twins", twins, map[string][]int{plan.MinPower: {396, 0, 0, 0, 0}, plan.MinServers: {396, 0, 0, 0, 0}}},
+		{"distinct", distinct, map[string][]int{plan.MinPower: {1, 0, 1, 0, 563}, plan.MinServers: {1, 1, 0, 315, 0}}},
+		{"disks", disks, nil},
+	} {
+		s := base.Clone()
+		s.Fleet.Classes = tc.classes
+		for _, objective := range []string{plan.MinPower, plan.MinServers} {
+			spec := plan.Spec{Scenario: s, Target: 0.05, Objective: objective}
+			p, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, spec)
+			if tc.want == nil {
+				if !errors.Is(err, eval.ErrUnsupported) || !strings.Contains(err.Error(), "steps") {
+					t.Fatalf("%s %s: err = %v, want the step limit's eval.ErrUnsupported", tc.name, objective, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, objective, err)
+			}
+			var counts []int
+			for _, c := range p.Classes {
+				counts = append(counts, c.Count)
+			}
+			if !reflect.DeepEqual(counts, tc.want[objective]) {
+				t.Fatalf("%s %s: plan %v, want %v", tc.name, objective, counts, tc.want[objective])
+			}
+		}
+	}
 }
 
 // On examples/heterofleet's supply at the case study's rates, min-power

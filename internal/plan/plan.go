@@ -9,9 +9,11 @@
 // binary search finds the minimal count — the same N and M the paper's
 // Fig. 4 sizing yields. A heterogeneous class mix reaches the analytic
 // loss only through its capability units (Section III-B.1), so the search
-// prices class-count vectors with plain arithmetic and scores only the
-// mixes that a capability bound cannot rule out and that rank ahead of
-// the best feasible mix found.
+// is a branch and bound over class-count vectors: it prices mixes with
+// plain arithmetic, cuts prefixes whose completions cannot clear a
+// capability bound or beat the best feasible mix found, and scores only
+// the mixes left. Identical classes are walked as one, and a step limit
+// refuses the supplies the bounds cannot tell apart.
 //
 // Candidates are placements (eval.Placement): a host count, a class-count
 // vector or per-service pool sizes. Under eval.Analytic the scenario is
@@ -61,13 +63,16 @@ var ErrInfeasible = errors.New("plan: no feasible placement meets the loss targe
 // sizing, bounding pathological inputs (target → 0 at huge ρ).
 const maxPoolServers = 1 << 16
 
-// maxHeteroSupply caps a heterogeneous scenario's summed class Count: the
-// search prices count vectors, whose number grows with the product of the
-// class supplies. At the cap, Search over plan-hetero's classes
-// (1638/1638/820 hosts, about 2.2e9 mixes) took 0.03–0.04 ms at the
-// example's rates and 13–15 ms at 200 times them (396 hosts, about 1,450
-// scores) on a 2-vCPU VM; the annealing search it replaced took 10–13 and
-// 46–61 ms.
+// maxHeteroSupply caps a heterogeneous scenario's summed class Count. The
+// walk's own step limit bounds its work at any supply; the cap keeps the
+// sums of units exact on a 2⁻²⁰ grid and requests sized like a data
+// center. At the cap, on a 2-vCPU VM, Search over plan-hetero's classes
+// (1638/1638/820 hosts, about 2.2e9 mixes) took 0.02–0.04 ms at the
+// example's rates and 11–12 ms at 200 times them (396 hosts, 1,448
+// scores), where the annealing search it replaced took 9–11 and 43–58
+// ms; five classes of 800 hosts at 200 times the rates took 0.02–0.03 ms
+// as AMD twins and 0.3–3.2 ms as distinct classes (annealer 2–4 and
+// 67–91 ms).
 const maxHeteroSupply = 1 << 12
 
 // Spec is one planning request.
@@ -110,7 +115,7 @@ func (s Spec) normalized() (Spec, error) {
 	supply := 0
 	for _, hc := range s.Scenario.Fleet.Classes {
 		if hc.Count > maxHeteroSupply-supply {
-			return Spec{}, fmt.Errorf("plan: host-class supply above %d hosts (the search prices class-count vectors, whose number grows with the product of the class supplies)", maxHeteroSupply)
+			return Spec{}, fmt.Errorf("plan: host-class supply above %d hosts (the exact search walks class-count vectors, whose number grows with the product of the class supplies)", maxHeteroSupply)
 		}
 		supply += max(hc.Count, 0)
 	}
