@@ -10,6 +10,9 @@
 //
 // Each benchmark runs benchRuns times; its record is the median run by
 // ns/op, with the extremes beside it and the largest B/op and allocs/op.
+// The planner groups (BenchmarkPlan*, BenchmarkServePlan/*) run a second
+// time with the collector off, and their B/op and allocs/op come from
+// that pass (gcFreeCounts).
 //
 // Benchmark names are recorded without the -N suffix `go test` appends
 // when GOMAXPROCS is above 1, so files from machines of any core count
@@ -78,11 +81,15 @@ var benchLine = regexp.MustCompile(
 // runBench executes one `go test -bench` invocation and aggregates its
 // rows. benchmem is off for the parallel whole-run benchmark: its
 // allocation counts jitter with goroutine scheduling, and the allocs gate
-// treats any increase as a regression.
-func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record {
+// treats any increase as a regression. gcOff runs the test binary, and
+// only it, with GOGC=off.
+func runBench(pattern, benchtime string, benchmem, gcOff bool, pkgs ...string) []Record {
 	args := []string{"test", "-run", "^$", "-bench", pattern, "-count", strconv.Itoa(benchRuns)}
 	if benchmem {
 		args = append(args, "-benchmem")
+	}
+	if gcOff {
+		args = append(args, "-exec", "env GOGC=off")
 	}
 	args = append(args, "-benchtime", benchtime)
 	args = append(args, pkgs...)
@@ -120,6 +127,43 @@ func aggregate(runs []Record) []Record {
 		}
 	}
 	return out
+}
+
+// runPlanner runs one planner group twice: ns/op from a pass at the
+// default GOGC, B/op and allocs/op from a pass with the collector off.
+// These benchmarks allocate 0.01–0.4 MB per op, so collections fall
+// inside their loops, and every collection empties the sync.Pools a
+// request draws from (encoding/json's encodeState pool, fmt's printer
+// pool and each pool's per-P array), which the next op refills: counted
+// with the collector on, allocs/op moved with GC timing. At the macro
+// count a pass without it holds at most about 10 MB of garbage.
+func runPlanner(pattern, benchtime string, pkgs ...string) []Record {
+	out, err := gcFreeCounts(runBench(pattern, benchtime, true, false, pkgs...), runBench(pattern, benchtime, true, true, pkgs...))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
+		os.Exit(1)
+	}
+	return out
+}
+
+// gcFreeCounts returns the timed records with their B/op and allocs/op
+// replaced by those of counted, the same benchmarks run with GOGC=off,
+// matched by name. A timed benchmark missing from counted is an error.
+func gcFreeCounts(timed, counted []Record) ([]Record, error) {
+	byName := make(map[string]Record, len(counted))
+	for _, r := range counted {
+		byName[r.Name] = r
+	}
+	out := make([]Record, len(timed))
+	for i, r := range timed {
+		c, ok := byName[r.Name]
+		if !ok {
+			return nil, fmt.Errorf("%s has no GOGC=off allocation count", r.Name)
+		}
+		r.BytesPerOp, r.AllocsPerOp = c.BytesPerOp, c.AllocsPerOp
+		out[i] = r
+	}
+	return out, nil
 }
 
 // parseBench parses `go test -bench` output run at GOMAXPROCS procs,
@@ -179,25 +223,26 @@ func main() {
 
 	records := runBench(
 		"BenchmarkStationHighOccupancy|BenchmarkDesim|BenchmarkSweepExpand|BenchmarkSweepPointKey|BenchmarkRepro|BenchmarkServeQuery|BenchmarkServeLoss|BenchmarkBContinuous",
-		*benchtime, true,
+		*benchtime, true, false,
 		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve", "./internal/erlang")
 	// The whole-run shard benchmark is ~10^5 slower per op than the
 	// microbenchmarks; a fixed 20000x count would run for hours, so it
 	// gets its own much smaller fixed count.
-	records = append(records, runBench("BenchmarkShardedRun", *macrotime, false, "./internal/cluster")...)
+	records = append(records, runBench("BenchmarkShardedRun", *macrotime, false, false, "./internal/cluster")...)
 	// One sweep-hosts grid point (the sweep-point rung) is milliseconds per
 	// op, so it too gets the macro count. The engine's arenas live in a
 	// sync.Pool, so its allocation count depends on GC timing and is not
 	// gated.
-	records = append(records, runBench("BenchmarkSweepPoint$", *macrotime, false, "./internal/sweep")...)
+	records = append(records, runBench("BenchmarkSweepPoint$", *macrotime, false, false, "./internal/sweep")...)
 	// The placement planner scores a few to a few hundred placements per
-	// op (10 µs–0.3 ms); like the sharded run it gets the macro count. Its
-	// analytic candidates score inline on one goroutine, so allocation
-	// counts repeat run to run and -benchmem gates them.
-	records = append(records, runBench("BenchmarkPlan", *macrotime, true, "./internal/plan")...)
+	// op (10 µs–2 ms); like the sharded run it gets the macro count. Its
+	// analytic candidates score inline on one goroutine, so counted
+	// without collections its allocations repeat run to run and -benchmem
+	// gates them.
+	records = append(records, runPlanner("BenchmarkPlan", *macrotime, "./internal/plan")...)
 	// POST /v1/plan in process (the served rung) runs the same planners
 	// behind one warm-up request, so its allocation counts repeat too.
-	records = append(records, runBench("BenchmarkServePlan", *macrotime, true, "./internal/serve")...)
+	records = append(records, runPlanner("BenchmarkServePlan", *macrotime, "./internal/serve")...)
 	if len(records) == 0 {
 		fmt.Fprintln(os.Stderr, "simbench: no benchmark results parsed")
 		os.Exit(1)

@@ -63,3 +63,32 @@ func TestAggregateRuns(t *testing.T) {
 		t.Fatalf("got  %+v\nwant %+v", got, want)
 	}
 }
+
+// gcFreeCounts keeps the timed pass's ns/op and spread and takes B/op and
+// allocs/op from the GOGC=off pass, by name and in the timed order; a
+// benchmark the GOGC=off pass did not report is an error, not a silent
+// fallback to the collector-dependent count.
+func TestGCFreeCounts(t *testing.T) {
+	timed := []Record{
+		{Name: "BenchmarkServePlan/plan-hetero", Iterations: 30, NsPerOp: 80, NsPerOpMin: 70, NsPerOpMax: 90, BytesPerOp: 19100, AllocsPerOp: 188},
+		{Name: "BenchmarkServePlan/plan-day", Iterations: 30, NsPerOp: 300, NsPerOpMin: 250, NsPerOpMax: 350, BytesPerOp: 104000, AllocsPerOp: 554},
+	}
+	counted := []Record{
+		{Name: "BenchmarkServePlan/plan-day", Iterations: 30, NsPerOp: 280, BytesPerOp: 103200, AllocsPerOp: 552},
+		{Name: "BenchmarkServePlan/plan-hetero", Iterations: 30, NsPerOp: 75, BytesPerOp: 19000, AllocsPerOp: 187},
+	}
+	want := []Record{
+		{Name: "BenchmarkServePlan/plan-hetero", Iterations: 30, NsPerOp: 80, NsPerOpMin: 70, NsPerOpMax: 90, BytesPerOp: 19000, AllocsPerOp: 187},
+		{Name: "BenchmarkServePlan/plan-day", Iterations: 30, NsPerOp: 300, NsPerOpMin: 250, NsPerOpMax: 350, BytesPerOp: 103200, AllocsPerOp: 552},
+	}
+	got, err := gcFreeCounts(timed, counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got  %+v\nwant %+v", got, want)
+	}
+	if _, err := gcFreeCounts(timed, counted[:1]); err == nil {
+		t.Fatal("a benchmark missing from the GOGC=off pass was accepted")
+	}
+}

@@ -71,3 +71,21 @@ func BenchmarkPlanPeriods(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanPeriodsQuarterHour is BenchmarkPlanPeriods at bin_sec 900:
+// the same day in 96 bins over the same 15 levels, so the per-peak
+// searches cost what they cost hourly while the segment enumeration
+// (quadratic in the bins) and the dynamic program (cubic) grow.
+func BenchmarkPlanPeriodsQuarterHour(b *testing.B) {
+	s := scenario.CaseStudy(4, 4, "consolidated", 0)
+	s.Periods = &scenario.Periods{BinSec: 900}
+	ev := eval.NewAnalytic(nil)
+	spec := plan.Spec{Scenario: s, Target: 0.05}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.SearchPeriods(context.Background(), ev, nil, spec, 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/pool"
@@ -81,8 +82,12 @@ type PeriodPlan struct {
 	TotalWh     float64 `json:"total_wh"`
 	TotalKWh    float64 `json:"total_kwh"`
 
-	// Evaluations counts candidate evaluations across every segment
-	// search and bin scoring.
+	// Evaluations counts the candidate evaluations of every segment
+	// search plus one per (peak, bin) pair scored. Under eval.Analytic a
+	// pair whose placement and level an earlier pair already scored reads
+	// that score and still counts, as a simulator cache hit counts on the
+	// stamping route. Behind an evaluator with Evaluate alone the count
+	// equals its Evaluate calls.
 	Evaluations int `json:"evaluations"`
 }
 
@@ -108,7 +113,8 @@ func (p PeriodPlan) EncodeJSON() ([]byte, error) {
 // zero cost degenerates to independent per-bin plans and an infinite
 // cost collapses to the static peak placement. Ties on cost prefer more
 // segments (the finest equivalent schedule). The planning day is linear:
-// the wrap-around boundary back to the first bin is not charged.
+// the wrap-around from the last bin back to the first is neither charged
+// nor listed among the migrations.
 //
 // Like Search, it takes no slot of p, and every decision is sequential
 // over deterministic inputs, so the same inputs yield a byte-identical
@@ -125,9 +131,8 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	}
 	resolved := spec.Scenario.Clone()
 	resolved.ApplyDefaults()
-	if err := resolved.Validate(); err != nil {
-		return PeriodPlan{}, err
-	}
+	// PeriodBins validates the scenario as Validate does, then requires
+	// periods.
 	bins, err := resolved.PeriodBins()
 	if err != nil {
 		return PeriodPlan{}, err
@@ -136,9 +141,8 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	services := len(resolved.Services)
 
 	// Under the analytic evaluator the base scenario (periods stripped) is
-	// compiled once, and every segment peak and bin below is a rescaled
-	// kernel: scenario.Stationary's rate·mult products without the
-	// scenario.
+	// compiled once, and every segment peak below is a rescaled kernel:
+	// scenario.Stationary's rate·mult products without the scenario.
 	flat := resolved
 	flat.Periods = nil
 	base, err := compile(ev, flat)
@@ -149,17 +153,22 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// Enumerate every contiguous segment's peak-demand vector,
 	// deduplicated on the multipliers' bit patterns: the day shape
 	// revisits levels, so far fewer than n(n+1)/2 distinct peaks need a
-	// search. need[pi*n+b] marks the bins some segment at peak pi covers
-	// — the (peak, bin) pairs to score.
+	// search. Along a row the peak only grows, so it is looked up only
+	// where some multiplier grew. need[pi*n+b] marks the bins some
+	// segment at peak pi covers — the (peak, bin) pairs to score. A bin's
+	// level is the peak of its one-bin segment, so every level is a peak.
 	type peakEntry struct {
-		mults []float64
 		plan  *Plan // nil: the supply cannot serve this peak
-		place eval.Placement
+		id    int   // the peak's row of the score table; -1 while plan is nil
+		level int   // the level of the bins whose own multipliers this is, else -1
 	}
 	peakIdx := make(map[string]int)
 	var peaks []peakEntry
+	var peakMults []float64 // peak pi's multipliers at [pi*services:(pi+1)*services]
 	var need []bool
 	segPeak := make([]int, n*n) // segPeak[i*n+j] = peak index of segment [i..j]
+	col := make([]int, n)       // col[b] = bin b's column of the score table
+	levels := 0
 	key := make([]byte, 0, 8*services)
 	cur := make([]float64, services)
 	for i := 0; i < n; i++ {
@@ -167,75 +176,162 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 			return PeriodPlan{}, err
 		}
 		copy(cur, bins[i].Multipliers)
+		idx := -1
 		for j := i; j < n; j++ {
+			grew := j == i
 			for t, v := range bins[j].Multipliers {
-				cur[t] = max(cur[t], v)
+				if v > cur[t] { // multipliers are positive and finite
+					cur[t], grew = v, true
+				}
 			}
-			key = key[:0]
-			for _, v := range cur {
-				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
-			}
-			idx, ok := peakIdx[string(key)]
-			if !ok {
-				idx = len(peaks)
-				peakIdx[string(key)] = idx
-				peaks = append(peaks, peakEntry{mults: append([]float64(nil), cur...)})
-				need = append(need, make([]bool, n)...)
+			if grew {
+				key = key[:0]
+				for _, v := range cur {
+					key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+				}
+				var ok bool
+				if idx, ok = peakIdx[string(key)]; !ok {
+					idx = len(peaks)
+					peakIdx[string(key)] = idx
+					peaks = append(peaks, peakEntry{id: -1, level: -1})
+					peakMults = append(peakMults, cur...)
+					need = append(need, make([]bool, n)...)
+				}
+				for b := i; b < j; b++ {
+					need[idx*n+b] = true
+				}
 			}
 			segPeak[i*n+j] = idx
-			for b := i; b <= j; b++ {
-				need[idx*n+b] = true
-			}
+			need[idx*n+j] = true
 		}
+		pe := &peaks[segPeak[i*n+i]]
+		if pe.level < 0 {
+			pe.level = levels
+			levels++
+		}
+		col[i] = pe.level
 	}
 
 	// Size each distinct peak with the single-point planner. A peak the
 	// supply cannot serve makes its segments invalid, not the whole
 	// plan: with per-service peaks in different bins, splitting can be
-	// feasible where the static peak is not.
+	// feasible where the static peak is not. Under the analytic evaluator
+	// a level's rescaled kernel is also the kernel of the bins at that
+	// level, so it is kept even when its peak is infeasible: those bins
+	// are still scored under other peaks' placements.
+	var levelKernels []*eval.Kernel
+	if base != nil {
+		levelKernels = make([]*eval.Kernel, levels)
+	}
 	evaluations := 0
+	plans := make([]Plan, len(peaks))
 	for pi := range peaks {
-		pl, err := searchPeak(ctx, ev, spec, flat, base, pi, peaks[pi].mults)
+		pe, mults := &peaks[pi], peakMults[pi*services:(pi+1)*services]
+		var err error
+		if base != nil {
+			var k *eval.Kernel
+			if k, err = base.Scale(mults); err != nil {
+				return PeriodPlan{}, err
+			}
+			if pe.level >= 0 {
+				levelKernels[pe.level] = k
+			}
+			plans[pi], err = search(ctx, ev, spec, flat, k)
+		} else {
+			s := spec
+			if s.Scenario, err = flat.Stationary(fmt.Sprintf("peak%02d", pi), mults); err != nil {
+				return PeriodPlan{}, err
+			}
+			plans[pi], err = Search(ctx, ev, nil, s)
+		}
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
 			}
 			return PeriodPlan{}, err
 		}
-		peaks[pi].plan, peaks[pi].place = &pl, pl.placement()
-		evaluations += pl.Evaluations
+		pe.plan = &plans[pi]
+		evaluations += pe.plan.Evaluations
 	}
 
-	// Score each bin under every placement some segment would run it on,
-	// in deterministic peak-major bin-minor order: on the bins' rescaled
-	// kernels, or as one batch of stamped bin scenarios, so the sim
-	// evaluator lowers the whole grid onto a single engine run. Only the
-	// stamping route builds a bin's stationary scenario, once per bin it
-	// scores.
-	var order []int // pi*n + b
-	for at, ok := range need {
-		if ok && peaks[at/n].plan != nil {
-			order = append(order, at)
+	// The score table has a row per placement and a column per level. On
+	// the kernel a bin's score depends only on the placement and the
+	// bin's level, so peaks whose plans place the same fleet share a row
+	// and each (placement, level) cell is scored once, however many
+	// (peak, bin) pairs read it. The stamping route hands the evaluator
+	// each bin's own stationary scenario, so there every feasible peak
+	// keeps its own row and every bin its own column.
+	var places []eval.Placement // per row
+	cols := levels
+	if base != nil {
+		rowOf := make(map[string]int)
+		for pi := range peaks {
+			pe := &peaks[pi]
+			if pe.plan == nil {
+				continue
+			}
+			key = appendFleet(key[:0], pe.plan)
+			id, ok := rowOf[string(key)]
+			if !ok {
+				id = len(places)
+				rowOf[string(key)] = id
+				places = append(places, pe.plan.placement())
+			}
+			pe.id = id
+		}
+	} else {
+		cols = n
+		for b := range col {
+			col[b] = b
+		}
+		for pi := range peaks {
+			if pe := &peaks[pi]; pe.plan != nil {
+				pe.id = len(places)
+				places = append(places, pe.plan.placement())
+			}
 		}
 	}
-	res := make([]eval.Result, len(need))
+	scores := make([]binScore, len(places)*cols)
+
+	// Score each bin under every placement some segment would run it on,
+	// in deterministic peak-major bin-minor order: on the levels'
+	// kernels, one Score per cell, or as one batch of stamped bin
+	// scenarios, so the sim evaluator lowers the whole grid onto a single
+	// engine run. Only the stamping route builds a bin's stationary
+	// scenario, once per bin it scores. Either way each (peak, bin) pair
+	// counts as one evaluation.
 	if base != nil {
-		binKernels := make([]*eval.Kernel, n)
-		for _, at := range order {
-			if err := ctx.Err(); err != nil {
-				return PeriodPlan{}, err
+		for pi := range peaks {
+			pe := &peaks[pi]
+			if pe.plan == nil {
+				continue
 			}
-			b := at % n
-			if binKernels[b] == nil {
-				if binKernels[b], err = base.Scale(bins[b].Multipliers); err != nil {
+			row := scores[pe.id*cols : (pe.id+1)*cols]
+			for b, ok := range need[pi*n : (pi+1)*n] {
+				if !ok {
+					continue
+				}
+				evaluations++
+				if row[col[b]].scored {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
 					return PeriodPlan{}, err
 				}
-			}
-			if res[at], err = binKernels[b].Score(peaks[at/n].place); err != nil {
-				return PeriodPlan{}, err
+				res, err := levelKernels[col[b]].Score(places[pe.id])
+				if err != nil {
+					return PeriodPlan{}, err
+				}
+				row[col[b]] = newBinScore(res, bins[b].Seconds, spec.Target)
 			}
 		}
 	} else {
+		var order []int // pi*n + b
+		for at, ok := range need {
+			if ok && peaks[at/n].plan != nil {
+				order = append(order, at)
+			}
+		}
 		stat := make([]scenario.Scenario, n) // Services stays nil until built
 		cands := make([]scenario.Scenario, len(order))
 		for t, at := range order {
@@ -245,59 +341,37 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 					return PeriodPlan{}, fmt.Errorf("periods bin %d: %w", b, err)
 				}
 			}
-			cands[t] = stamp(stat[b], peaks[at/n].place)
+			cands[t] = stamp(stat[b], places[peaks[at/n].id])
 		}
 		results, err := eval.EvaluateBatch(ctx, ev, cands)
 		if err != nil {
 			return PeriodPlan{}, err
 		}
 		for t, at := range order {
-			res[at] = results[t]
+			scores[peaks[at/n].id*cols+at%n] = newBinScore(results[t], bins[at%n].Seconds, spec.Target)
 		}
-	}
-	evaluations += len(order)
-	binOK := make([]bool, len(need))
-	energy := make([]float64, len(need))
-	for _, at := range order {
-		binOK[at] = !math.IsNaN(res[at].Loss) && res[at].Loss <= spec.Target
-		energy[at] = res[at].Watts * bins[at%n].Seconds / 3600
+		evaluations += len(order)
 	}
 
-	// Segment validity: a segment stands only if its peak sizing
-	// succeeded and every bin stays under the target when run on that
-	// placement (an infeasible peak scored no bin, so none is OK). Its
-	// energy is not pre-summed: the dynamic program accumulates it bin by
-	// bin in time order, so partitions whose per-bin placements coincide
-	// get bitwise-equal costs and the tie-break below can see the tie.
-	segOK := make([]bool, n*n)
-	for i := 0; i < n; i++ {
-		pePrev, ok := -1, true
-		for j := i; j < n; j++ {
-			idx := segPeak[i*n+j]
-			if idx != pePrev {
-				// The peak grew: re-check earlier bins under the new
-				// placement.
-				pePrev, ok = idx, true
-				for b := i; ok && b < j; b++ {
-					ok = binOK[idx*n+b]
-				}
-			}
-			ok = ok && binOK[idx*n+j]
-			segOK[i*n+j] = ok
-		}
-	}
-
-	// Dynamic program over contiguous segmentations. dp[k*(n+1)+j] is
-	// the best partition of bins [0..j-1] whose last segment is
-	// [k..j-1]; transitions charge the boundary between the previous
-	// segment's placement and this one's, read through the peaks' plan
-	// pointers. Ties on cost keep more segments, then the earliest
-	// previous start — all deterministic.
+	// Dynamic program over contiguous segmentations, one row per segment
+	// start k: dp[j*n+k] is the best partition of bins [0..j-1] whose
+	// last segment is [k..j-1], chosen over the partitions of [0..k-1]
+	// that earlier rows finished (dp[k*n:k*n+k]). A candidate costs its
+	// predecessor's cost plus the boundary's migration charge, then the
+	// segment's bin energies added one at a time in time order — never
+	// pre-summed, so partitions whose per-bin placements coincide get
+	// bitwise-equal costs and the tie-break can see the tie. Along a row
+	// the segment grows by one bin per column. While its peak keeps the
+	// same score-table row (the same placement, on the kernel), each
+	// predecessor's running cost just takes the new bin's energy, the
+	// next term of the same sum; where that row changes, the segment's
+	// earlier bins are re-checked and every running cost is rebuilt from
+	// its predecessor, charge included. Ties on cost keep more segments,
+	// then the earliest previous start — all deterministic.
 	type cell struct {
 		cost float64
-		segs int
-		prev int
-		ok   bool
+		segs int32 // 0: no partition ends in this segment
+		prev int32 // the previous segment's start, -1 for the first
 	}
 	better := func(a, b cell) bool {
 		if a.cost != b.cost {
@@ -312,50 +386,75 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		}
 		return mv, float64(mv) * migrationCostWh
 	}
-	w := n + 1
-	dp := make([]cell, n*w)
-	for j := 1; j <= n; j++ {
+	dp := make([]cell, (n+1)*n)
+	run := make([]float64, n) // run[m]: the current candidate through predecessor start m
+	for k := 0; k < n; k++ {
 		if err := ctx.Err(); err != nil {
 			return PeriodPlan{}, err
 		}
-		for k := 0; k < j; k++ {
-			if !segOK[k*n+j-1] {
+		preds := dp[k*n : k*n+k]
+		id, ok, fresh := -1, false, false
+		for j := k; j < n; j++ {
+			pe := &peaks[segPeak[k*n+j]]
+			if pe.id != id {
+				// A new score-table row: re-check the earlier bins on it,
+				// and rebuild the running costs below.
+				id, ok, fresh = pe.id, pe.id >= 0, false
+				for b := k; ok && b < j; b++ {
+					ok = scores[id*cols+col[b]].ok
+				}
+			}
+			if ok = ok && scores[id*cols+col[j]].ok; !ok {
 				continue
 			}
-			idx := segPeak[k*n+j-1]
+			row := scores[id*cols : (id+1)*cols]
+			e := row[col[j]].energy
 			if k == 0 {
-				cost := 0.0
-				for b := 0; b < j; b++ {
-					cost += energy[idx*n+b]
+				// A first segment has no predecessor and no charge.
+				if !fresh {
+					fresh, run[0] = true, 0
+					for b := 0; b < j; b++ {
+						run[0] += row[col[b]].energy
+					}
 				}
-				dp[j] = cell{cost: cost, segs: 1, prev: -1, ok: true}
+				run[0] += e
+				dp[(j+1)*n] = cell{cost: run[0], segs: 1, prev: -1}
 				continue
+			}
+			if !fresh {
+				fresh = true
+				for m, pc := range preds {
+					if pc.segs == 0 {
+						continue
+					}
+					_, ch := charge(peaks[segPeak[m*n+k-1]].plan, pe.plan)
+					run[m] = pc.cost + ch
+					for b := k; b < j; b++ {
+						run[m] += row[col[b]].energy
+					}
+				}
 			}
 			var best cell
-			for m := 0; m < k; m++ {
-				pc := dp[m*w+k]
-				if !pc.ok {
+			for m, pc := range preds {
+				if pc.segs == 0 {
 					continue
 				}
-				_, ch := charge(peaks[segPeak[m*n+k-1]].plan, peaks[idx].plan)
-				cost := pc.cost + ch
-				for b := k; b < j; b++ {
-					cost += energy[idx*n+b]
-				}
-				c := cell{cost: cost, segs: pc.segs + 1, prev: m, ok: true}
-				if !best.ok || better(c, best) {
+				run[m] += e
+				c := cell{cost: run[m], segs: pc.segs + 1, prev: int32(m)}
+				if best.segs == 0 || better(c, best) {
 					best = c
 				}
 			}
-			dp[k*w+j] = best
+			dp[(j+1)*n+k] = best
 		}
 	}
+	last := dp[n*n:]
 	bestK := -1
-	for k := 0; k < n; k++ {
-		if !dp[k*w+n].ok {
+	for k, c := range last {
+		if c.segs == 0 {
 			continue
 		}
-		if bestK < 0 || better(dp[k*w+n], dp[bestK*w+n]) {
+		if bestK < 0 || better(c, last[bestK]) {
 			bestK = k
 		}
 	}
@@ -365,7 +464,7 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	var starts []int
 	for k, j := bestK, n; ; {
 		starts = append(starts, k)
-		prev := dp[k*w+j].prev
+		prev := int(dp[j*n+k].prev)
 		if prev < 0 {
 			break
 		}
@@ -380,6 +479,7 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		Target:          spec.Target,
 		Mode:            resolved.Mode,
 		MigrationCostWh: migrationCostWh,
+		Bins:            make([]BinPlan, 0, n),
 		Evaluations:     evaluations,
 	}
 	for si, start := range starts {
@@ -387,9 +487,16 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		if si+1 < len(starts) {
 			end = starts[si+1] - 1
 		}
-		idx := segPeak[start*n+end]
-		pl := peaks[idx].plan
+		pe := &peaks[segPeak[start*n+end]]
+		pl := pe.plan
 		for b := start; b <= end; b++ {
+			sc := &scores[pe.id*cols+col[b]]
+			res := sc.res
+			if sc.taken {
+				// An earlier bin of the same level holds this score.
+				res.Services = slices.Clone(res.Services)
+			}
+			sc.taken = true
 			out.Bins = append(out.Bins, BinPlan{
 				Name:      bins[b].Name,
 				Seconds:   bins[b].Seconds,
@@ -397,10 +504,10 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 				Hosts:     pl.Hosts,
 				Classes:   pl.Classes,
 				Dedicated: pl.Dedicated,
-				Result:    res[idx*n+b],
-				EnergyWh:  energy[idx*n+b],
+				Result:    res,
+				EnergyWh:  sc.energy,
 			})
-			out.EnergyWh += energy[idx*n+b]
+			out.EnergyWh += sc.energy
 		}
 		if si > 0 {
 			if mv, ch := charge(peaks[segPeak[starts[si-1]*n+start-1]].plan, pl); mv > 0 {
@@ -419,23 +526,38 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	return out, nil
 }
 
-// searchPeak sizes segment peak idx of the periods-free scenario flat:
-// on the base kernel rescaled to the peak under the analytic evaluator,
-// else by Search over the peak's stationary scenario.
-func searchPeak(ctx context.Context, ev eval.Evaluator, spec Spec, flat scenario.Scenario, base *eval.Kernel, idx int, mults []float64) (Plan, error) {
-	if base != nil {
-		k, err := base.Scale(mults)
-		if err != nil {
-			return Plan{}, err
-		}
-		return search(ctx, ev, spec, flat, k)
+// binScore is one cell of SearchPeriods' score table: a bin's result
+// under a placement, the bin's energy at that draw and whether it meets
+// the target.
+type binScore struct {
+	res    eval.Result
+	energy float64 // res.Watts × Seconds / 3600; every bin lasts bin_sec
+	ok     bool    // res.Loss is a number at or under the target
+	scored bool
+	taken  bool // an output bin holds res.Services
+}
+
+func newBinScore(res eval.Result, seconds, target float64) binScore {
+	return binScore{
+		res:    res,
+		energy: res.Watts * seconds / 3600,
+		ok:     !math.IsNaN(res.Loss) && res.Loss <= target,
+		scored: true,
 	}
-	stat, err := flat.Stationary(fmt.Sprintf("peak%02d", idx), mults)
-	if err != nil {
-		return Plan{}, err
+}
+
+// appendFleet appends the fleet pl places — its host count, class counts
+// and pool sizes — to key: plans of one spec that place the same fleet
+// append the same bytes.
+func appendFleet(key []byte, pl *Plan) []byte {
+	key = binary.LittleEndian.AppendUint64(key, uint64(pl.Hosts))
+	for _, c := range pl.Classes {
+		key = binary.LittleEndian.AppendUint64(key, uint64(c.Count))
 	}
-	spec.Scenario = stat
-	return Search(ctx, ev, nil, spec)
+	for _, d := range pl.Dedicated {
+		key = binary.LittleEndian.AppendUint64(key, uint64(d.Servers))
+	}
+	return key
 }
 
 // planMoves counts the VM migrations turning placement a into placement

@@ -102,7 +102,7 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 	// feasible where the static peak is not.
 	evaluations := 0
 	for pi, pe := range peaks {
-		pl, err := searchPeak(ctx, ev, spec, flat, base, pi, pe.mults)
+		pl, err := refSearchPeak(ctx, ev, spec, flat, base, pi, pe.mults)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
@@ -338,6 +338,25 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 	return out, nil
 }
 
+// refSearchPeak sizes segment peak idx of the periods-free scenario flat
+// as the reference did: on the base kernel rescaled to the peak under the
+// analytic evaluator, else by Search over the peak's stationary scenario.
+func refSearchPeak(ctx context.Context, ev eval.Evaluator, spec Spec, flat scenario.Scenario, base *eval.Kernel, idx int, mults []float64) (Plan, error) {
+	if base != nil {
+		k, err := base.Scale(mults)
+		if err != nil {
+			return Plan{}, err
+		}
+		return search(ctx, ev, spec, flat, k)
+	}
+	stat, err := flat.Stationary(fmt.Sprintf("peak%02d", idx), mults)
+	if err != nil {
+		return Plan{}, err
+	}
+	spec.Scenario = stat
+	return Search(ctx, ev, nil, spec)
+}
+
 // stampOnly hides the evaluator it wraps behind Evaluate alone, so the
 // planner takes the stamping route even for eval.Analytic.
 type stampOnly struct{ ev eval.Evaluator }
@@ -346,12 +365,13 @@ func (s stampOnly) Evaluate(ctx context.Context, sc scenario.Scenario) (eval.Res
 	return s.ev.Evaluate(ctx, sc)
 }
 
-// randomPeriods draws 1–30 bins, each a scalar multiplier or a
-// per-service vector from a few levels, so segment peaks repeat (a scalar
-// level equals the all-equal vector) and equal-cost partitions occur.
-func randomPeriods(rng *rand.Rand, scalars []float64, vectors [][]float64) *scenario.Periods {
+// randomPeriods draws minBins–maxBins bins, each a scalar multiplier or
+// a per-service vector from a few levels, so segment peaks repeat (a
+// scalar level equals the all-equal vector) and equal-cost partitions
+// occur.
+func randomPeriods(rng *rand.Rand, scalars []float64, vectors [][]float64, minBins, maxBins int) *scenario.Periods {
 	p := &scenario.Periods{BinSec: []float64{900, 3600, 21600}[rng.Intn(3)]}
-	for b, n := 0, 1+rng.Intn(30); b < n; b++ {
+	for b, n := 0, minBins+rng.Intn(maxBins-minBins+1); b < n; b++ {
 		if rng.Intn(2) == 0 {
 			p.Bins = append(p.Bins, scenario.PeriodBin{Multiplier: scalars[rng.Intn(len(scalars))]})
 		} else {
@@ -361,20 +381,28 @@ func randomPeriods(rng *rand.Rand, scalars []float64, vectors [][]float64) *scen
 	return p
 }
 
-// The flat-array SearchPeriods matches the reference on seeded random
-// days: homogeneous, heterogeneous (plan-hetero's supply) and dedicated
-// scenarios, both objectives, migration costs from free to +Inf, on the
-// compiled route and the stamping route. Plans must be deeply equal, and
-// byte-identical as JSON where the cost is finite; errors must match.
-func TestSearchPeriodsMatchesReference(t *testing.T) {
+// periodKind is one example scenario with the multiplier levels its
+// random days draw from.
+type periodKind struct {
+	name    string
+	s       scenario.Scenario
+	scalars []float64
+	vectors [][]float64
+}
+
+// periodKinds loads the scenarios the periods planner is checked on: a
+// homogeneous, a heterogeneous (plan-hetero's supply) and a dedicated
+// fleet, and the homogeneous one again on levels a hair apart, whose
+// distinct peaks size to the same placement.
+func periodKinds(tb testing.TB) []periodKind {
 	load := func(name string) scenario.Scenario {
 		data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		s, err := scenario.ParseBytes(data)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return s
 	}
@@ -383,43 +411,76 @@ func TestSearchPeriodsMatchesReference(t *testing.T) {
 	// infeasible peak; a bin at ×3 fits nowhere and makes the whole day
 	// infeasible.
 	mixed := [][]float64{{0.5, 1}, {1, 0.5}, {1, 1}, {1.5, 0.25}, {0.25, 1.5}}
-	kinds := []struct {
-		name    string
-		s       scenario.Scenario
-		scalars []float64
-		vectors [][]float64
-	}{
+	return []periodKind{
 		{"homogeneous", load("periods-day.json"), []float64{0.25, 0.5, 1, 1.5}, mixed},
 		{"heterogeneous", load("plan-hetero.json"), []float64{0.3, 1, 2.6}, [][]float64{{2.6, 0.3}, {0.3, 12}, {1, 12}, {1, 1}, {0.3, 1}}},
 		{"dedicated", load("casestudy-dedicated.json"), []float64{0.3, 0.5, 1, 1.5}, mixed},
+		{"shared-placement", load("periods-day.json"), []float64{0.5, 1, 1.0001, 1.0002, 1.5}, [][]float64{{1, 1.0001}, {1.0001, 1}, {1.0002, 0.5}}},
 	}
+}
+
+// The flat-array SearchPeriods matches the reference on seeded random
+// days: homogeneous, heterogeneous (plan-hetero's supply) and dedicated
+// scenarios, and a homogeneous one whose distinct peaks share
+// placements, both objectives, migration costs from free to +Inf, on
+// the compiled route and the stamping route. Most days have 1–30 bins;
+// without -short a share have 48–96. Plans must be deeply equal, and
+// byte-identical as JSON where the cost is finite; errors must match.
+func TestSearchPeriodsMatchesReference(t *testing.T) {
+	kinds := periodKinds(t)
 	costs := []float64{0, 0.5, 12, 1e9, math.Inf(1)}
 	objectives := []string{MinServers, MinPower}
 	pl, err := pool.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trials := 20
+	trials, long := 20, 6
 	if testing.Short() {
-		trials = 5
+		trials, long = 5, 0
 	}
 	ctx := context.Background()
+
+	// The shared-placement levels must really size alike, or that kind
+	// checks nothing the homogeneous one does not.
+	var hosts []int
+	for _, m := range []float64{1, 1.0001, 1.0002} {
+		s, err := kinds[3].s.Stationary("level", []float64{m, m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Search(ctx, eval.NewAnalytic(nil), nil, Spec{Scenario: s, Target: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts = append(hosts, p.Hosts)
+	}
+	if hosts[0] != hosts[1] || hosts[1] != hosts[2] {
+		t.Fatalf("shared-placement levels size to %v hosts, want one placement", hosts)
+	}
+
+	// The long days draw from their own source, so the short days stay
+	// the ones the test has always drawn.
 	rng := rand.New(rand.NewSource(1))
+	longRNG := rand.New(rand.NewSource(2))
 	for _, kind := range kinds {
 		for _, stamped := range []bool{false, true} {
 			var ev eval.Evaluator = eval.NewAnalytic(nil)
 			if stamped {
 				ev = stampOnly{ev}
 			}
-			for trial := 0; trial < trials; trial++ {
+			for trial := 0; trial < trials+long; trial++ {
 				s := kind.s.Clone()
-				s.Periods = randomPeriods(rng, kind.scalars, kind.vectors)
+				r, minBins, maxBins := rng, 1, 30
+				if trial >= trials {
+					r, minBins, maxBins = longRNG, 48, 96
+				}
+				s.Periods = randomPeriods(r, kind.scalars, kind.vectors, minBins, maxBins)
 				bins := s.Periods.Bins
 				switch {
 				case trial%7 == 6 && kind.name == "heterogeneous":
-					bins[rng.Intn(len(bins))] = scenario.PeriodBin{Multiplier: 3}
+					bins[r.Intn(len(bins))] = scenario.PeriodBin{Multiplier: 3}
 				case trial%11 == 10:
-					bins[rng.Intn(len(bins))] = scenario.PeriodBin{Multipliers: []float64{1}}
+					bins[r.Intn(len(bins))] = scenario.PeriodBin{Multipliers: []float64{1}}
 				}
 				cost := costs[trial%len(costs)]
 				spec := Spec{Scenario: s, Target: 0.05, Objective: objectives[trial/len(costs)%2]}
@@ -433,6 +494,9 @@ func TestSearchPeriodsMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s (%d bins, cost %g): plan differs from the reference: segments %v, reference %v",
 						name, len(bins), cost, segmentsOf(got), segmentsOf(want))
+				}
+				if a, b, ok := sharedServices(got); ok {
+					t.Fatalf("%s: bins %d and %d share a Services array", name, a, b)
 				}
 				if wantErr != nil || math.IsInf(cost, 1) {
 					continue
@@ -451,6 +515,24 @@ func TestSearchPeriodsMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sharedServices reports two bins of pp whose results share a Services
+// backing array, which would let a caller's edit of one bin show in the
+// other.
+func sharedServices(pp PeriodPlan) (int, int, bool) {
+	seen := make(map[*eval.ServiceLoss]int)
+	for i, b := range pp.Bins {
+		if len(b.Result.Services) == 0 {
+			continue
+		}
+		first := &b.Result.Services[0]
+		if j, ok := seen[first]; ok {
+			return j, i, true
+		}
+		seen[first] = i
+	}
+	return 0, 0, false
 }
 
 func segmentsOf(pp PeriodPlan) []int {

@@ -24,11 +24,13 @@
 // onto the scenario, the same stamping Plan.Apply does (SearchPeriods
 // builds a bin's stationary scenario only for the bins it scores), one at
 // a time, while a heterogeneous search prices its mixes on an analytic
-// kernel. SearchPeriods keeps its bookkeeping in flat arrays indexed by
-// segment peak and bin — the bins each peak must score, their results,
-// energies and feasibility, and the dynamic program's cells — with a map
-// only to deduplicate peaks, and prices migrations on the peaks' plans by
-// pointer.
+// kernel. Under eval.Analytic, SearchPeriods scores a bin on the kernel of
+// its level (the peak of its one-bin segment), once per (placement,
+// level) pair however many segment peaks size to that placement. On
+// either route its dynamic program carries a running cost per
+// predecessor along each row and rebuilds it only where the segment's
+// scores change: at a new placement on the kernel, at a new peak when
+// stamping.
 //
 // Every decision is made sequentially from deterministic inputs, so the
 // same Spec yields a byte-identical Plan on either route and regardless of
