@@ -14,7 +14,9 @@
 //   - .../ns_per_op regresses when new > old × ns-threshold (wall-clock
 //     noise gets a generous multiplicative margin);
 //   - .../allocs_per_op regresses on any increase (allocation counts are
-//     deterministic — 0 allocs/op is a property, not a measurement);
+//     deterministic — 0 allocs/op is a property, not a measurement),
+//     except on a row simbench marks allocs_ungated, whose count still
+//     moves between runs: it is reported as .../allocs_per_op_ungated;
 //   - .../bytes_per_op regresses when new > old × bytes-threshold;
 //   - anything else is reported but never gates, such as the spread
 //     (.../ns_per_op_min and _max) around simbench's median ns_per_op.
@@ -57,12 +59,13 @@ type options struct {
 // benchdiff consumes.
 type benchFile struct {
 	Benchmarks []struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		NsPerOpMin  float64 `json:"ns_per_op_min"`
-		NsPerOpMax  float64 `json:"ns_per_op_max"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
+		Name          string  `json:"name"`
+		NsPerOp       float64 `json:"ns_per_op"`
+		NsPerOpMin    float64 `json:"ns_per_op_min"`
+		NsPerOpMax    float64 `json:"ns_per_op_max"`
+		BytesPerOp    int64   `json:"bytes_per_op"`
+		AllocsPerOp   int64   `json:"allocs_per_op"`
+		AllocsUngated bool    `json:"allocs_ungated"`
 	} `json:"benchmarks"`
 	Metrics *metricsBlock `json:"metrics"`
 	// A bare manifest carries the snapshot under "metrics"; a manifest
@@ -100,7 +103,11 @@ func loadMetrics(path string) (map[string]float64, string, error) {
 		for _, b := range f.Benchmarks {
 			m[b.Name+"/ns_per_op"] = b.NsPerOp
 			m[b.Name+"/bytes_per_op"] = float64(b.BytesPerOp)
-			m[b.Name+"/allocs_per_op"] = float64(b.AllocsPerOp)
+			allocs := b.Name + "/allocs_per_op"
+			if b.AllocsUngated {
+				allocs += "_ungated"
+			}
+			m[allocs] = float64(b.AllocsPerOp)
 			if b.NsPerOpMax > 0 {
 				m[b.Name+"/ns_per_op_min"] = b.NsPerOpMin
 				m[b.Name+"/ns_per_op_max"] = b.NsPerOpMax

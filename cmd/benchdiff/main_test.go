@@ -113,6 +113,33 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestUngatedAllocsReported: a row simbench marks allocs_ungated reports
+// its allocs/op as info, so a rise there passes, while B/op and ns/op on
+// the row stay gated.
+func TestUngatedAllocsReported(t *testing.T) {
+	row := func(ns, bytes, allocs int) string {
+		return fmt.Sprintf(`{"benchmarks":[{"name":"BenchmarkSweepPoint","iterations":30,"ns_per_op":%d,`+
+			`"bytes_per_op":%d,"allocs_per_op":%d,"allocs_ungated":true}]}`, ns, bytes, allocs)
+	}
+	old := writeBench(t, "old.json", row(100, 1000, 818))
+	for _, tc := range []struct {
+		body     string
+		wantExit int
+	}{
+		{row(100, 1000, 820), exitOK},
+		{row(100, 2000, 818), exitRegressed},
+		{row(200, 1000, 818), exitRegressed},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run([]string{old, writeBench(t, "new.json", tc.body)}, &stdout, &stderr); got != tc.wantExit {
+			t.Fatalf("%s: exit = %d, want %d\n%s", tc.body, got, tc.wantExit, stdout.String())
+		}
+		if !strings.Contains(stdout.String(), "BenchmarkSweepPoint/allocs_per_op_ungated") {
+			t.Fatalf("ungated allocs row not reported:\n%s", stdout.String())
+		}
+	}
+}
+
 // TestRegressionBeatsMissing: when both occur, the exit code reports the
 // regression (the more actionable failure).
 func TestRegressionBeatsMissing(t *testing.T) {

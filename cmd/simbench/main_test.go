@@ -92,3 +92,22 @@ func TestGCFreeCounts(t *testing.T) {
 		t.Fatal("a benchmark missing from the GOGC=off pass was accepted")
 	}
 }
+
+// gcFreeCounts marks the rows whose GOGC=off count still moves between
+// runs, and only those, as ungated.
+func TestGCFreeCountsMarksUngatedRows(t *testing.T) {
+	rows := []Record{
+		{Name: "BenchmarkShardedRun/shards=1", AllocsPerOp: 667},
+		{Name: "BenchmarkShardedRun/shards=4", AllocsPerOp: 880},
+		{Name: "BenchmarkSweepPoint", AllocsPerOp: 820},
+	}
+	got, err := gcFreeCounts(rows, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, true, true} {
+		if got[i].AllocsUngated != want {
+			t.Fatalf("%s: allocs_ungated = %v, want %v", got[i].Name, got[i].AllocsUngated, want)
+		}
+	}
+}

@@ -6,27 +6,27 @@ import (
 	"repro/internal/desim"
 )
 
-// Arena is the reusable allocation pool of one simulation run: the
-// discrete-event simulator (whose event storage dominates a run's
-// allocations), freelists for the request and jobRef objects churned
-// on the dispatch hot path, and the storage of the run's compiled
-// admission routes. A run borrows an arena, allocates through it,
-// and returns it; the next run then schedules into already-grown event
-// storage and recycles the previous run's request graph instead of
-// re-allocating it.
+// Arena is the allocation pool of a simulation run: the discrete-event
+// simulator (whose event storage dominates a run's allocations), a
+// freelist of the request objects churned on the dispatch hot path, the
+// job-heap storage of finished runs' stations, and the storage of the
+// run's compiled admission routes. Every run allocates through one; when
+// it ends, the arena takes back each station's job storage and every
+// request still in flight at the horizon, so the next run on the same
+// arena schedules into already-grown storage instead of re-allocating it.
 //
 // Reuse never changes results: the simulator is Reset to a state
 // indistinguishable from a fresh one (clock, sequence numbers and
-// counters restart at zero), and recycled requests and jobRefs are
-// zeroed before they are handed out again.
+// counters restart at zero), recycled requests are zeroed before they
+// are handed out again, and reused job storage is empty.
 //
 // An arena is single-run state — never share one between concurrent
 // runs. ArenaPool hands each concurrent run its own.
 type Arena struct {
 	sim      *desim.Simulator
 	requests []*request
-	jobRefs  []*jobRef
-	legs     []leg // backing array of the run's admission routes; cleared on Put
+	jobs     [][]job // empty job-heap storage, ready for a new station
+	legs     []leg   // backing array of the run's admission routes; cleared on Put
 }
 
 // NewArena returns an empty arena ready for its first run.
@@ -44,14 +44,24 @@ func (a *Arena) getRequest() *request {
 	return &request{}
 }
 
-func (a *Arena) getJobRef() *jobRef {
-	if n := len(a.jobRefs); n > 0 {
-		j := a.jobRefs[n-1]
-		a.jobRefs[n-1] = nil
-		a.jobRefs = a.jobRefs[:n-1]
-		return j
+// putRequest zeroes a request no station holds any more and keeps it
+// for reuse.
+func (a *Arena) putRequest(req *request) {
+	*req = request{}
+	a.requests = append(a.requests, req)
+}
+
+// jobStorage returns empty job-heap storage for a new station: the one
+// kept last, or nil when none is kept.
+func (a *Arena) jobStorage() []job {
+	n := len(a.jobs)
+	if n == 0 {
+		return nil
 	}
-	return &jobRef{}
+	js := a.jobs[n-1]
+	a.jobs[n-1] = nil
+	a.jobs = a.jobs[:n-1]
+	return js
 }
 
 // routeStorage returns empty leg storage with room for n legs, reusing
@@ -63,19 +73,22 @@ func (a *Arena) routeStorage(n int) []leg {
 	return a.legs[:0]
 }
 
-// recycleRequest returns a completed request and its job references to
-// the freelists. Only fully drained requests may be recycled: every
-// jobRef must already be off its station's heap. Requests lost to host
-// failures are deliberately left to the garbage collector — their refs
-// may still be reachable from in-flight bookkeeping.
-func (a *Arena) recycleRequest(req *request) {
-	for i, j := range req.refs {
-		*j = jobRef{}
-		a.jobRefs = append(a.jobRefs, j)
-		req.refs[i] = nil
+// reclaim takes back a finished run's station: its job storage, and
+// each request resident there that no other station still holds. A
+// request's left counts the stations holding its work, so one resident
+// on several stations goes back when the last of them drops it.
+func (a *Arena) reclaim(st *station) {
+	for i := range st.jobs {
+		req := st.jobs[i].req
+		req.left--
+		if req.left == 0 {
+			a.putRequest(req)
+		}
 	}
-	*req = request{refs: req.refs[:0]}
-	a.requests = append(a.requests, req)
+	if cap(st.jobs) > 0 {
+		a.jobs = append(a.jobs, st.jobs[:0])
+	}
+	st.jobs = nil
 }
 
 // ArenaPool shares arenas across sequential runs while keeping each

@@ -150,11 +150,12 @@ type Config struct {
 	Tracer desim.Tracer
 
 	// Arenas, when non-nil, supplies reusable allocation arenas: each run
-	// borrows one (event storage plus request/jobRef freelists) and
-	// returns it on completion, so sequential runs — replications of one
-	// point, or consecutive sweep points — stop re-growing simulator
-	// state. Purely an allocation optimization; results are identical
-	// with or without it.
+	// borrows one (event storage, a request freelist and job-heap
+	// storage) and returns it on completion, so sequential runs —
+	// replications of one point, or consecutive sweep points — stop
+	// re-growing simulator state. Without it each run allocates through
+	// a private arena. Purely an allocation optimization; results are
+	// identical with or without it.
 	Arenas *ArenaPool
 
 	// Shards requests intra-run parallelism. The run is first partitioned

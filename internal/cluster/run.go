@@ -15,11 +15,9 @@ type request struct {
 	service int
 	host    *host
 	arrived desim.Time
-	refs    []*jobRef
 	left    int  // stations still draining
 	counted bool // arrived after warmup
 	client  int  // closed-loop client index, -1 for open loop
-	dead    bool // lost to host failure
 }
 
 // leg is one resource of a service's compiled admission route on one
@@ -75,15 +73,15 @@ func (h *host) everyStation(fn func(*station)) {
 type runner struct {
 	cfg *Config
 
-	// One simulator (and arena) per shard. Shard 0 is the whole run when
-	// sequential; otherwise every coupling component lives entirely on
-	// one shard and shards share no mutable state while running (see
+	// One arena, and its simulator, per shard. Shard 0 is the whole run
+	// when sequential; otherwise every coupling component lives entirely
+	// on one shard and shards share no mutable state while running (see
 	// shard.go). svcShard maps each service to its shard; nil means
 	// everything on shard 0. The *One arrays back the slices in the
 	// common sequential case so it allocates nothing per run.
 	nshards  int
 	sims     []*desim.Simulator
-	arenas   []*Arena // nil = allocate requests/jobRefs individually
+	arenas   []*Arena
 	svcShard []int
 	// shardFailures is the per-shard single-writer failure count, summed
 	// into Result.Failures at finish.
@@ -125,27 +123,23 @@ func Run(cfg Config) (*Result, error) {
 	r.planShards()
 	if r.nshards == 1 {
 		r.sims = r.simsOne[:]
+		r.arenas = r.arenasOne[:]
 		r.shardFailures = r.failuresOne[:]
 	} else {
 		r.sims = make([]*desim.Simulator, r.nshards)
+		r.arenas = make([]*Arena, r.nshards)
 		r.shardFailures = make([]int64, r.nshards)
 	}
-	if cfg.Arenas != nil {
-		if r.nshards == 1 {
-			r.arenas = r.arenasOne[:]
-		} else {
-			r.arenas = make([]*Arena, r.nshards)
-		}
-		for s := range r.sims {
-			a := cfg.Arenas.Get()
-			r.arenas[s] = a
-			r.sims[s] = a.sim
+	for s := range r.arenas {
+		var a *Arena
+		if cfg.Arenas != nil {
+			a = cfg.Arenas.Get()
 			defer cfg.Arenas.Put(a)
+		} else {
+			a = NewArena()
 		}
-	} else {
-		for s := range r.sims {
-			r.sims[s] = desim.New()
-		}
+		r.arenas[s] = a
+		r.sims[s] = a.sim
 	}
 	if cfg.Tracer != nil {
 		r.sims[0].SetTracer(cfg.Tracer) // planShards forced nshards = 1
@@ -174,6 +168,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r.runShards()
 	r.finish()
+	for _, h := range r.hosts {
+		h.everyStation(r.arenas[h.shard].reclaim)
+	}
 	return r.res, nil
 }
 
@@ -195,13 +192,7 @@ func (r *runner) build() {
 
 	mkStation := func(shard int, name string, capacity float64) *station {
 		st := newStation(r.sims[shard], name, capacity, r.onStationDone)
-		if r.arenas != nil {
-			st.newJob = r.arenas[shard].getJobRef
-		} else {
-			// No arena: the runner never reads a request's refs after
-			// completion, so stations can recycle jobRefs locally.
-			st.recycleJobs = true
-		}
+		st.jobs = r.arenas[shard].jobStorage()
 		return st
 	}
 	newHost := func(id, shard int, services []int, capability func(string) float64) *host {
@@ -312,20 +303,14 @@ func (r *runner) build() {
 // compileRoutes fills in every dispatch target's admission route. Every
 // factor admit applies is a constant once the placement is fixed, so it
 // is computed here once per run instead of per request. The legs of all
-// routes share one allocation, borrowed from shard 0's arena when the run
-// has arenas.
+// routes share one allocation, borrowed from shard 0's arena.
 func (r *runner) compileRoutes() {
 	cfg := r.cfg
 	n := 0
 	for svc, pool := range r.byService {
 		n += len(pool) * len(cfg.Services[svc].Profile.Demands)
 	}
-	var legs []leg
-	if r.arenas != nil {
-		legs = r.arenas[0].routeStorage(n)
-	} else {
-		legs = make([]leg, 0, n)
-	}
+	legs := r.arenas[0].routeStorage(n)
 	for svc, pool := range r.byService {
 		spec := &cfg.Services[svc]
 		// Map iteration order is randomized; sample demands in a fixed,
@@ -517,7 +502,7 @@ func (r *runner) dispatch(svc, client int) {
 		}
 		return
 	}
-	req := r.newRequest(shard)
+	req := r.arenas[shard].getRequest()
 	req.service, req.host, req.arrived = svc, h, now
 	req.counted, req.client = counted, client
 	r.admit(req, route)
@@ -557,7 +542,7 @@ func (r *runner) admit(req *request, route []leg) {
 		if l.factor > 0 {
 			work /= l.factor
 		}
-		req.refs = append(req.refs, l.st.add(req, work))
+		l.st.add(req, work)
 		req.left++
 	}
 	if req.left == 0 {
@@ -568,9 +553,6 @@ func (r *runner) admit(req *request, route []leg) {
 
 // onStationDone fires when one station finishes a request's work there.
 func (r *runner) onStationDone(req *request, _ *station) {
-	if req.dead {
-		return
-	}
 	req.left--
 	if req.left == 0 {
 		r.completeRequest(req)
@@ -592,21 +574,9 @@ func (r *runner) completeRequest(req *request) {
 	if req.client >= 0 {
 		r.clientThink(req.service, req.client)
 	}
-	// A completed request has drained every station (left == 0), so its
-	// whole object graph is free for reuse. Failure-path requests never
-	// get here and stay with the garbage collector.
-	if r.arenas != nil && !req.dead {
-		r.arenas[req.host.shard].recycleRequest(req)
-	}
-}
-
-// newRequest hands out a zeroed request, recycled when an arena is
-// attached.
-func (r *runner) newRequest(shard int) *request {
-	if r.arenas != nil {
-		return r.arenas[shard].getRequest()
-	}
-	return &request{}
+	// A completed request has drained every station (left == 0), so no
+	// station holds it any more.
+	r.arenas[req.host.shard].putRequest(req)
 }
 
 // startFailures arms the host failure/repair processes. Each host's
@@ -634,8 +604,9 @@ func (r *runner) startFailures() {
 					}
 				}
 			})
+			// A request's work sits on its host's stations only, so
+			// clearing them leaves the victims held by no station.
 			for _, req := range victims {
-				req.dead = true
 				h.inflight--
 				r.obsLosses.Inc()
 				if req.counted {
@@ -644,6 +615,7 @@ func (r *runner) startFailures() {
 				if req.client >= 0 {
 					r.clientThink(req.service, req.client)
 				}
+				r.arenas[h.shard].putRequest(req)
 			}
 			d := fs.ExpFloat64() * r.cfg.MTTR
 			if sim.Now()+d <= r.cfg.Horizon {

@@ -33,19 +33,19 @@ import (
 	"repro/internal/desim"
 )
 
-// jobRef tracks one request's work on one station.
-type jobRef struct {
-	req       *request
+// job is one request's work on one station, held by value in the
+// station's heap.
+type job struct {
 	threshold float64 // attained-service level V at which the job completes
 	seq       uint64  // admission order; FIFO tie-break for equal thresholds
-	heapIdx   int     // position in station.jobs, maintained by the heap ops
+	req       *request
 }
 
 // station is a processor-sharing resource server.
 type station struct {
 	name     string
-	capacity float64   // work units per second when any job present
-	jobs     []*jobRef // min-heap keyed by (threshold, seq)
+	capacity float64 // work units per second when any job present
+	jobs     []job   // min-heap keyed by (threshold, seq)
 
 	// V is the attained-service accumulator: the total service any job
 	// resident since station creation would have received. Thresholds are
@@ -64,17 +64,8 @@ type station struct {
 
 	pending    desim.Handle // the station's next-completion event
 	completeFn func()       // cached method value; avoids an alloc per reschedule
-	doneBuf    []*jobRef    // scratch for complete; reused across events
+	doneBuf    []*request   // scratch for complete; reused across events
 	onDone     func(*request, *station)
-	newJob     func() *jobRef // optional arena allocator; nil = plain alloc
-
-	// recycleJobs opts into the station-local jobRef freelist: completed
-	// jobs are zeroed and reused by later admissions. Safe only when no
-	// caller retains a jobRef past completion (the runner's contract —
-	// request refs are never read again without an arena); direct users
-	// that probe heapIdx on stale refs must leave it off.
-	recycleJobs bool
-	freeJobs    []*jobRef
 }
 
 func newStation(sim *desim.Simulator, name string, capacity float64, onDone func(*request, *station)) *station {
@@ -133,39 +124,12 @@ func (st *station) setCapacity(c float64) {
 	st.reschedule()
 }
 
-// add deposits work for req and returns the job reference.
-func (st *station) add(req *request, work float64) *jobRef {
+// add deposits work for req.
+func (st *station) add(req *request, work float64) {
 	st.advance()
-	var j *jobRef
-	switch {
-	case st.newJob != nil:
-		j = st.newJob()
-	case st.recycleJobs && len(st.freeJobs) > 0:
-		n := len(st.freeJobs) - 1
-		j = st.freeJobs[n]
-		st.freeJobs[n] = nil
-		st.freeJobs = st.freeJobs[:n]
-	default:
-		j = &jobRef{}
-	}
-	j.req, j.threshold, j.seq = req, st.V+math.Max(work, 0), st.seq
+	st.pushJob(job{threshold: st.V + math.Max(work, 0), seq: st.seq, req: req})
 	st.seq++
-	st.pushJob(j)
 	st.busy.Set(st.sim.Now(), 1)
-	st.occ.Set(st.sim.Now(), float64(len(st.jobs)))
-	st.reschedule()
-	return j
-}
-
-// remove takes a job off the station (request abandoned or host failed).
-func (st *station) remove(j *jobRef) {
-	st.advance()
-	if j.heapIdx >= 0 && j.heapIdx < len(st.jobs) && st.jobs[j.heapIdx] == j {
-		st.deleteJob(j.heapIdx)
-	}
-	if len(st.jobs) == 0 {
-		st.busy.Set(st.sim.Now(), 0)
-	}
 	st.occ.Set(st.sim.Now(), float64(len(st.jobs)))
 	st.reschedule()
 }
@@ -201,41 +165,20 @@ func (st *station) complete() {
 	done := st.doneBuf[:0]
 	eps := completeEps * math.Max(1, st.V)
 	for len(st.jobs) > 0 {
-		top := st.jobs[0]
-		if len(done) > 0 && top.threshold-st.V > eps {
+		if len(done) > 0 && st.jobs[0].threshold-st.V > eps {
 			break
 		}
-		st.popJob()
-		done = append(done, top)
+		done = append(done, st.popJob())
 	}
 	if len(st.jobs) == 0 {
 		st.busy.Set(st.sim.Now(), 0)
 	}
 	st.occ.Set(st.sim.Now(), float64(len(st.jobs)))
 	st.reschedule()
-	for _, j := range done {
-		st.onDone(j.req, st)
-	}
-	// Drop request references before the buffer is parked for reuse;
-	// opted-in stations recycle the completed jobRefs themselves.
-	for i, j := range done {
-		if st.recycleJobs {
-			*j = jobRef{}
-			j.heapIdx = -1
-			st.freeJobs = append(st.freeJobs, j)
-		}
-		done[i] = nil
+	for _, req := range done {
+		st.onDone(req, st)
 	}
 	st.doneBuf = done[:0]
-}
-
-// remaining reports the work units left for job j.
-func (st *station) remaining(j *jobRef) float64 {
-	r := j.threshold - st.V
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // backlog reports the total outstanding work on the station, first
@@ -243,8 +186,8 @@ func (st *station) remaining(j *jobRef) float64 {
 func (st *station) backlog() float64 {
 	st.advance()
 	total := 0.0
-	for _, j := range st.jobs {
-		total += st.remaining(j)
+	for i := range st.jobs {
+		total += max(st.jobs[i].threshold-st.V, 0)
 	}
 	return total
 }
@@ -281,100 +224,70 @@ func (st *station) clear() []*request {
 		st.reschedule()
 		return nil
 	}
-	jobs := append([]*jobRef(nil), st.jobs...)
+	jobs := st.jobs
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	reqs := make([]*request, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = j.req
+	for i := range jobs {
+		reqs[i] = jobs[i].req
 	}
-	st.jobs = nil
+	st.jobs = jobs[:0]
 	st.busy.Set(st.sim.Now(), 0)
 	st.occ.Set(st.sim.Now(), 0)
 	st.reschedule()
 	return reqs
 }
 
-// Job-heap primitives: a binary min-heap over (threshold, seq) with
-// position indexes maintained on every move so remove is O(log k).
+// Job-heap primitives: a binary min-heap over (threshold, seq), sifting
+// a hole so each level moves one job.
 
-func (st *station) jobLess(a, b *jobRef) bool {
+func jobLess(a, b *job) bool {
 	if a.threshold != b.threshold {
 		return a.threshold < b.threshold
 	}
 	return a.seq < b.seq
 }
 
-func (st *station) pushJob(j *jobRef) {
+func (st *station) pushJob(j job) {
 	st.jobs = append(st.jobs, j)
-	st.siftJobUp(len(st.jobs) - 1)
-}
-
-func (st *station) popJob() *jobRef {
-	j := st.jobs[0]
-	n := len(st.jobs) - 1
-	st.jobs[0] = st.jobs[n]
-	st.jobs[n] = nil
-	st.jobs = st.jobs[:n]
-	if n > 0 {
-		st.siftJobDown(0)
-	}
-	j.heapIdx = -1
-	return j
-}
-
-// deleteJob removes the job at heap position i.
-func (st *station) deleteJob(i int) {
-	j := st.jobs[i]
-	n := len(st.jobs) - 1
-	if i != n {
-		st.jobs[i] = st.jobs[n]
-		st.jobs[n] = nil
-		st.jobs = st.jobs[:n]
-		// The swapped-in element may need to move either way.
-		st.siftJobDown(i)
-		st.siftJobUp(i)
-	} else {
-		st.jobs[n] = nil
-		st.jobs = st.jobs[:n]
-	}
-	j.heapIdx = -1
-}
-
-func (st *station) siftJobUp(i int) {
 	jobs := st.jobs
-	node := jobs[i]
+	i := len(jobs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !st.jobLess(node, jobs[parent]) {
+		if !jobLess(&j, &jobs[parent]) {
 			break
 		}
 		jobs[i] = jobs[parent]
-		jobs[i].heapIdx = i
 		i = parent
 	}
-	jobs[i] = node
-	node.heapIdx = i
+	jobs[i] = j
 }
 
-func (st *station) siftJobDown(i int) {
+// popJob removes the minimum job and returns its request.
+func (st *station) popJob() *request {
 	jobs := st.jobs
-	n := len(jobs)
-	node := jobs[i]
+	req := jobs[0].req
+	n := len(jobs) - 1
+	node := jobs[n]
+	jobs = jobs[:n]
+	st.jobs = jobs
+	if n == 0 {
+		return req
+	}
+	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && st.jobLess(jobs[r], jobs[child]) {
+		if r := child + 1; r < n && jobLess(&jobs[r], &jobs[child]) {
 			child = r
 		}
-		if !st.jobLess(jobs[child], node) {
+		if !jobLess(&jobs[child], &node) {
 			break
 		}
 		jobs[i] = jobs[child]
-		jobs[i].heapIdx = i
 		i = child
 	}
 	jobs[i] = node
-	node.heapIdx = i
+	return req
 }

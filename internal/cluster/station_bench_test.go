@@ -19,7 +19,6 @@ func BenchmarkStationHighOccupancy(b *testing.B) {
 			sim := desim.New()
 			done := 0
 			st := newStation(sim, "bench", 1, func(*request, *station) { done++ })
-			st.recycleJobs = true // the runner's non-arena configuration
 			for i := 0; i < k; i++ {
 				st.add(&request{}, 1e15) // background jobs that never finish
 			}

@@ -133,22 +133,6 @@ func TestStationZeroCapacityStalls(t *testing.T) {
 	}
 }
 
-func TestStationRemove(t *testing.T) {
-	h := newStationHarness(1)
-	a, b := &request{}, &request{}
-	ja := h.st.add(a, 1.0)
-	h.st.add(b, 1.0)
-	// Remove A at t=0.5; B then has 0.75 left at full rate -> t=1.25.
-	h.sim.At(0.5, func() { h.st.remove(ja) })
-	h.sim.RunAll()
-	if len(h.done) != 1 || h.done[0] != b {
-		t.Fatal("wrong completions after remove")
-	}
-	if math.Abs(h.sim.Now()-1.25) > 1e-9 {
-		t.Fatalf("finished at %g, want 1.25", h.sim.Now())
-	}
-}
-
 func TestStationClear(t *testing.T) {
 	h := newStationHarness(1)
 	a, b := &request{}, &request{}

@@ -170,8 +170,12 @@ func TestFIFOPropertyWithCancellations(t *testing.T) {
 // on pending, fired, cancelled and stale handles, to distinct and equal
 // times — and requires every firing to be the reference's minimum by
 // (time, schedule order). A reschedule is a cancel plus a schedule in the
-// reference, so it must take the next place in schedule order. After every
-// step the engine's counters must account for exactly the pending events.
+// reference, so it must take the next place in schedule order. A firing
+// event's first scheduler call, which takes over the event's spent queue
+// entry, is in turn an At at the current time (behind its ties), an At
+// later, a Reschedule or a Cancel of another pending event, or nothing.
+// After every step, inside events too, the engine's counters and Pending
+// must account for exactly the pending events.
 func TestFIFOPropertyWithReschedules(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed + 2000))
@@ -241,6 +245,34 @@ func TestFIFOPropertyWithReschedules(t *testing.T) {
 				}
 			}
 		}
+		// first makes a firing event's first scheduler call of the given
+		// kind, reporting false for "nothing".
+		first := func(kind int) bool {
+			switch kind {
+			case 0:
+				push(s.Now(), s.At(s.Now(), fire(len(handles))))
+			case 1:
+				at := s.Now() + 1 + Time(rng.Intn(3))
+				push(at, s.At(at, fire(len(handles))))
+			case 2, 3:
+				if len(ref) == 0 {
+					return false
+				}
+				id := ref[rng.Intn(len(ref))].id
+				drop(id)
+				if kind == 3 {
+					if !handles[id].Cancel() {
+						t.Fatalf("seed %d: Cancel(%d) of a pending event failed", seed, id)
+					}
+					return true
+				}
+				at := s.Now() + Time(rng.Intn(4))
+				push(at, s.Reschedule(handles[id], at, fire(len(handles))))
+			default:
+				return false
+			}
+			return true
+		}
 		fire = func(id int) func() {
 			return func() {
 				sort.Slice(ref, func(a, b int) bool {
@@ -255,7 +287,8 @@ func TestFIFOPropertyWithReschedules(t *testing.T) {
 				ref = ref[1:]
 				fired++
 				check(1)
-				if fired < 500 {
+				if fired < 500 && first(fired%5) {
+					check(1)
 					for k := rng.Intn(3); k > 0; k-- {
 						act()
 						check(1)
@@ -277,6 +310,68 @@ func TestFIFOPropertyWithReschedules(t *testing.T) {
 		}
 		if fired == 0 {
 			t.Fatalf("seed %d: nothing fired", seed)
+		}
+	}
+}
+
+// TestPanickingEventThenReset: an event that panics leaves its spent
+// queue entry behind. Run must drop it and fire the rest in order, and a
+// Reset after a second panic must leave a simulator that pops a fresh
+// schedule in reference order.
+func TestPanickingEventThenReset(t *testing.T) {
+	s := New()
+	var got []int
+	boom := func() { panic("boom") }
+	runPanics := func() {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panicking event did not panic")
+			}
+		}()
+		s.RunAll()
+	}
+	s.At(1, func() { got = append(got, 1) })
+	s.At(2, boom)
+	s.At(2, func() { got = append(got, 2) })
+	s.At(3, func() { got = append(got, 3) })
+	runPanics()
+	if s.Pending() != 2 {
+		t.Fatalf("pending %d after the panic, want 2", s.Pending())
+	}
+	s.RunAll()
+	if fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("fired %v after the panic, want [1 2 3]", got)
+	}
+
+	s.At(4, boom)
+	s.At(5, func() { t.Error("event from before Reset fired") })
+	runPanics()
+	s.Reset()
+	if s.Pending() != 0 || s.Now() != 0 {
+		t.Fatalf("Reset after a panic: pending %d, now %g", s.Pending(), s.Now())
+	}
+	rng := rand.New(rand.NewSource(4000))
+	type ref struct {
+		at  Time
+		ord int
+	}
+	var refs []ref
+	got = got[:0]
+	for i := 0; i < 200; i++ {
+		i := i
+		at := Time(rng.Intn(8))
+		refs = append(refs, ref{at: at, ord: i})
+		s.At(at, func() { got = append(got, i) })
+	}
+	sort.SliceStable(refs, func(a, b int) bool { return refs[a].at < refs[b].at })
+	s.RunAll()
+	if len(got) != len(refs) {
+		t.Fatalf("fired %d of %d after Reset", len(got), len(refs))
+	}
+	for i := range got {
+		if got[i] != refs[i].ord {
+			t.Fatalf("after Reset, firing order diverges from reference at %d", i)
 		}
 	}
 }

@@ -11,7 +11,10 @@
 // their (time, seq) key inline beside the slot index, and every pending
 // slot records its heap position, so Cancel removes its event eagerly and
 // Reschedule re-keys one in place, each in O(log n). The queue therefore
-// holds exactly the pending events. The steady-state
+// holds exactly the pending events, plus the firing event's entry while
+// its function runs: Run leaves that entry at the root, the first event
+// the function schedules takes its place with one sift-down, and only an
+// event that schedules nothing pays a separate removal. The steady-state
 // schedule/fire/cancel/reschedule paths perform no allocations.
 package desim
 
@@ -89,6 +92,10 @@ type Simulator struct {
 	queue   []entry // binary min-heap keyed by (at, seq)
 	seq     uint64
 	stopped bool
+	// firing is set while queue[0] is the executing event's spent entry,
+	// which the next At overwrites and Run removes otherwise. The entry
+	// keeps the heap valid meanwhile: every pending event orders after it.
+	firing bool
 
 	// Engine counters. The simulator is single-writer by construction
 	// (events fire on one goroutine), so these are plain fields — an
@@ -140,7 +147,7 @@ func (s *Simulator) SetTracer(t Tracer) { s.tracer = t }
 
 // Stats is a point-in-time copy of the engine counters. Scheduled −
 // Fired − Cancelled is the number of pending events, except while an
-// event is executing (it has left the queue but is not yet counted as
+// event is executing (it is no longer pending but not yet counted as
 // fired).
 type Stats struct {
 	// Scheduled counts events accepted by At/After, plus one per
@@ -200,7 +207,7 @@ func (s *Simulator) Reset() {
 		s.free = append(s.free, int32(i))
 	}
 	s.queue = s.queue[:0]
-	s.now, s.seq, s.stopped = 0, 0, false
+	s.now, s.seq, s.stopped, s.firing = 0, 0, false, false
 	s.fired, s.scheduled, s.cancelled, s.maxQueue = 0, 0, 0, 0
 }
 
@@ -235,11 +242,21 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 	}
 	ev := &s.arena[idx]
 	ev.fn = fn
-	s.queue = append(s.queue, entry{at: t, seq: s.seq, idx: idx})
+	e := entry{at: t, seq: s.seq, idx: idx}
 	s.seq++
-	s.siftUp(len(s.queue) - 1)
-	if len(s.queue) > s.maxQueue {
-		s.maxQueue = len(s.queue)
+	if s.firing {
+		// Take the firing event's spent root: one sift-down instead of a
+		// removal plus a sift-up. The queue keeps its length, which the
+		// high-water mark has already seen.
+		s.firing = false
+		s.queue[0] = e
+		s.siftDown(0)
+	} else {
+		s.queue = append(s.queue, e)
+		s.siftUp(len(s.queue) - 1)
+		if len(s.queue) > s.maxQueue {
+			s.maxQueue = len(s.queue)
+		}
 	}
 	s.scheduled++
 	if s.tracer != nil {
@@ -294,23 +311,26 @@ func (s *Simulator) Stop() { s.stopped = true }
 // events executed during this call.
 func (s *Simulator) Run(horizon Time) uint64 {
 	s.stopped = false
+	s.dropFiring() // left behind by an event that panicked
 	var count uint64
 	for len(s.queue) > 0 && !s.stopped {
 		top := s.queue[0]
 		if top.at > horizon {
 			break
 		}
-		s.remove(0)
 		s.now = top.at
 		fn := s.arena[top.idx].fn
 		// Release before firing: the slot is immediately reusable by events
 		// fn schedules, and handles to this event go inert — matching the
-		// fired-event semantics (Pending false, Cancel a no-op).
+		// fired-event semantics (Pending false, Cancel a no-op). The entry
+		// stays at the root for fn's first At to overwrite.
 		s.release(top.idx)
+		s.firing = true
 		if s.tracer != nil {
 			s.tracer.TraceEvent(TraceFire, s.now, s.now)
 		}
 		fn()
+		s.dropFiring()
 		s.fired++
 		count++
 	}
@@ -328,9 +348,22 @@ func (s *Simulator) RunAll() uint64 {
 	return s.Run(math.Inf(1))
 }
 
-// Pending reports the number of events still queued.
+// Pending reports the number of events still queued. Inside an event the
+// executing event is not counted.
 func (s *Simulator) Pending() int {
+	if s.firing {
+		return len(s.queue) - 1
+	}
 	return len(s.queue)
+}
+
+// dropFiring removes the firing event's spent root entry if no At has
+// taken its place.
+func (s *Simulator) dropFiring() {
+	if s.firing {
+		s.firing = false
+		s.remove(0)
+	}
 }
 
 // release returns a slot to the free list and advances its generation so

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -52,19 +51,44 @@ func (p *Sessions) CloneProcess() ArrivalProcess {
 	return NewSessions(p.SessionRate, p.MeanRequests, p.Gap)
 }
 
-// sessionHeap is a min-heap of absolute request times.
+// sessionHeap is a min-heap of absolute request times. push and pop
+// swap elements exactly as container/heap's Push and Pop do, without
+// boxing each time through an interface.
 type sessionHeap []float64
 
-func (h sessionHeap) Len() int           { return len(h) }
-func (h sessionHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h sessionHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *sessionHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *sessionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+func (h *sessionHeap) push(t float64) {
+	*h = append(*h, t)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j] < q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *sessionHeap) pop() float64 {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2] < q[j] {
+			j = j2
+		}
+		if !(q[j] < q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // gapSample draws one think gap.
@@ -79,14 +103,14 @@ func (p *Sessions) gapSample(s *stats.Stream) float64 {
 // The first request fires at the session start; each subsequent request
 // follows with probability 1−1/MeanRequests after a think gap.
 func (p *Sessions) spawnSession(t float64, s *stats.Stream) {
-	heap.Push(&p.pending, t)
+	p.pending.push(t)
 	if p.MeanRequests == 1 {
 		return
 	}
 	cont := 1 - 1/p.MeanRequests
 	for s.Bernoulli(cont) {
 		t += p.gapSample(s)
-		heap.Push(&p.pending, t)
+		p.pending.push(t)
 	}
 }
 
@@ -100,11 +124,11 @@ func (p *Sessions) Next(s *stats.Stream) float64 {
 		}
 		// Materialize session arrivals that precede the earliest pending
 		// request.
-		for p.pending.Len() == 0 || p.nextArr <= p.pending[0] {
+		for len(p.pending) == 0 || p.nextArr <= p.pending[0] {
 			p.spawnSession(p.nextArr, s)
 			p.nextArr += s.ExpFloat64() / p.SessionRate
 		}
-		t := heap.Pop(&p.pending).(float64)
+		t := p.pending.pop()
 		if t < p.clock {
 			// A think gap landed in the past relative to an earlier pop —
 			// clamp (requests within a session are unordered in principle

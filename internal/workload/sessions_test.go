@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"container/heap"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -61,6 +64,44 @@ func TestSessionsMonotoneClock(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		if gap := p.Next(s); gap < 0 {
 			t.Fatalf("negative inter-arrival %g at %d", gap, i)
+		}
+	}
+}
+
+// oracleHeap drives container/heap, the reference for sessionHeap's
+// element order.
+type oracleHeap []float64
+
+func (h oracleHeap) Len() int           { return len(h) }
+func (h oracleHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h oracleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)        { *h = append(*h, x.(float64)) }
+func (h *oracleHeap) Pop() any {
+	old := *h
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return v
+}
+
+// TestSessionHeapMatchesContainerHeap: on random push/pop sequences, with
+// many equal times, the typed heap returns what container/heap returns
+// and keeps its elements in the same array order after every operation.
+func TestSessionHeapMatchesContainerHeap(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got sessionHeap
+		var want oracleHeap
+		for op := 0; op < 400; op++ {
+			if len(want) == 0 || rng.Intn(5) < 3 {
+				v := float64(rng.Intn(20)) / 4
+				got.push(v)
+				heap.Push(&want, v)
+			} else if g, w := got.pop(), heap.Pop(&want).(float64); g != w {
+				t.Fatalf("seed %d op %d: pop %g, container/heap %g", seed, op, g, w)
+			}
+			if !slices.Equal([]float64(got), want) {
+				t.Fatalf("seed %d op %d: heap %v, container/heap %v", seed, op, got, want)
+			}
 		}
 	}
 }
