@@ -23,7 +23,10 @@
 //
 // The report opens with each file's machine shape (nproc and GOMAXPROCS,
 // from its manifest config) and warns when the two differ: ns/op then
-// compares machines as well as code.
+// compares machines as well as code. It ends with one line per ladder
+// rung simbench tagged in the old file: the benchmark rows compared, the
+// rows with a regressed metric, and the median new/old ns/op ratio, so a
+// report says which layer moved.
 //
 // Exit codes: 0 no regression (identical or improved), 1 regression,
 // 2 metric present in old but missing from new, 3 usage or read error.
@@ -58,8 +61,10 @@ type options struct {
 // benchFile is the subset of simbench's File / obs.Manifest layout
 // benchdiff consumes.
 type benchFile struct {
+	Rungs      []string `json:"rungs"`
 	Benchmarks []struct {
 		Name          string  `json:"name"`
+		Rung          string  `json:"rung"`
 		NsPerOp       float64 `json:"ns_per_op"`
 		NsPerOpMin    float64 `json:"ns_per_op_min"`
 		NsPerOpMax    float64 `json:"ns_per_op_max"`
@@ -82,17 +87,25 @@ type metricsBlock struct {
 	Gauges   map[string]float64 `json:"gauges"`
 }
 
+// ladder is the rung tagging of a simbench file: the rungs in ladder
+// order and each benchmark's rung.
+type ladder struct {
+	order []string
+	of    map[string]string
+}
+
 // loadMetrics flattens one file into metric rows and reports the
-// machine shape it was measured on.
-func loadMetrics(path string) (map[string]float64, string, error) {
+// machine shape it was measured on and its rung tagging.
+func loadMetrics(path string) (map[string]float64, string, ladder, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return nil, "", ladder{}, err
 	}
 	var f benchFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
+		return nil, "", ladder{}, fmt.Errorf("%s: %w", path, err)
 	}
+	lad := ladder{order: f.Rungs, of: map[string]string{}}
 	config := f.Config
 	if f.Manifest != nil {
 		config = f.Manifest.Config
@@ -101,6 +114,9 @@ func loadMetrics(path string) (map[string]float64, string, error) {
 	switch {
 	case len(f.Benchmarks) > 0:
 		for _, b := range f.Benchmarks {
+			if b.Rung != "" {
+				lad.of[b.Name] = b.Rung
+			}
 			m[b.Name+"/ns_per_op"] = b.NsPerOp
 			m[b.Name+"/bytes_per_op"] = float64(b.BytesPerOp)
 			allocs := b.Name + "/allocs_per_op"
@@ -121,9 +137,9 @@ func loadMetrics(path string) (map[string]float64, string, error) {
 			m[k] = float64(v)
 		}
 	default:
-		return nil, "", fmt.Errorf("%s: neither a benchmarks array nor a metrics snapshot", path)
+		return nil, "", ladder{}, fmt.Errorf("%s: neither a benchmarks array nor a metrics snapshot", path)
 	}
-	return m, machineShape(config), nil
+	return m, machineShape(config), lad, nil
 }
 
 // machineShape renders the nproc and GOMAXPROCS a manifest config
@@ -171,9 +187,63 @@ func judge(name string, old, cur float64, opts options) verdict {
 	return vOK
 }
 
-// diff compares the two metric sets, writes the report, and returns the
-// exit code.
-func diff(oldM, newM map[string]float64, opts options, out io.Writer) int {
+// diff compares the two metric sets, writes the report (ending with the
+// per-rung summary of lad), and returns the exit code.
+func diff(oldM, newM map[string]float64, opts options, lad ladder, out io.Writer) int {
+	code := gate(oldM, newM, opts, out)
+	summarizeRungs(oldM, newM, opts, lad, out)
+	return code
+}
+
+// summarizeRungs writes one line per rung of lad: the benchmark rows of
+// that rung present in both files, how many of them have a regressed
+// gated metric, and the median new/old ns/op ratio over those rows.
+func summarizeRungs(oldM, newM map[string]float64, opts options, lad ladder, out io.Writer) {
+	compared := map[string]map[string]bool{} // rung -> benchmark -> regressed
+	ratios := map[string][]float64{}
+	for name, old := range oldM {
+		i := strings.LastIndexByte(name, '/')
+		if i < 0 {
+			continue
+		}
+		bench := name[:i]
+		rung, ok := lad.of[bench]
+		cur, present := newM[name]
+		if !ok || !present {
+			continue
+		}
+		if compared[rung] == nil {
+			compared[rung] = map[string]bool{}
+		}
+		compared[rung][bench] = compared[rung][bench] || judge(name, old, cur, opts) == vRegressed
+		if strings.HasSuffix(name, "/ns_per_op") && old > 0 {
+			ratios[rung] = append(ratios[rung], cur/old)
+		}
+	}
+	for _, rung := range lad.order {
+		rows := compared[rung]
+		if len(rows) == 0 {
+			fmt.Fprintf(out, "rung %-20s no rows compared\n", rung)
+			continue
+		}
+		regressed := 0
+		for _, r := range rows {
+			if r {
+				regressed++
+			}
+		}
+		rs := ratios[rung]
+		sort.Float64s(rs)
+		median := math.NaN()
+		if n := len(rs); n > 0 {
+			median = (rs[(n-1)/2] + rs[n/2]) / 2
+		}
+		fmt.Fprintf(out, "rung %-20s %3d rows compared, %d regressed, median new/old ns/op %.3f\n", rung, len(rows), regressed, median)
+	}
+}
+
+// gate writes the metric table and verdict and returns the exit code.
+func gate(oldM, newM map[string]float64, opts options, out io.Writer) int {
 	names := make([]string, 0, len(oldM))
 	for name := range oldM {
 		names = append(names, name)
@@ -252,12 +322,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchdiff: thresholds must be positive")
 		return exitUsageError
 	}
-	oldM, oldShape, err := loadMetrics(fs.Arg(0))
+	oldM, oldShape, lad, err := loadMetrics(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return exitUsageError
 	}
-	newM, newShape, err := loadMetrics(fs.Arg(1))
+	newM, newShape, _, err := loadMetrics(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return exitUsageError
@@ -270,7 +340,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nsThreshold:    *nsThreshold,
 		bytesThreshold: *bytesThreshold,
 		allowAllocs:    *allowAllocs,
-	}, stdout)
+	}, lad, stdout)
 }
 
 func main() {

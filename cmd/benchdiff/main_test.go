@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -255,5 +256,37 @@ func TestSpreadPrinted(t *testing.T) {
 		if !strings.HasSuffix(line, "info") {
 			t.Fatalf("no info row for %s:\n%s", row, stdout.String())
 		}
+	}
+}
+
+// TestRungSummary: the report ends with one line per rung of the old
+// file's ladder, in ladder order, counting the rows compared and
+// regressed and giving the median new/old ns/op ratio; a rung without
+// rows says so.
+func TestRungSummary(t *testing.T) {
+	old := writeBench(t, "old.json", `{"rungs":["analytic/eval","analytic/plan","simulation/desim"],"benchmarks":[
+  {"name":"BenchmarkPlan","rung":"analytic/plan","ns_per_op":100,"bytes_per_op":10,"allocs_per_op":5},
+  {"name":"BenchmarkPlanPeriods","rung":"analytic/plan","ns_per_op":200,"bytes_per_op":10,"allocs_per_op":5},
+  {"name":"BenchmarkPlanMinServers","rung":"analytic/plan","ns_per_op":400,"bytes_per_op":10,"allocs_per_op":5},
+  {"name":"BenchmarkDesimSchedule","rung":"simulation/desim","ns_per_op":50,"bytes_per_op":0,"allocs_per_op":0}
+]}`)
+	newPath := writeBench(t, "new.json", `{"benchmarks":[
+  {"name":"BenchmarkPlan","ns_per_op":50,"bytes_per_op":10,"allocs_per_op":5},
+  {"name":"BenchmarkPlanPeriods","ns_per_op":180,"bytes_per_op":10,"allocs_per_op":6},
+  {"name":"BenchmarkPlanMinServers","ns_per_op":400,"bytes_per_op":10,"allocs_per_op":5},
+  {"name":"BenchmarkDesimSchedule","ns_per_op":55,"bytes_per_op":0,"allocs_per_op":0}
+]}`)
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{old, newPath}, &stdout, &stderr); got != exitRegressed {
+		t.Fatalf("exit = %d, want %d\n%s", got, exitRegressed, stdout.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	want := []string{
+		"rung analytic/eval        no rows compared",
+		"rung analytic/plan          3 rows compared, 1 regressed, median new/old ns/op 0.900",
+		"rung simulation/desim       1 rows compared, 0 regressed, median new/old ns/op 1.100",
+	}
+	if got := lines[len(lines)-len(want):]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rung lines\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -105,9 +109,50 @@ func TestGCFreeCountsMarksUngatedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []bool{false, true, true} {
+	for i, want := range []bool{false, false, true} {
 		if got[i].AllocsUngated != want {
 			t.Fatalf("%s: allocs_ungated = %v, want %v", got[i].Name, got[i].AllocsUngated, want)
 		}
+	}
+}
+
+// Every row of the committed baseline sits on a ladder rung, the rungs
+// come in ladder order, and a benchmark no rung claims is an error.
+func TestTagRungs(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_simcore.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	records := f.Benchmarks
+	for i := range records {
+		records[i].Rung = ""
+	}
+	order, err := tagRungs(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"analytic/erlang", "analytic/eval", "analytic/plan", "analytic/serve",
+		"simulation/station", "simulation/desim", "simulation/cluster", "simulation/sweep", "simulation/repro"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("rung order %v, want %v", order, want)
+	}
+	for _, r := range records {
+		switch {
+		case strings.HasPrefix(r.Name, "BenchmarkServePlan/"), strings.HasPrefix(r.Name, "BenchmarkServeQuery"):
+			if r.Rung != "analytic/serve" {
+				t.Errorf("%s on rung %q", r.Name, r.Rung)
+			}
+		case strings.HasPrefix(r.Name, "BenchmarkPlan"):
+			if r.Rung != "analytic/plan" {
+				t.Errorf("%s on rung %q", r.Name, r.Rung)
+			}
+		}
+	}
+	if _, err := tagRungs([]Record{{Name: "BenchmarkNowhere"}}); err == nil {
+		t.Fatal("a benchmark on no rung was tagged")
 	}
 }

@@ -91,29 +91,45 @@ func (a *Arena) reclaim(st *station) {
 	st.jobs = nil
 }
 
-// ArenaPool shares arenas across sequential runs while keeping each
-// concurrent run on its own arena. The zero value is not usable; call
-// NewArenaPool. Returned arenas have their simulator reset eagerly, so a
-// pooled arena is always ready to run.
+// ArenaPool parks the arenas of finished runs and lends them to later
+// runs, each concurrent run its own. It is a mutex-guarded stack, not a
+// sync.Pool: a run takes a parked arena whenever one exists, whichever
+// goroutine or P it runs on, so a new arena is built only when more runs
+// overlap than ever have on this pool, and a collection never empties
+// it. Parked arenas therefore live until the pool itself is dropped —
+// at most one per run that was ever in flight at once. The zero value is
+// ready to use. Returned arenas have their simulator reset eagerly, so a
+// parked arena is always ready to run.
 type ArenaPool struct {
-	p sync.Pool
+	mu     sync.Mutex
+	parked []*Arena
 }
 
 // NewArenaPool returns an empty pool; arenas are created on demand.
-func NewArenaPool() *ArenaPool {
-	ap := &ArenaPool{}
-	ap.p.New = func() any { return NewArena() }
-	return ap
+func NewArenaPool() *ArenaPool { return &ArenaPool{} }
+
+// Get borrows the most recently parked arena, creating one if none is
+// parked.
+func (ap *ArenaPool) Get() *Arena {
+	ap.mu.Lock()
+	n := len(ap.parked)
+	if n == 0 {
+		ap.mu.Unlock()
+		return NewArena()
+	}
+	a := ap.parked[n-1]
+	ap.parked[n-1] = nil
+	ap.parked = ap.parked[:n-1]
+	ap.mu.Unlock()
+	return a
 }
 
-// Get borrows an arena, creating one if none is free.
-func (ap *ArenaPool) Get() *Arena { return ap.p.Get().(*Arena) }
-
 // Put resets the arena's simulator, clears its route storage (so a
-// parked arena keeps no station of the finished run alive) and returns
-// it to the pool.
+// parked arena keeps no station of the finished run alive) and parks it.
 func (ap *ArenaPool) Put(a *Arena) {
 	a.sim.Reset()
 	clear(a.legs[:cap(a.legs)])
-	ap.p.Put(a)
+	ap.mu.Lock()
+	ap.parked = append(ap.parked, a)
+	ap.mu.Unlock()
 }

@@ -76,8 +76,10 @@ func (s ServiceSpec) vmMemory() float64 {
 // ideally flowing. internal/rainbow provides implementations.
 type Partition interface {
 	// Shares maps per-VM backlogs (outstanding work) to per-VM capacity
-	// shares summing to at most 1.
-	Shares(backlogs []float64) []float64
+	// shares summing to at most 1, written into dst's storage when its
+	// capacity holds len(backlogs) (a new slice otherwise) and returned.
+	// The rebalancing tick passes one buffer for the whole run.
+	Shares(dst, backlogs []float64) []float64
 	// Period is the rebalancing interval in seconds; 0 means shares are
 	// computed once at start and never changed (static partitioning).
 	Period() float64

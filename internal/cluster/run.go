@@ -200,7 +200,7 @@ func (r *runner) build() {
 		h := &host{id: id, shard: shard, services: services, resources: resources, up: true, capability: capability}
 		if cfg.Mode == Consolidated && cfg.Alloc != nil {
 			// Partitioned: one station per VM per resource.
-			shares := cfg.Alloc.Shares(make([]float64, len(services)))
+			shares := cfg.Alloc.Shares(nil, make([]float64, len(services)))
 			h.vmStations = make([]map[string]*station, len(services))
 			for pos := range services {
 				h.vmStations[pos] = map[string]*station{}
@@ -270,22 +270,24 @@ func (r *runner) build() {
 	// Periodic Rainbow rebalancing. Consolidated mode is a single
 	// coupling component, so the tick always lives on shard 0. Stations
 	// are visited in the host's sorted resource order: the backlog sum and
-	// the rescheduling order must not follow map order.
+	// the rescheduling order must not follow map order. One backlog buffer
+	// and one share buffer serve every host on every tick.
 	if cfg.Mode == Consolidated && cfg.Alloc != nil && cfg.Alloc.Period() > 0 {
 		sim := r.sims[0]
+		var backlogs, shares []float64
 		var tick func()
 		tick = func() {
 			for _, h := range r.hosts {
 				if !h.up || h.vmStations == nil {
 					continue
 				}
-				backlogs := make([]float64, len(h.vmStations))
+				backlogs = append(backlogs[:0], make([]float64, len(h.vmStations))...)
 				for pos, vm := range h.vmStations {
 					for _, res := range h.resources {
 						backlogs[pos] += vm[res].backlog()
 					}
 				}
-				shares := cfg.Alloc.Shares(backlogs)
+				shares = cfg.Alloc.Shares(shares, backlogs)
 				for pos, vm := range h.vmStations {
 					for _, res := range h.resources {
 						vm[res].setCapacity(shares[pos] * (1 - cfg.Alloc.Overhead()) * h.capability(res))

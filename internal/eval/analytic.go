@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/erlang"
@@ -49,14 +50,18 @@ func (a *Analytic) Memo() *erlang.Memo { return a.memo }
 const evalLossTarget = 0.5
 
 // Evaluate scores the candidate analytically. It accepts raw or resolved
-// scenarios (defaults are applied to a private clone) and returns
+// scenarios (it compiles a private resolved copy) and returns
 // ErrUnsupported for scenarios outside the analytic model's domain —
 // closed-loop services, failure injection, or non-flowing allocators.
 func (a *Analytic) Evaluate(ctx context.Context, s scenario.Scenario) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	k, err := a.Compile(s)
+	resolved, err := s.Resolve()
+	if err != nil {
+		return Result{}, err
+	}
+	k, err := a.Compile(resolved)
 	if err != nil {
 		return Result{}, err
 	}
@@ -116,13 +121,13 @@ type kernelDemand struct {
 	rho float64 // ρᵢⱼ = λᵢ/μᵢⱼ (Eq. 3), a dedicated pool's offered traffic
 }
 
-// Compile validates s and bridges it to the analytic model once
+// Compile bridges a resolved scenario to the analytic model once
 // (ModelFromScenario), returning the kernel that scores placements of its
-// fleet. It accepts raw or resolved scenarios and fails exactly where
-// Evaluate does, with ErrUnsupported outside the model's domain.
-func (a *Analytic) Compile(s scenario.Scenario) (*Kernel, error) {
-	resolved := s.Clone()
-	resolved.ApplyDefaults()
+// fleet. The scenario must come from scenario.Scenario.Resolve, which
+// copied, defaulted and validated it; Compile reads it without doing any
+// of the three again, and fails where Evaluate does past validation, with
+// ErrUnsupported outside the model's domain.
+func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 	m, err := bridge(resolved, evalLossTarget)
 	if err != nil {
 		return nil, err
@@ -465,17 +470,15 @@ func scenarioPower(s scenario.Scenario) (power.ServerModel, power.Platform) {
 // on-demand resource flowing). Anything else returns ErrUnsupported; the
 // sim evaluator handles those scenarios.
 func ModelFromScenario(s scenario.Scenario, lossTarget float64) (*core.Model, error) {
-	resolved := s.Clone()
-	resolved.ApplyDefaults()
+	resolved, err := s.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	return bridge(resolved, lossTarget)
 }
 
-// bridge is ModelFromScenario on a private scenario with defaults
-// applied.
+// bridge is ModelFromScenario on a resolved scenario.
 func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error) {
-	if err := resolved.Validate(); err != nil {
-		return nil, err
-	}
 	if resolved.Periods != nil {
 		return nil, fmt.Errorf("%w: a periods scenario is time-varying; evaluate its resolved bins (EvaluatePeriods)", ErrUnsupported)
 	}
@@ -486,14 +489,11 @@ func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error)
 		return nil, fmt.Errorf("%w: explicit allocator policies have no analytic form (the model assumes ideal flowing)", ErrUnsupported)
 	}
 
-	resources, err := ScenarioResources(resolved)
-	if err != nil {
-		return nil, err
-	}
 	// vms[r] counts the services demanding resource r: the number of
 	// co-located VMs actively using r on a consolidated host, which is the
-	// v the impact curves a(v) are evaluated at.
-	vms := make(map[string]int, len(resources))
+	// v the impact curves a(v) are evaluated at. Its keys are the
+	// scenario's resources (ScenarioResources).
+	vms := make(map[string]int)
 	profiles := make([]profileInfo, len(resolved.Services))
 	for i := range resolved.Services {
 		svc := resolved.Services[i]
@@ -512,9 +512,10 @@ func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error)
 	}
 
 	m := &core.Model{LossTarget: lossTarget}
-	for _, r := range resources {
+	for r := range vms {
 		m.Resources = append(m.Resources, core.Resource(r))
 	}
+	slices.Sort(m.Resources)
 	seen := map[string]int{}
 	for i := range resolved.Services {
 		svc := resolved.Services[i]

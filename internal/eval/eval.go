@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
+	"repro/internal/jsonenc"
 	"repro/internal/scenario"
 )
 
@@ -81,6 +83,56 @@ type Result struct {
 	// (sim evaluator only). Excluded from JSON so serialized results stay
 	// independent of cache state.
 	CacheHit bool `json:"-"`
+}
+
+// AppendJSON appends the result's JSON encoding to b and returns the
+// extended buffer: the bytes json.Marshal writes from the struct tags,
+// which stay the reference. Like json.Marshal it fails on a NaN or
+// infinite number, with the same error.
+func (r Result) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"source":`...)
+	b = jsonenc.AppendString(b, r.Source)
+	b = append(b, `,"mode":`...)
+	b = jsonenc.AppendString(b, r.Mode)
+	b = append(b, `,"hosts":`...)
+	b = strconv.AppendInt(b, int64(r.Hosts), 10)
+	b = append(b, `,"capability_units":`...)
+	b, err := jsonenc.AppendFloat(b, r.CapabilityUnits)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"loss":`...)
+	if b, err = jsonenc.AppendFloat(b, r.Loss); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"services":`...)
+	if r.Services == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, sl := range r.Services {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = jsonenc.AppendString(b, sl.Name)
+			b = append(b, `,"loss":`...)
+			if b, err = jsonenc.AppendFloat(b, sl.Loss); err != nil {
+				return nil, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"utilization":`...)
+	if b, err = jsonenc.AppendFloat(b, r.Utilization); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"watts":`...)
+	if b, err = jsonenc.AppendFloat(b, r.Watts); err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // Evaluator scores one resolved scenario candidate. Implementations must

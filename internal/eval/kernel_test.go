@@ -102,7 +102,7 @@ func TestKernelScaleMatchesStationary(t *testing.T) {
 		}
 		flat := tc.s.Clone()
 		flat.Periods = nil
-		base, err := an.Compile(flat)
+		base, err := an.Compile(resolve(t, flat))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestKernelScaleMatchesStationary(t *testing.T) {
 // the wrong length, and a multiplier whose scaled rate is not a positive
 // finite Poisson rate.
 func TestKernelScaleRejects(t *testing.T) {
-	k, err := eval.NewAnalytic(nil).Compile(scenario.CaseStudy(4, 4, "consolidated", 4))
+	k, err := eval.NewAnalytic(nil).Compile(resolve(t, scenario.CaseStudy(4, 4, "consolidated", 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestKernelScoresDeclaredFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := an.Compile(s)
+		k, err := an.Compile(resolve(t, s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestKernelPricesTwinsAsOneClass(t *testing.T) {
 		{Name: "j", Preset: "intel", Count: 4, Power: &scenario.Power{BaseW: 230, MaxW: 310}},
 		{Name: "k", Preset: "intel", Count: 4},
 	}}
-	k, err := eval.NewAnalytic(nil).Compile(s)
+	k, err := eval.NewAnalytic(nil).Compile(resolve(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,4 +268,15 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// resolve returns s resolved for Compile, whose contract takes a
+// scenario.Scenario.Resolve copy.
+func resolve(t *testing.T, s scenario.Scenario) scenario.Scenario {
+	t.Helper()
+	r, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

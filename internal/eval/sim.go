@@ -57,9 +57,8 @@ func (e *Sim) EvaluateBatch(ctx context.Context, cands []scenario.Scenario) ([]R
 	points := make([]sweep.Point, len(cands))
 	resolved := make([]scenario.Scenario, len(cands))
 	for i := range cands {
-		r := cands[i].Clone()
-		r.ApplyDefaults()
-		if err := r.Validate(); err != nil {
+		r, err := cands[i].Resolve()
+		if err != nil {
 			return nil, err
 		}
 		if r.Periods != nil {

@@ -28,6 +28,10 @@ import (
 // larger count vector. It reports plan.ErrInfeasible when no vector meets
 // the target, and leaves Evaluations zero.
 func bruteForceHetero(s scenario.Scenario, target float64, objective string) (plan.Plan, error) {
+	s, err := s.Resolve()
+	if err != nil {
+		return plan.Plan{}, err
+	}
 	k, err := eval.NewAnalytic(nil).Compile(s)
 	if err != nil {
 		return plan.Plan{}, err

@@ -3,13 +3,14 @@ package plan
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"repro/internal/eval"
+	"repro/internal/jsonenc"
 	"repro/internal/pool"
 	"repro/internal/scenario"
 )
@@ -92,13 +93,107 @@ type PeriodPlan struct {
 }
 
 // EncodeJSON renders the period plan as stable, newline-terminated
-// indented JSON, the byte-diffable form CI goldens pin.
+// indented JSON, the byte-diffable form CI goldens pin: AppendJSON's
+// bytes indented, as json.MarshalIndent would.
 func (p PeriodPlan) EncodeJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(p, "", "  ")
+	return indent(p.AppendJSON(nil))
+}
+
+// AppendJSON appends the period plan's compact JSON encoding to b and
+// returns the extended buffer: the bytes json.Marshal writes from the
+// struct tags, which stay the reference, error included — a NaN number,
+// or the +Inf MigrationCostWh of a forced static plan.
+func (p PeriodPlan) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"objective":`...)
+	b = jsonenc.AppendString(b, p.Objective)
+	b = append(b, `,"target":`...)
+	b, err := jsonenc.AppendFloat(b, p.Target)
 	if err != nil {
-		return nil, fmt.Errorf("plan: encode: %w", err)
+		return nil, err
 	}
-	return append(b, '\n'), nil
+	b = append(b, `,"mode":`...)
+	b = jsonenc.AppendString(b, p.Mode)
+	b = append(b, `,"migration_cost_wh":`...)
+	if b, err = jsonenc.AppendFloat(b, p.MigrationCostWh); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"bins":`...)
+	if p.Bins == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range p.Bins {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = p.Bins[i].appendJSON(b); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if len(p.Migrations) > 0 {
+		b = append(b, `,"migrations":[`...)
+		for i, m := range p.Migrations {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"from":`...)
+			b = jsonenc.AppendString(b, m.From)
+			b = append(b, `,"to":`...)
+			b = jsonenc.AppendString(b, m.To)
+			b = append(b, `,"moves":`...)
+			b = strconv.AppendInt(b, int64(m.Moves), 10)
+			b = append(b, `,"cost_wh":`...)
+			if b, err = jsonenc.AppendFloat(b, m.CostWh); err != nil {
+				return nil, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{
+		{`,"energy_wh":`, p.EnergyWh},
+		{`,"migration_wh":`, p.MigrationWh},
+		{`,"total_wh":`, p.TotalWh},
+		{`,"total_kwh":`, p.TotalKWh},
+	} {
+		b = append(b, f.key...)
+		if b, err = jsonenc.AppendFloat(b, f.v); err != nil {
+			return nil, err
+		}
+	}
+	b = append(b, `,"evaluations":`...)
+	b = strconv.AppendInt(b, int64(p.Evaluations), 10)
+	return append(b, '}'), nil
+}
+
+// appendJSON appends the bin's JSON object to b, as json.Marshal would.
+func (bp *BinPlan) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"name":`...)
+	b = jsonenc.AppendString(b, bp.Name)
+	b = append(b, `,"seconds":`...)
+	b, err := jsonenc.AppendFloat(b, bp.Seconds)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"segment":`...)
+	b = strconv.AppendInt(b, int64(bp.Segment), 10)
+	b = append(b, `,"hosts":`...)
+	b = strconv.AppendInt(b, int64(bp.Hosts), 10)
+	b = appendPools(b, bp.Classes, bp.Dedicated)
+	b = append(b, `,"result":`...)
+	if b, err = bp.Result.AppendJSON(b); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"energy_wh":`...)
+	if b, err = jsonenc.AppendFloat(b, bp.EnergyWh); err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // SearchPeriods plans a periods scenario bin by bin and then smooths the
@@ -129,10 +224,10 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	if math.IsNaN(migrationCostWh) || migrationCostWh < 0 {
 		return PeriodPlan{}, fmt.Errorf("plan: migration cost %g Wh per move (want >= 0; +Inf forces a static plan)", migrationCostWh)
 	}
-	resolved := spec.Scenario.Clone()
-	resolved.ApplyDefaults()
-	// PeriodBins validates the scenario as Validate does, then requires
-	// periods.
+	resolved, err := spec.Scenario.Resolve()
+	if err != nil {
+		return PeriodPlan{}, err
+	}
 	bins, err := resolved.PeriodBins()
 	if err != nil {
 		return PeriodPlan{}, err

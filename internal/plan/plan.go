@@ -38,12 +38,15 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/eval"
+	"repro/internal/jsonenc"
 	"repro/internal/scenario"
 )
 
@@ -163,13 +166,85 @@ type Plan struct {
 
 // EncodeJSON renders the plan as stable, newline-terminated indented
 // JSON — the byte-diffable form cmd/consolidate prints and CI goldens
-// pin.
+// pin: AppendJSON's bytes indented, as json.MarshalIndent would.
 func (p Plan) EncodeJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(p, "", "  ")
+	return indent(p.AppendJSON(nil))
+}
+
+// AppendJSON appends the plan's compact JSON encoding to b and returns the
+// extended buffer: the bytes json.Marshal writes from the struct tags,
+// which stay the reference, error included for a NaN or infinite
+// number. It is the one encoder of plans, served (POST /v1/plan) and
+// printed (EncodeJSON).
+func (p Plan) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"objective":`...)
+	b = jsonenc.AppendString(b, p.Objective)
+	b = append(b, `,"target":`...)
+	b, err := jsonenc.AppendFloat(b, p.Target)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"mode":`...)
+	b = jsonenc.AppendString(b, p.Mode)
+	b = append(b, `,"hosts":`...)
+	b = strconv.AppendInt(b, int64(p.Hosts), 10)
+	b = appendPools(b, p.Classes, p.Dedicated)
+	b = append(b, `,"result":`...)
+	if b, err = p.Result.AppendJSON(b); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"evaluations":`...)
+	b = strconv.AppendInt(b, int64(p.Evaluations), 10)
+	return append(b, '}'), nil
+}
+
+// appendPools appends a placement's "classes" and "dedicated" members,
+// each omitted when empty as its omitempty tag says.
+func appendPools(b []byte, classes []ClassCount, dedicated []PoolSize) []byte {
+	if len(classes) > 0 {
+		b = append(b, `,"classes":[`...)
+		for i, c := range classes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = jsonenc.AppendString(b, c.Name)
+			b = append(b, `,"count":`...)
+			b = strconv.AppendInt(b, int64(c.Count), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(dedicated) > 0 {
+		b = append(b, `,"dedicated":[`...)
+		for i, d := range dedicated {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = jsonenc.AppendString(b, d.Name)
+			b = append(b, `,"servers":`...)
+			b = strconv.AppendInt(b, int64(d.Servers), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return b
+}
+
+// indent renders compact JSON from an AppendJSON as newline-terminated
+// two-space indented JSON, byte for byte what json.MarshalIndent prints.
+func indent(compact []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: encode: %w", err)
 	}
-	return append(b, '\n'), nil
+	var out bytes.Buffer
+	out.Grow(2 * len(compact))
+	if err := json.Indent(&out, compact, "", "  "); err != nil {
+		return nil, fmt.Errorf("plan: encode: %w", err)
+	}
+	out.WriteByte('\n')
+	return out.Bytes(), nil
 }
 
 // Apply stamps the plan's placement onto a scenario: the homogeneous

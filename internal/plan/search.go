@@ -23,9 +23,8 @@ func Search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec) (Pl
 	if err != nil {
 		return Plan{}, err
 	}
-	resolved := spec.Scenario.Clone()
-	resolved.ApplyDefaults()
-	if err := resolved.Validate(); err != nil {
+	resolved, err := spec.Scenario.Resolve()
+	if err != nil {
 		return Plan{}, err
 	}
 	if resolved.Periods != nil {

@@ -35,10 +35,22 @@ type Static struct {
 	Weights []float64
 }
 
-// Shares returns the fixed normalized weights, ignoring backlogs.
-func (s Static) Shares(backlogs []float64) []float64 {
+// shares returns dst resliced to n zeroed shares, reusing its storage
+// when its capacity holds n: the slice every policy's Shares fills.
+func shares(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	return dst
+}
+
+// Shares writes the fixed normalized weights into dst (see
+// cluster.Partition), ignoring backlogs.
+func (s Static) Shares(dst, backlogs []float64) []float64 {
 	n := len(backlogs)
-	out := make([]float64, n)
+	out := shares(dst, n)
 	if n == 0 {
 		return out
 	}
@@ -87,10 +99,11 @@ type Proportional struct {
 }
 
 // Shares divides capacity proportionally to backlog above the MinShare
-// floors. With zero total backlog it falls back to equal shares.
-func (p Proportional) Shares(backlogs []float64) []float64 {
+// floors, into dst (see cluster.Partition). With zero total backlog it
+// falls back to equal shares.
+func (p Proportional) Shares(dst, backlogs []float64) []float64 {
 	n := len(backlogs)
-	out := make([]float64, n)
+	out := shares(dst, n)
 	if n == 0 {
 		return out
 	}
@@ -164,13 +177,14 @@ type Priority struct {
 	Cost float64
 }
 
-// Shares allocates capacity by priority rank: within a rank, proportional
-// to backlog; each VM capped at DemandCap; leftover flows to lower ranks,
-// and any final remainder is spread equally (idle capacity still flows —
-// Rainbow's on-demand property).
-func (p Priority) Shares(backlogs []float64) []float64 {
+// Shares allocates capacity by priority rank, into dst (see
+// cluster.Partition): within a rank, proportional to backlog; each VM
+// capped at DemandCap; leftover flows to lower ranks, and any final
+// remainder is spread equally (idle capacity still flows — Rainbow's
+// on-demand property).
+func (p Priority) Shares(dst, backlogs []float64) []float64 {
 	n := len(backlogs)
-	out := make([]float64, n)
+	out := shares(dst, n)
 	if n == 0 {
 		return out
 	}
@@ -184,28 +198,23 @@ func (p Priority) Shares(backlogs []float64) []float64 {
 		}
 		return math.MaxInt32
 	}
-	// Distinct ranks ascending.
-	ranks := map[int][]int{}
-	var order []int
-	for i := 0; i < n; i++ {
-		rk := rank(i)
-		if _, ok := ranks[rk]; !ok {
-			order = append(order, rk)
-		}
-		ranks[rk] = append(ranks[rk], i)
-	}
-	// Insertion sort of the small rank list.
-	for i := 1; i < len(order); i++ {
-		for k := i; k > 0 && order[k] < order[k-1]; k-- {
-			order[k], order[k-1] = order[k-1], order[k]
-		}
-	}
+	// Visit the distinct ranks in ascending order, each rank's members in
+	// VM order, by rescanning the few VMs for the next larger rank.
 	remaining := 1.0
-	for _, rk := range order {
-		members := ranks[rk]
+	for prev, first := 0, true; ; first = false {
+		rk, found := 0, false
+		for i := 0; i < n; i++ {
+			if r := rank(i); (first || r > prev) && (!found || r < rk) {
+				rk, found = r, true
+			}
+		}
+		if !found {
+			break
+		}
+		prev = rk
 		total := 0.0
-		for _, i := range members {
-			if backlogs[i] > 0 {
+		for i := 0; i < n; i++ {
+			if rank(i) == rk && backlogs[i] > 0 {
 				total += backlogs[i]
 			}
 		}
@@ -213,8 +222,8 @@ func (p Priority) Shares(backlogs []float64) []float64 {
 			continue
 		}
 		granted := 0.0
-		for _, i := range members {
-			if backlogs[i] <= 0 {
+		for i := 0; i < n; i++ {
+			if rank(i) != rk || backlogs[i] <= 0 {
 				continue
 			}
 			want := remaining * backlogs[i] / total

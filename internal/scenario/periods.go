@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/diurnal"
 	"repro/internal/workload"
@@ -64,7 +65,11 @@ func (p *Periods) applyDefaults() {
 	for i := range p.Bins {
 		b := &p.Bins[i]
 		if b.Name == "" {
-			b.Name = fmt.Sprintf("h%02d", i)
+			prefix := "h"
+			if i < 10 {
+				prefix = "h0"
+			}
+			b.Name = prefix + strconv.Itoa(i)
 		}
 		if b.Multiplier == 0 && len(b.Multipliers) == 0 && p.BinSec > 0 {
 			b.Multiplier = shape.At(float64(i) * p.BinSec)
@@ -180,40 +185,41 @@ func (s Scenario) Stationary(label string, mults []float64) (Scenario, error) {
 	return resolved, nil
 }
 
-// PeriodBins resolves a periods scenario's bins — index, name, duration
-// and per-service multipliers — with ResolvePeriods' validation, but
-// leaves each bin's Scenario zero: a caller scoring rescaled kernels
-// needs no more.
+// PeriodBins lists a resolved periods scenario's bins — index, name,
+// duration and per-service multipliers — and leaves each bin's Scenario
+// zero: a caller scoring rescaled kernels needs no more. The receiver
+// must be resolved (Resolve), which defaulted and validated its periods;
+// PeriodBins does neither again. ResolvePeriods accepts a raw scenario.
 func (s Scenario) PeriodBins() ([]PeriodScenario, error) {
-	resolved := s.ownDefaults()
-	resolved.ApplyDefaults()
-	if err := resolved.validate(); err != nil {
-		return nil, err
-	}
-	if resolved.Periods == nil {
+	p := s.Periods
+	if p == nil {
 		return nil, fmt.Errorf("%w: scenario has no periods", ErrInvalid)
 	}
-	p := resolved.Periods
 	out := make([]PeriodScenario, len(p.Bins))
 	for b := range p.Bins {
-		out[b] = PeriodScenario{Index: b, Name: p.Bins[b].Name, Seconds: p.BinSec, Multipliers: p.binMultipliers(b, len(resolved.Services))}
+		out[b] = PeriodScenario{Index: b, Name: p.Bins[b].Name, Seconds: p.BinSec, Multipliers: p.binMultipliers(b, len(s.Services))}
 	}
 	return out, nil
 }
 
-// ResolvePeriods is PeriodBins plus each bin's stationary sub-scenario:
-// bin b keeps everything about the scenario except that each service's
-// arrival process becomes Poisson at the bin's multiplier times the
-// service's mean rate. The mean (not instantaneous) rate is deliberate: a
-// bin is the stationary regime the paper's model prices, so an NHPP or
-// MMPP base process contributes its cycle mean.
+// ResolvePeriods resolves s and lists its bins (PeriodBins), each with
+// its stationary sub-scenario: bin b keeps everything about the scenario
+// except that each service's arrival process becomes Poisson at the
+// bin's multiplier times the service's mean rate. The mean (not
+// instantaneous) rate is deliberate: a bin is the stationary regime the
+// paper's model prices, so an NHPP or MMPP base process contributes its
+// cycle mean.
 func (s Scenario) ResolvePeriods() ([]PeriodScenario, error) {
-	bins, err := s.PeriodBins()
+	resolved, err := s.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	bins, err := resolved.PeriodBins()
 	if err != nil {
 		return nil, err
 	}
 	for b := range bins {
-		if bins[b].Scenario, err = s.Stationary(bins[b].Name, bins[b].Multipliers); err != nil {
+		if bins[b].Scenario, err = resolved.Stationary(bins[b].Name, bins[b].Multipliers); err != nil {
 			return nil, fmt.Errorf("periods bin %d: %w", b, err)
 		}
 	}

@@ -145,8 +145,13 @@ func TestResolvePeriods(t *testing.T) {
 		}
 	}
 
-	// PeriodBins is the same resolution without the sub-scenarios.
-	bare, err := s.PeriodBins()
+	// PeriodBins of the resolved scenario is the same resolution without
+	// the sub-scenarios.
+	resolved, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := resolved.PeriodBins()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -400,6 +400,20 @@ func (s *Scenario) ApplyDefaults() {
 	}
 }
 
+// Resolve returns the resolved scenario: a deep copy of s (Clone) with
+// its defaults applied, validated once. Planners and evaluators resolve a
+// request's scenario once and hand the copy down to PeriodBins and
+// eval.Analytic.Compile, which neither copy, default nor validate it
+// again. The receiver is left as it was.
+func (s Scenario) Resolve() (Scenario, error) {
+	resolved := s.Clone()
+	resolved.ApplyDefaults()
+	if err := resolved.validate(); err != nil {
+		return Scenario{}, err
+	}
+	return resolved, nil
+}
+
 // Validate checks the scenario. It accepts both raw and resolved
 // scenarios: zero-valued optional fields are treated as their defaults.
 // The receiver is left as it was.
@@ -413,8 +427,8 @@ func (s Scenario) Validate() error {
 // about to write through — Power, Replication and the fleet's class list
 // when one of their fields is unset, Periods and its bins always — so
 // defaulting the copy leaves the caller's scenario untouched. It copies
-// nothing for a resolved periods-free scenario, which the planners and
-// every sweep point validate on their request paths; a default added to
+// nothing for a resolved periods-free scenario, which every sweep point
+// validates and compiles on its request path; a default added to
 // ApplyDefaults behind a shared pointer must be added here too.
 func (s Scenario) ownDefaults() Scenario {
 	if p := s.Power; p != nil && (p.BaseW == 0 && p.MaxW == 0 || p.Platform == "") {

@@ -172,10 +172,10 @@ func TestApplyDefaults(t *testing.T) {
 	}
 }
 
-// Validate and Compile default a private working copy: a scenario whose
-// power, replication, periods and class list were left for defaulting
-// marshals byte-identically afterwards, even through the pointers a
-// periods-free copy shares with it.
+// Validate, Resolve and Compile default a private working copy: a
+// scenario whose power, replication, periods and class list were left for
+// defaulting marshals byte-identically afterwards, even through the
+// pointers a periods-free copy shares with it.
 func TestValidateAndCompileLeaveScenarioUntouched(t *testing.T) {
 	s, err := ParseBytes([]byte(`{
   "services": [{"profile": {"preset": "specweb-ecommerce"}, "arrivals": {"kind": "poisson", "rate": 100}}],
@@ -205,10 +205,14 @@ func TestValidateAndCompileLeaveScenarioUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	unchanged("Validate")
-	if _, err := s.PeriodBins(); err != nil {
+	if _, err := s.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	unchanged("PeriodBins")
+	unchanged("Resolve")
+	if _, err := s.ResolvePeriods(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("ResolvePeriods")
 	flat := s
 	flat.Periods = nil
 	if _, err := flat.Compile(); err != nil {

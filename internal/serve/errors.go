@@ -69,6 +69,16 @@ func writeResponse(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
+// writeSized is writeResponse with a Content-Length header, for bodies
+// that may outgrow the 2 KiB net/http buffers before it falls back to
+// chunked encoding. The GET hot path keeps writeResponse: its bodies fit
+// the buffer, which net/http sizes itself, and the header would cost it
+// allocations.
+func writeSized(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Length"] = []string{strconv.Itoa(len(body))}
+	writeResponse(w, status, body)
+}
+
 // writeJSON marshals v; a marshal failure (a programming error — every
 // response type here is marshalable) degrades to a 500.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -77,5 +87,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "encoding response: "+err.Error())
 		return
 	}
-	writeResponse(w, status, body)
+	writeSized(w, status, body)
+}
+
+// jsonAppender is a response that appends its own JSON encoding, byte
+// for byte what json.Marshal writes: plan.Plan and plan.PeriodPlan.
+type jsonAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
+}
+
+// writeAppended writes v's JSON as a 200 with its Content-Length,
+// appended into a pooled buffer. An encoding failure (a NaN or infinite
+// number) is writeJSON's 500, with the same message.
+func (s *Server) writeAppended(w http.ResponseWriter, v jsonAppender) {
+	rb := s.bufs.Get().(*respBuf)
+	defer s.bufs.Put(rb)
+	out, err := v.AppendJSON(rb.b[:0])
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, "encoding response: "+err.Error())
+		return
+	}
+	writeSized(w, http.StatusOK, out)
+	rb.b = out[:0]
 }

@@ -4,6 +4,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+
+	"repro/internal/jsonenc"
 )
 
 // The single-query GET endpoints are the service's hot path: parse the raw
@@ -180,9 +182,15 @@ func (s *Server) answerLoss(raw string, buf []byte) ([]byte, int) {
 	return buf, 200
 }
 
-// appendFloat appends v in the shortest round-trip form — the same
-// encoding JFloat and encoding/json use, so every number in the API is
-// byte-deterministic.
+// appendFloat appends v in encoding/json's number form (jsonenc), so a
+// GET answer prints the same bytes as the same query answered through
+// /v1/batch. Every value the answerers print is finite: the memo refuses
+// a non-finite rho before anything is computed, and the rest derive from
+// a finite rho and a loss in [0, 1], so a failure here is a bug.
 func appendFloat(buf []byte, v float64) []byte {
-	return strconv.AppendFloat(buf, v, 'g', -1, 64)
+	out, err := jsonenc.AppendFloat(buf, v)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 
@@ -16,8 +17,9 @@ import (
 // same JSON cmd/simulate runs), a loss target, and the placement search's
 // objective and evaluator.
 type PlanRequest struct {
-	// Scenario is the embedded scenario document; it is parsed with the
-	// scenario package's strict decoder so unknown fields are rejected.
+	// Scenario is the embedded scenario document. The handler decodes it
+	// in the same strict pass as the rest of the body (planBody), so
+	// unknown fields inside it are rejected too.
 	Scenario json.RawMessage `json:"scenario"`
 
 	// Target is the loss-probability target B in (0, 1).
@@ -54,20 +56,53 @@ type PlanPeriods struct {
 	MigrationCostWh float64 `json:"migration_cost_wh,omitempty"`
 }
 
+// planBody is the shape handlePlan decodes a PlanRequest into: its
+// Scenario field shadows PlanRequest.Scenario, so one strict decoder
+// fills the request and its scenario in a single pass over the body, and
+// the scenario is never re-parsed from raw bytes.
+type planBody struct {
+	PlanRequest
+	Scenario *scenario.Scenario `json:"scenario"`
+}
+
+// decodePlanBody strictly decodes one plan request body.
+func decodePlanBody(r io.Reader) (planBody, error) {
+	var body planBody
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&body)
+	return body, err
+}
+
 // handlePlan searches a placement over the unified evaluation layer: the
 // cheapest fleet (by the requested objective) whose worst per-service
 // loss meets the target. Infeasible supply is a structured 422, analytic
 // domain errors (closed-loop services, failure injection) a 400.
+//
+// The body and its scenario are decoded in one strict pass (planBody).
+// Against decoding a PlanRequest and then scenario.ParseBytes of its raw
+// Scenario, three edges differ, each pinned by TestPlanDecodeEdges:
+//   - "scenario": null leaves the scenario nil, which gets the "plan needs
+//     a scenario" 400 (it used to parse as an empty scenario and fail
+//     validation);
+//   - an unknown field inside the scenario is the decoder's 400,
+//     "decoding request body: json: unknown field ...", not "scenario:
+//     invalid: ...";
+//   - a repeated "scenario" key merges into the first value, where the
+//     raw message used to be replaced by the last.
+//
+// The plan is appended into a pooled buffer and written with its
+// Content-Length (writeAppended).
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if !s.decodePost(w, r, func(r *http.Request) error {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		return dec.Decode(&req)
+	var body planBody
+	if !s.decodePost(w, r, func(r *http.Request) (err error) {
+		body, err = decodePlanBody(r.Body)
+		return err
 	}) {
 		return
 	}
-	if len(req.Scenario) == 0 {
+	req := &body.PlanRequest
+	if body.Scenario == nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "plan needs a scenario")
 		return
 	}
@@ -101,23 +136,19 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sc, err := scenario.ParseBytes(req.Scenario)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
 
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	spec := plan.Spec{
-		Scenario:  sc,
+		Scenario:  *body.Scenario,
 		Target:    req.Target,
 		Objective: req.Objective,
 		Seed:      req.Seed,
 		MaxIters:  req.MaxIters,
 	}
-	var result any
+	var result jsonAppender
 	var evaluations int
+	var err error
 	if req.Periods != nil {
 		pp, perr := plan.SearchPeriods(ctx, ev, s.cfg.Pool, spec, req.Periods.MigrationCostWh)
 		result, evaluations, err = pp, pp.Evaluations, perr
@@ -134,8 +165,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	default:
-		// Scenario validation failures surface here (Search revalidates
-		// its private clone); treat anything that is not an execution
+		// Scenario validation failures surface here (Search validates
+		// its resolved copy); treat anything that is not an execution
 		// error as a bad request. A periods block on a periods-free
 		// scenario (and the converse), or a retired knob, lands here too.
 		if r.Context().Err() == nil && ctx.Err() == nil {
@@ -147,5 +178,5 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.plansRun.Inc()
 	s.planEvals.Add(uint64(evaluations))
-	writeJSON(w, http.StatusOK, result)
+	s.writeAppended(w, result)
 }

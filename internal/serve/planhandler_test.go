@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/plan"
 )
 
@@ -220,5 +224,72 @@ func TestPlanEndpointInfeasible(t *testing.T) {
 	}
 	if got := decodeError(t, w); got.Code != CodeInfeasible {
 		t.Fatalf("code %s, want %s", got.Code, CodeInfeasible)
+	}
+}
+
+// A served plan carries its length: a plan-day response, larger than the
+// 2 KiB net/http buffers before it falls back to chunked encoding,
+// arrives over a real connection with Content-Length equal to its body,
+// no Transfer-Encoding, and the CLI golden's bytes compacted. A plan that
+// holds NaN still gets the structured 500.
+func TestServedPlanResponse(t *testing.T) {
+	s := newTestServer(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	day, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "periods-day.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(PlanRequest{Scenario: day, Target: 0.05, Periods: &PlanPeriods{MigrationCostWh: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("a %d-byte response fits the net/http buffer; the case needs a larger one", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+		t.Fatalf("Content-Length %d and Transfer-Encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "consolidate", "testdata", "golden", "plan-periods.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, golden); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("served plan-day response\n%s\nis not the CLI golden compacted\n%s", body, want.Bytes())
+	}
+
+	nan := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.writeAppended(w, plan.Plan{Result: eval.Result{Loss: math.NaN()}})
+	}))
+	defer nan.Close()
+	resp, err = http.Get(nan.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Reset()
+	want.WriteString(`{"error":{"code":"internal","message":"encoding response: json: unsupported value: NaN"}}`)
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("NaN plan: status %d body %s, want 500 %s", resp.StatusCode, body, want.Bytes())
 	}
 }

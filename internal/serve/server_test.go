@@ -141,8 +141,9 @@ func TestLossEndpoint(t *testing.T) {
 
 	// Far past the memo's prefix cap the direct recursion answers, and it
 	// stops once B underflows to 0 instead of stepping a billion servers.
+	// The utilization prints in encoding/json's form, as /v1/batch does.
 	w = get(t, s, "/v1/loss?n=1000000000&rho=5")
-	want := `{"n":1000000000,"rho":5,"loss":0,"carried":5,"utilization":5e-09,"wait":0}`
+	want := `{"n":1000000000,"rho":5,"loss":0,"carried":5,"utilization":5e-9,"wait":0}`
 	if w.Code != 200 || w.Body.String() != want {
 		t.Errorf("n=1e9: status %d body %s, want %s", w.Code, w.Body.String(), want)
 	}
@@ -482,4 +483,66 @@ func (w *nullResponseWriter) WriteHeader(c int)   { w.status = c }
 func (w *nullResponseWriter) Write(p []byte) (int, error) {
 	w.n += len(p)
 	return len(p), nil
+}
+
+// A GET answer and the same query answered through /v1/batch print every
+// number alike, in encoding/json's form: at rho = 1e6, where strconv's
+// 'g' form would print 1e+06, and at a loss between 1e-6 and 1e-4, where
+// it would print an exponent.
+func TestGetAndBatchNumbersAgree(t *testing.T) {
+	s := newTestServer(t)
+	for _, tc := range []struct {
+		get   string
+		query Query
+	}{
+		{"/v1/servers?rho=1000000&target=0.01", Query{Kind: "servers", Rho: 1e6, Target: 0.01}},
+		{"/v1/loss?n=1000000&rho=1000000", Query{Kind: "loss", N: 1e6, Rho: 1e6}},
+		{"/v1/loss?n=17&rho=5", Query{Kind: "loss", N: 17, Rho: 5}},
+	} {
+		w := get(t, s, tc.get)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.get, w.Code, w.Body.String())
+		}
+		var got map[string]json.RawMessage
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(BatchRequest{Queries: []Query{tc.query}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := post(t, s, "/v1/batch", string(body))
+		if bw.Code != http.StatusOK {
+			t.Fatalf("batch %+v: status %d: %s", tc.query, bw.Code, bw.Body.String())
+		}
+		var batch struct {
+			Results []map[string]json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(bw.Body.Bytes(), &batch); err != nil {
+			t.Fatal(err)
+		}
+		want := batch.Results[0]
+		var echo map[string]json.RawMessage
+		if err := json.Unmarshal(want["query"], &echo); err != nil {
+			t.Fatal(err)
+		}
+		for field, raw := range got {
+			ref, ok := want[field]
+			if !ok {
+				ref, ok = echo[field]
+			}
+			if !ok {
+				t.Fatalf("%s: field %q missing from the batch answer %s", tc.get, field, bw.Body.String())
+			}
+			if string(raw) != string(ref) {
+				t.Errorf("%s: %s = %s, batch prints %s", tc.get, field, raw, ref)
+			}
+		}
+		if tc.query.N == 17 {
+			var loss float64
+			if err := json.Unmarshal(got["loss"], &loss); err != nil || !(loss > 1e-6 && loss < 1e-4) {
+				t.Fatalf("loss %s (%v): the case must lie between 1e-6 and 1e-4", got["loss"], err)
+			}
+		}
+	}
 }

@@ -14,8 +14,10 @@ import (
 // JFloat is a float64 whose JSON form survives NaN and ±Inf: single-rep
 // points carry infinite confidence bounds and an idle service's mean
 // response time is NaN, and encoding/json refuses both. Finite values use
-// the standard shortest round-trip encoding, so cached numbers are
-// bit-exact.
+// strconv's shortest round-trip 'g' form, so cached numbers are bit-exact.
+// It stays 'g' (1e-05, 1e+06), not the encoding/json form the rest of the
+// API prints (0.00001, 1000000), so the points already in a result cache
+// keep their bytes.
 type JFloat float64
 
 // MarshalJSON encodes NaN and ±Inf as JSON strings, finite values as
