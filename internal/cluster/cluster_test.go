@@ -536,9 +536,6 @@ func TestEnergyAccounting(t *testing.T) {
 	if total <= idle {
 		t.Fatal("busy servers should exceed idle energy")
 	}
-	if res.MeanPower(power.DefaultServer, power.NativeLinux) <= 0 {
-		t.Fatal("mean power not positive")
-	}
 	if math.IsNaN(total) || math.IsNaN(idle) {
 		t.Fatal("NaN energy")
 	}

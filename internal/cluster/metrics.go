@@ -132,16 +132,6 @@ func (r *Result) Energy(model power.ServerModel, platform power.Platform) (total
 	return total, idle
 }
 
-// MeanPower reports the time-average power draw in watts on the given
-// platform.
-func (r *Result) MeanPower(model power.ServerModel, platform power.Platform) float64 {
-	if r.Window <= 0 {
-		return 0
-	}
-	total, _ := r.Energy(model, platform)
-	return total / r.Window
-}
-
 // String renders a compact report.
 func (r *Result) String() string {
 	var b strings.Builder

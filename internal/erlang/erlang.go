@@ -60,40 +60,6 @@ func MustB(n int, rho float64) float64 {
 	return b
 }
 
-// BClosedForm computes Erlang B by the textbook closed form of Eq. (1),
-//
-//	B = (ρⁿ/n!) / Σ_{k=0..n} ρᵏ/k!
-//
-// evaluated in log space to avoid overflow. It exists as an independent
-// oracle for testing the recursion; production code should use B.
-func BClosedForm(n int, rho float64) (float64, error) {
-	if n < 0 || rho < 0 || math.IsNaN(rho) || math.IsInf(rho, 0) {
-		return 0, fmt.Errorf("%w: BClosedForm(n=%d, rho=%g)", ErrInvalidInput, n, rho)
-	}
-	if rho == 0 {
-		if n == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	logRho := math.Log(rho)
-	// log(ρᵏ/k!) for k = 0..n; normalize by the max to avoid overflow when
-	// exponentiating.
-	logTerms := make([]float64, n+1)
-	maxLog := math.Inf(-1)
-	for k := 0; k <= n; k++ {
-		logTerms[k] = float64(k)*logRho - logGamma(float64(k)+1)
-		if logTerms[k] > maxLog {
-			maxLog = logTerms[k]
-		}
-	}
-	sum := 0.0
-	for k := 0; k <= n; k++ {
-		sum += math.Exp(logTerms[k] - maxLog)
-	}
-	return math.Exp(logTerms[n]-maxLog) / sum, nil
-}
-
 func logGamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
@@ -230,24 +196,6 @@ func Utilization(n int, rho float64) (float64, error) {
 		return 0, err
 	}
 	return c / float64(n), nil
-}
-
-// MeanWaitMM reports the mean waiting time in queue of an M/M/n system with
-// arrival rate lambda and per-server rate mu (Erlang C × 1/(nμ−λ)). It
-// returns +Inf for unstable systems.
-func MeanWaitMM(n int, lambda, mu float64) (float64, error) {
-	if n <= 0 || lambda < 0 || mu <= 0 {
-		return 0, fmt.Errorf("%w: MeanWaitMM(n=%d, lambda=%g, mu=%g)", ErrInvalidInput, n, lambda, mu)
-	}
-	rho := lambda / mu
-	if rho >= float64(n) {
-		return math.Inf(1), nil
-	}
-	c, err := C(n, rho)
-	if err != nil {
-		return 0, err
-	}
-	return c / (float64(n)*mu - lambda), nil
 }
 
 // StateDistribution returns the stationary distribution π₀..πₙ of the

@@ -42,18 +42,6 @@ func ExampleTraffic() {
 	// 3 servers carry 0.899 Erlangs at B<=0.05
 }
 
-// ExampleEngset sizes for a finite population of TPC-W emulated browsers:
-// 50 EBs thinking 7 s between requests of mean 10 ms.
-func ExampleEngset() {
-	blocking, err := erlang.Engset(2, 50, 1.0/7, 100)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Engset blocking with 2 servers, 50 EBs: %.6f\n", blocking)
-	// Output:
-	// Engset blocking with 2 servers, 50 EBs: 0.002238
-}
-
 // ExampleBContinuous evaluates the fractional-server extension used for
 // heterogeneous pools: 3 AMD machines plus 1 Intel machine worth 0.83 of
 // an AMD give 3.83 reference servers.

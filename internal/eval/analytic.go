@@ -480,7 +480,7 @@ func ModelFromScenario(s scenario.Scenario, lossTarget float64) (*core.Model, er
 // bridge is ModelFromScenario on a resolved scenario.
 func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error) {
 	if resolved.Periods != nil {
-		return nil, fmt.Errorf("%w: a periods scenario is time-varying; evaluate its resolved bins (EvaluatePeriods)", ErrUnsupported)
+		return nil, fmt.Errorf("%w: a periods scenario is time-varying; plan it bin by bin (plan.SearchPeriods)", ErrUnsupported)
 	}
 	if resolved.Failures != nil {
 		return nil, fmt.Errorf("%w: failure injection has no analytic form", ErrUnsupported)

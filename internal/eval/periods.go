@@ -6,22 +6,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// PeriodResult is one time bin's evaluation in a multi-period score.
-type PeriodResult struct {
-	// Name is the bin's name from the periods spec.
-	Name string `json:"name"`
-
-	// Seconds is the bin's duration.
-	Seconds float64 `json:"seconds"`
-
-	// Result is the bin's stationary sub-scenario evaluation.
-	Result Result `json:"result"`
-
-	// EnergyWh is the bin's energy at the result's steady-state draw:
-	// Watts × Seconds / 3600.
-	EnergyWh float64 `json:"energy_wh"`
-}
-
 // BatchEvaluator is implemented by evaluators that can score many
 // candidates as one batch. Sim lowers the whole batch onto a single
 // sweep-engine run, so the bins of a periods scenario share one pass
@@ -45,37 +29,6 @@ func EvaluateBatch(ctx context.Context, ev Evaluator, cands []scenario.Scenario)
 			return nil, err
 		}
 		out[i] = r
-	}
-	return out, nil
-}
-
-// EvaluatePeriods scores a periods scenario bin by bin: each bin's
-// stationary sub-scenario (scenario.ResolvePeriods) is evaluated on the
-// fixed fleet the scenario declares, and the bins come back in period
-// order with their energies. The Analytic evaluator prices every bin off
-// its shared Erlang memo tables; Sim runs all bins as one sweep-engine
-// batch.
-func EvaluatePeriods(ctx context.Context, ev Evaluator, s scenario.Scenario) ([]PeriodResult, error) {
-	bins, err := s.ResolvePeriods()
-	if err != nil {
-		return nil, err
-	}
-	cands := make([]scenario.Scenario, len(bins))
-	for i, b := range bins {
-		cands[i] = b.Scenario
-	}
-	results, err := EvaluateBatch(ctx, ev, cands)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PeriodResult, len(bins))
-	for i, b := range bins {
-		out[i] = PeriodResult{
-			Name:     b.Name,
-			Seconds:  b.Seconds,
-			Result:   results[i],
-			EnergyWh: results[i].Watts * b.Seconds / 3600,
-		}
 	}
 	return out, nil
 }

@@ -34,7 +34,7 @@ func periodsScenario() scenario.Scenario {
 }
 
 // Both evaluators refuse a periods scenario whole: it has no single
-// stationary operating point, so callers must go through EvaluatePeriods.
+// stationary operating point, so callers score its resolved bins.
 func TestEvaluatorsRejectPeriods(t *testing.T) {
 	s := periodsScenario()
 	for _, ev := range []eval.Evaluator{eval.NewAnalytic(nil), eval.NewSim(nil)} {
@@ -47,46 +47,40 @@ func TestEvaluatorsRejectPeriods(t *testing.T) {
 	}
 }
 
-// EvaluatePeriods is exactly per-bin Evaluate on the resolved stationary
-// sub-scenarios — same bin names, durations, Results, and Watts×time/3600
-// energy accounting.
+// Scoring a periods scenario's resolved bins as one batch is exactly
+// per-bin Evaluate on the stationary sub-scenarios, for both evaluators.
 func TestEvaluatePeriodsMatchesPerBin(t *testing.T) {
 	s := periodsScenario()
 	bins, err := s.ResolvePeriods()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := make([]scenario.Scenario, len(bins))
+	for i, b := range bins {
+		cands[i] = b.Scenario
+	}
 	for _, ev := range []eval.Evaluator{eval.NewAnalytic(nil), eval.NewSim(nil)} {
-		prs, err := eval.EvaluatePeriods(context.Background(), ev, s)
+		rs, err := eval.EvaluateBatch(context.Background(), ev, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(prs) != len(bins) {
-			t.Fatalf("%T: %d period results for %d bins", ev, len(prs), len(bins))
+		if len(rs) != len(bins) {
+			t.Fatalf("%T: %d results for %d bins", ev, len(rs), len(bins))
 		}
-		for i, pr := range prs {
-			if pr.Name != bins[i].Name || pr.Seconds != bins[i].Seconds {
-				t.Fatalf("%T bin %d: %s/%g, want %s/%g",
-					ev, i, pr.Name, pr.Seconds, bins[i].Name, bins[i].Seconds)
-			}
-			want, err := ev.Evaluate(context.Background(), bins[i].Scenario)
+		for i, got := range rs {
+			want, err := ev.Evaluate(context.Background(), cands[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := pr.Result
 			got.CacheHit = want.CacheHit
 			if resultsDiffer(got, want) {
 				t.Errorf("%T bin %s: batched result diverged from per-bin Evaluate:\n%+v\n%+v",
-					ev, pr.Name, got, want)
-			}
-			if wantWh := want.Watts * bins[i].Seconds / 3600; pr.EnergyWh != got.Watts*bins[i].Seconds/3600 || !almost(pr.EnergyWh, wantWh, 1e-9) {
-				t.Errorf("%T bin %s: energy %g Wh, want %g", ev, pr.Name, pr.EnergyWh, wantWh)
+					ev, bins[i].Name, got, want)
 			}
 		}
-		// Heavier bins must cost strictly more energy per second.
-		if prs[0].Result.Watts >= prs[2].Result.Watts {
-			t.Errorf("%T: trough draw %g W not below peak draw %g W",
-				ev, prs[0].Result.Watts, prs[2].Result.Watts)
+		// Heavier bins must draw strictly more power.
+		if rs[0].Watts >= rs[2].Watts {
+			t.Errorf("%T: trough draw %g W not below peak draw %g W", ev, rs[0].Watts, rs[2].Watts)
 		}
 	}
 }

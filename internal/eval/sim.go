@@ -62,7 +62,7 @@ func (e *Sim) EvaluateBatch(ctx context.Context, cands []scenario.Scenario) ([]R
 			return nil, err
 		}
 		if r.Periods != nil {
-			return nil, fmt.Errorf("%w: a periods scenario is time-varying; evaluate its resolved bins (EvaluatePeriods)", ErrUnsupported)
+			return nil, fmt.Errorf("%w: a periods scenario is time-varying; plan it bin by bin (plan.SearchPeriods)", ErrUnsupported)
 		}
 		label := r.Name
 		if label == "" {

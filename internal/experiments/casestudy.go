@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/power"
-	"repro/internal/scenario"
 	"repro/internal/virt"
 	"repro/internal/workload"
 )
@@ -14,22 +13,9 @@ import (
 // produced by the paper's own fitted curves evaluated at the per-resource
 // active VM count of a consolidated host (disk: only the Web VM → v = 1;
 // CPU: both VMs → v = 2), clamped to the model's (0, 1] domain.
-const (
-	// LossTarget is the per-row loss probability B of Table I.
-	LossTarget = 0.05
 
-	// ModelIntensity is the fraction of the Erlang-admissible traffic the
-	// model-side workload selection uses (the Fig. 9 rule picks discrete
-	// operating points slightly inside the bound).
-	ModelIntensity = core.DefaultWorkloadIntensity
-
-	// SaturationIntensity is the fraction of dedicated pool *capacity* the
-	// cluster-level experiments offer — the knee of Fig. 9's curves, and
-	// the highest load at which the model-predicted consolidated pool
-	// still meets QoS (see DESIGN.md). The canonical value lives with the
-	// scenario presets, which are the experiments' source of truth.
-	SaturationIntensity = scenario.SaturationIntensity
-)
+// LossTarget is the per-row loss probability B of Table I.
+const LossTarget = 0.05
 
 // caseStudyImpact evaluates the fitted curves at the consolidated host's
 // per-resource active VM counts, clamped to (0, 1].

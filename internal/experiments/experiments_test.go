@@ -329,6 +329,10 @@ func TestModelValAccuracy(t *testing.T) {
 	harmBetter := 0
 	harmTotal := 0
 	for _, row := range r.Rows {
+		// A loss interval is an interval of probabilities.
+		if ci := row.SimCI; !(0 <= ci.Lo && ci.Lo <= ci.Hi && ci.Hi <= 1) {
+			t.Errorf("%s: loss CI [%g, %g] is not inside [0, 1]", row.Label, ci.Lo, ci.Hi)
+		}
 		if strings.HasPrefix(row.Label, "case-study") {
 			continue
 		}

@@ -82,8 +82,8 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 		res.RespTime = append(res.RespTime, float64(out[len(ebs)+i].Services[0].RespMean.Point))
 	}
 
-	// The selection rule: the knee sits at SaturationIntensity of pool
-	// capacity.
+	// The selection rule: the knee sits at scenario.SaturationIntensity of
+	// pool capacity.
 	lambdaW, lambdaD := scenario.SaturationRates(4, 4)
 	res.SelectedSessions = lambdaW / SessionRate
 	res.SelectedEBs = lambdaD * 7 // Little's law with 7 s think time

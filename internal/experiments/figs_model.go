@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/erlang"
@@ -341,6 +342,16 @@ type lossStudy struct {
 	EarlyStopped bool           `json:"early_stopped,omitempty"`
 }
 
+// ci returns the study's 95% loss interval clamped to [0, 1]: a loss is a
+// probability, but a Student-t interval over a few replications can reach
+// past either end. The cache keeps the unclamped bounds.
+func (s lossStudy) ci() stats.CI {
+	ci := s.Loss.CI(0.95)
+	ci.Lo = math.Max(ci.Lo, 0)
+	ci.Hi = math.Min(ci.Hi, 1)
+	return ci
+}
+
 // ModelVal validates the Erlang machinery and the Eq. (5) readings against
 // discrete-event simulation: homogeneous pools (where every reading
 // coincides and Erlang B is exact), and the heterogeneous case-study mix
@@ -421,7 +432,7 @@ func ModelVal(cfg Config) (*ModelValResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ci := st.Loss.CI(0.95)
+		ci := st.ci()
 		want := erlang.MustB(h.n, h.rho)
 		res.Rows = append(res.Rows, ModelValRow{
 			Label:     h.label,
@@ -469,7 +480,7 @@ func ModelVal(cfg Config) (*ModelValResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ci := st.Loss.CI(0.95)
+		ci := st.ci()
 		for _, form := range []core.TrafficForm{core.TrafficEq5Verbatim, core.TrafficEq5Restricted, core.TrafficHarmonic} {
 			worst := 0.0
 			rho := 0.0

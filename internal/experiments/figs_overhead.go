@@ -387,13 +387,3 @@ func runFig7(cfg Config) ([]*Table, error) {
 	}
 	return r.Tables(), nil
 }
-
-// impactSeries is a small helper for tests: the measured impacts ordered
-// by VM count.
-func (r *OverheadResult) impactSeries() []float64 {
-	out := make([]float64, 0, len(r.VMCounts))
-	for _, v := range r.VMCounts {
-		out = append(out, r.Impacts[v])
-	}
-	return out
-}

@@ -1,7 +1,7 @@
 // Package queueing simulates the loss systems underlying the utility
 // analytic model: G/G/n/n pure-loss pools (the Erlang B setting, where a
-// request is lost iff all n servers are busy) and their unequal-rate
-// counterpart (SimulateHetero). It is the controlled laboratory for the
+// request is lost iff all n servers are busy). It is the controlled
+// laboratory for the
 // "model vs. reality" experiments: by PASTA and Erlang insensitivity, an
 // M/G/n/n simulation's loss probability must converge to the Erlang B
 // formula regardless of the service-time distribution — and the test
@@ -229,20 +229,4 @@ func RunReplications(ctx context.Context, cfg Config, rcfg replicate.Config) (*R
 		EarlyStopped: eng.EarlyStopped,
 	}
 	return set, err
-}
-
-// Replications runs the same configuration with seeds seed, seed+1, ... and
-// returns per-replication loss probabilities plus an aggregate CI — the
-// independent-replications method for tight confidence intervals. It is a
-// thin serial-compatible wrapper over RunReplications; callers wanting
-// worker control, early stopping or cancellation should use that directly.
-func Replications(cfg Config, replications int) ([]float64, stats.CI, error) {
-	if replications <= 0 {
-		return nil, stats.CI{}, fmt.Errorf("%w: replications=%d", ErrInvalidConfig, replications)
-	}
-	set, err := RunReplications(context.Background(), cfg, replicate.Config{Replications: replications})
-	if err != nil {
-		return nil, stats.CI{}, err
-	}
-	return set.Losses, set.LossCI, nil
 }

@@ -1,10 +1,12 @@
 package queueing
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/erlang"
+	"repro/internal/replicate"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -170,19 +172,16 @@ func TestReplications(t *testing.T) {
 	cfg := mmnnConfig(3, 2, 1, 7)
 	cfg.Horizon = 1500
 	cfg.Warmup = 150
-	losses, ci, err := Replications(cfg, 8)
+	set, err := RunReplications(context.Background(), cfg, replicate.Config{Replications: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(losses) != 8 {
-		t.Fatalf("got %d replications", len(losses))
+	if len(set.Losses) != 8 {
+		t.Fatalf("got %d replications", len(set.Losses))
 	}
 	want := erlang.MustB(3, 2)
-	if !ci.Contains(want) && stats.RelativeError(ci.Point, want) > 0.1 {
+	if ci := set.LossCI; !ci.Contains(want) && stats.RelativeError(ci.Point, want) > 0.1 {
 		t.Fatalf("replication CI %s misses Erlang B %.4f", ci, want)
-	}
-	if _, _, err := Replications(cfg, 0); err == nil {
-		t.Fatal("zero replications accepted")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunReplicationsDeterministicAcrossWorkers: the merged study is
-// bit-identical for workers 1 and 4, matches the serial wrapper, and
-// replication 0 reproduces a plain Simulate with the base seed.
+// bit-identical for workers 1 and 4, and replication 0 reproduces a plain
+// Simulate with the base seed.
 func TestRunReplicationsDeterministicAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
 	cfg := mmnnConfig(3, 2, 1, 7)
@@ -21,10 +21,7 @@ func TestRunReplicationsDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialLosses, serialCI, err := Replications(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var serial *ReplicationSet
 	for _, workers := range []int{1, 4} {
 		set, err := RunReplications(ctx, cfg, replicate.Config{Replications: 8, Workers: workers})
 		if err != nil {
@@ -37,14 +34,18 @@ func TestRunReplicationsDeterministicAcrossWorkers(t *testing.T) {
 		if r0.Arrivals != single.Arrivals || r0.Served != single.Served || r0.Lost != single.Lost {
 			t.Fatalf("workers=%d: replication 0 diverged from plain Simulate", workers)
 		}
-		for i := range serialLosses {
-			if set.Losses[i] != serialLosses[i] {
-				t.Fatalf("workers=%d: loss %d = %v, serial wrapper %v",
-					workers, i, set.Losses[i], serialLosses[i])
+		if serial == nil {
+			serial = set
+			continue
+		}
+		for i := range serial.Losses {
+			if set.Losses[i] != serial.Losses[i] {
+				t.Fatalf("workers=%d: loss %d = %v, workers=1 %v",
+					workers, i, set.Losses[i], serial.Losses[i])
 			}
 		}
-		if set.LossCI != serialCI {
-			t.Fatalf("workers=%d: CI %+v, serial wrapper %+v", workers, set.LossCI, serialCI)
+		if set.LossCI != serial.LossCI {
+			t.Fatalf("workers=%d: CI %+v, workers=1 %+v", workers, set.LossCI, serial.LossCI)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // it does not compile to one cluster configuration: PeriodBins resolves
 // its bins' multipliers, which plan.SearchPeriods applies to a compiled
 // kernel, and ResolvePeriods lowers each bin to a stationary sub-scenario
-// for eval.EvaluatePeriods (DESIGN.md §13).
+// that any evaluator can score (DESIGN.md §13).
 type Periods struct {
 	// BinSec is each bin's duration in seconds; zero defaults to 3600
 	// (an hour of the canonical day).

@@ -88,7 +88,7 @@ type Scenario struct {
 	// canonical 24-bin diurnal day). Periods scenarios do not compile to
 	// one cluster configuration: PeriodBins resolves the bins' multipliers
 	// for plan.SearchPeriods, and ResolvePeriods lowers each bin to a
-	// stationary sub-scenario for eval.EvaluatePeriods.
+	// stationary sub-scenario that any evaluator can score.
 	Periods *Periods `json:"periods,omitempty"`
 }
 

@@ -17,7 +17,6 @@ const (
 	CodeCanceled         = "canceled"
 	CodeDeadlineExceeded = "deadline_exceeded"
 	CodeInternal         = "internal"
-	CodeUnavailable      = "unavailable"
 )
 
 // statusCanceledClient is the non-standard 499 "client closed request"

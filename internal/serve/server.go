@@ -176,9 +176,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // while in-flight requests finish.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // ServeHTTP routes by exact path. The route table is immutable after New,
 // so the lookup is one map read — no pattern matching, no per-request
 // allocation.

@@ -33,20 +33,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -56,15 +42,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Quantile returns the q-quantile of xs (0 <= q <= 1) using linear
@@ -126,13 +103,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN records the same observation n times (useful for weighted bins).
-func (a *Accumulator) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		a.Add(x)
-	}
-}
-
 // N reports the number of observations.
 func (a *Accumulator) N() int64 { return a.n }
 
@@ -169,29 +139,6 @@ func (a *Accumulator) Max() float64 {
 		return math.NaN()
 	}
 	return a.max
-}
-
-// Merge folds another accumulator into a (Chan et al. parallel update), so
-// per-goroutine accumulators can be combined after a parallel sweep.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += delta * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
 }
 
 // CI is a two-sided confidence interval around a point estimate.
@@ -322,23 +269,6 @@ func zCritical(confidence float64) float64 {
 	default:
 		return 1.9600
 	}
-}
-
-// BatchMeans splits a time-ordered series into nbatch equal batches and
-// returns the batch means — the classic variance-reduction device for
-// estimating steady-state confidence intervals from one long run. Trailing
-// observations that do not fill a batch are dropped. It returns nil if the
-// series cannot fill nbatch batches with at least one point each.
-func BatchMeans(series []float64, nbatch int) []float64 {
-	if nbatch <= 0 || len(series) < nbatch {
-		return nil
-	}
-	size := len(series) / nbatch
-	out := make([]float64, 0, nbatch)
-	for b := 0; b < nbatch; b++ {
-		out = append(out, Mean(series[b*size:(b+1)*size]))
-	}
-	return out
 }
 
 // RelativeError reports |got-want|/|want|, with the convention that a want

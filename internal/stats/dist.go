@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Distribution is a positive continuous distribution used for service times
@@ -213,34 +212,6 @@ func (l LogNormal) Var() float64 {
 }
 
 func (l LogNormal) String() string { return fmt.Sprintf("LogN(mu=%g,sigma=%g)", l.Mu, l.Sigma) }
-
-// Empirical samples uniformly from a fixed set of observed values — the
-// trace-driven option for replaying measured per-request demands.
-type Empirical struct {
-	values []float64
-	mean   float64
-	vr     float64
-}
-
-// NewEmpirical copies values into an empirical distribution. It panics on an
-// empty input.
-func NewEmpirical(values []float64) *Empirical {
-	if len(values) == 0 {
-		panic("stats: NewEmpirical requires at least one value")
-	}
-	cp := append([]float64(nil), values...)
-	sort.Float64s(cp)
-	m := Mean(cp)
-	return &Empirical{values: cp, mean: m, vr: Variance(cp)}
-}
-
-func (e *Empirical) Sample(s *Stream) float64 { return e.values[s.IntN(len(e.values))] }
-func (e *Empirical) Mean() float64            { return e.mean }
-func (e *Empirical) Var() float64             { return e.vr }
-func (e *Empirical) String() string           { return fmt.Sprintf("Empirical(n=%d)", len(e.values)) }
-
-// Quantile reports the q-quantile (0 <= q <= 1) of the empirical sample.
-func (e *Empirical) Quantile(q float64) float64 { return quantileSorted(e.values, q) }
 
 // Scaled wraps a distribution, multiplying every sample (and the mean and
 // standard deviation) by Factor. It is how the virtualization layer applies

@@ -135,32 +135,6 @@ func TestLogNormalMoments(t *testing.T) {
 	checkMoments(t, LogNormal{Mu: 0.5, Sigma: 0.4}, 300000, 0.02, 0.08)
 }
 
-func TestEmpirical(t *testing.T) {
-	e := NewEmpirical([]float64{1, 2, 3, 4})
-	if e.Mean() != 2.5 {
-		t.Fatalf("empirical mean = %g", e.Mean())
-	}
-	if got := e.Quantile(0.5); got != 2.5 {
-		t.Fatalf("median = %g", got)
-	}
-	s := NewStream(2, "emp")
-	for i := 0; i < 100; i++ {
-		v := e.Sample(s)
-		if v < 1 || v > 4 {
-			t.Fatalf("empirical sample %g outside support", v)
-		}
-	}
-}
-
-func TestEmpiricalPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewEmpirical(nil) did not panic")
-		}
-	}()
-	NewEmpirical(nil)
-}
-
 func TestScaled(t *testing.T) {
 	base := NewExponential(1)
 	sc := Scaled{D: base, Factor: 2}

@@ -1,9 +1,129 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
+
+// Kolmogorov–Smirnov goodness-of-fit machinery: the oracle that checks the
+// variate generators against their nominal distributions rather than
+// checking means alone.
+
+// KSResult is the outcome of a one-sample KS test.
+type KSResult struct {
+	// Statistic is D_n = sup |F_empirical − F|.
+	Statistic float64
+	// N is the sample size.
+	N int
+	// PValue is the asymptotic p-value from the Kolmogorov distribution
+	// (accurate for N ≳ 35).
+	PValue float64
+}
+
+// Reject reports whether the null hypothesis (sample drawn from the
+// reference CDF) is rejected at the given significance level.
+func (r KSResult) Reject(alpha float64) bool { return r.PValue < alpha }
+
+func (r KSResult) String() string {
+	return fmt.Sprintf("KS D=%.5f n=%d p=%.4f", r.Statistic, r.N, r.PValue)
+}
+
+// KSTest runs a one-sample Kolmogorov–Smirnov test of the sample against
+// the reference CDF. The sample is copied and sorted.
+func KSTest(sample []float64, cdf func(float64) float64) (KSResult, error) {
+	n := len(sample)
+	if n == 0 {
+		return KSResult{}, fmt.Errorf("stats: KS test needs a sample")
+	}
+	xs := append([]float64(nil), sample...)
+	sort.Float64s(xs)
+	d := 0.0
+	for i, x := range xs {
+		f := cdf(x)
+		if f < 0 || f > 1 || math.IsNaN(f) {
+			return KSResult{}, fmt.Errorf("stats: reference CDF returned %g at %g", f, x)
+		}
+		upper := float64(i+1)/float64(n) - f
+		lower := f - float64(i)/float64(n)
+		if upper > d {
+			d = upper
+		}
+		if lower > d {
+			d = lower
+		}
+	}
+	return KSResult{
+		Statistic: d,
+		N:         n,
+		PValue:    ksPValue(d, n),
+	}, nil
+}
+
+// ksPValue evaluates the asymptotic Kolmogorov distribution
+// Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} e^{−2k²λ²} with the standard small-sample
+// correction λ = (√n + 0.12 + 0.11/√n)·D.
+func ksPValue(d float64, n int) float64 {
+	sqrtN := math.Sqrt(float64(n))
+	lambda := (sqrtN + 0.12 + 0.11/sqrtN) * d
+	if lambda < 1e-6 {
+		return 1
+	}
+	sum := 0.0
+	sign := 1.0
+	for k := 1; k <= 100; k++ {
+		term := sign * math.Exp(-2*float64(k*k)*lambda*lambda)
+		sum += term
+		if math.Abs(term) < 1e-12 {
+			break
+		}
+		sign = -sign
+	}
+	p := 2 * sum
+	if p < 0 {
+		p = 0
+	}
+	if p > 1 {
+		p = 1
+	}
+	return p
+}
+
+// ExponentialCDF returns the CDF of Exp(rate) for use with KSTest.
+func ExponentialCDF(rate float64) func(float64) float64 {
+	return func(x float64) float64 {
+		if x <= 0 {
+			return 0
+		}
+		return 1 - math.Exp(-rate*x)
+	}
+}
+
+// UniformCDF returns the CDF of U[lo, hi].
+func UniformCDF(lo, hi float64) func(float64) float64 {
+	return func(x float64) float64 {
+		switch {
+		case x <= lo:
+			return 0
+		case x >= hi:
+			return 1
+		default:
+			return (x - lo) / (hi - lo)
+		}
+	}
+}
+
+// ParetoCDF returns the CDF of the Pareto distribution with scale xm and
+// shape alpha.
+func ParetoCDF(xm, alpha float64) func(float64) float64 {
+	return func(x float64) float64 {
+		if x <= xm {
+			return 0
+		}
+		return 1 - math.Pow(xm/x, alpha)
+	}
+}
 
 func drawSample(d Distribution, n int, seed uint64) []float64 {
 	s := NewStream(seed, "ks/"+d.String())

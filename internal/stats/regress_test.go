@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -219,4 +220,131 @@ func TestLinearVsPolynomialAgreement(t *testing.T) {
 	if math.Abs(lin.Intercept-poly.Coeffs[0]) > 1e-9 || math.Abs(lin.Slope-poly.Coeffs[1]) > 1e-9 {
 		t.Fatalf("lin %+v vs poly %v", lin, poly.Coeffs)
 	}
+}
+
+// The polynomial fit below is an independent solve of the normal equations:
+// TestLinearVsPolynomialAgreement checks LinearRegression against it.
+
+// PolyFit is a polynomial fit y ≈ Σ Coeffs[k]·x^k.
+type PolyFit struct {
+	Coeffs []float64 // ascending degree
+	R2     float64
+	N      int
+}
+
+// At evaluates the polynomial at x by Horner's rule.
+func (p PolyFit) At(x float64) float64 {
+	v := 0.0
+	for k := len(p.Coeffs) - 1; k >= 0; k-- {
+		v = v*x + p.Coeffs[k]
+	}
+	return v
+}
+
+func (p PolyFit) String() string {
+	return fmt.Sprintf("poly(deg=%d, R2=%.4f, n=%d)", len(p.Coeffs)-1, p.R2, p.N)
+}
+
+// PolynomialRegression fits a degree-d polynomial by solving the normal
+// equations with Gaussian elimination and partial pivoting. It requires
+// len(xs) > d distinct points.
+func PolynomialRegression(xs, ys []float64, degree int) (PolyFit, error) {
+	if len(xs) != len(ys) {
+		return PolyFit{}, fmt.Errorf("stats: x/y length mismatch %d vs %d", len(xs), len(ys))
+	}
+	if degree < 0 || len(xs) <= degree {
+		return PolyFit{}, ErrDegenerate
+	}
+	m := degree + 1
+	// Normal equations: (XᵀX)c = Xᵀy with X the Vandermonde matrix.
+	ata := make([][]float64, m)
+	atb := make([]float64, m)
+	for i := range ata {
+		ata[i] = make([]float64, m)
+	}
+	for k := range xs {
+		pow := make([]float64, m)
+		pow[0] = 1
+		for j := 1; j < m; j++ {
+			pow[j] = pow[j-1] * xs[k]
+		}
+		for i := 0; i < m; i++ {
+			atb[i] += pow[i] * ys[k]
+			for j := 0; j < m; j++ {
+				ata[i][j] += pow[i] * pow[j]
+			}
+		}
+	}
+	coeffs, err := SolveLinearSystem(ata, atb)
+	if err != nil {
+		return PolyFit{}, err
+	}
+	fit := PolyFit{Coeffs: coeffs, N: len(xs)}
+	my := Mean(ys)
+	var ssTot, ssRes float64
+	for k := range xs {
+		d := ys[k] - my
+		ssTot += d * d
+		r := ys[k] - fit.At(xs[k])
+		ssRes += r * r
+	}
+	if ssTot > 0 {
+		fit.R2 = 1 - ssRes/ssTot
+	} else {
+		fit.R2 = 1
+	}
+	return fit, nil
+}
+
+// SolveLinearSystem solves A·x = b in place (A and b are copied) using
+// Gaussian elimination with partial pivoting. A must be square and
+// len(b) == len(A).
+func SolveLinearSystem(a [][]float64, b []float64) ([]float64, error) {
+	n := len(a)
+	if n == 0 || len(b) != n {
+		return nil, ErrDegenerate
+	}
+	// Copy.
+	m := make([][]float64, n)
+	for i := range m {
+		if len(a[i]) != n {
+			return nil, ErrDegenerate
+		}
+		m[i] = append([]float64(nil), a[i]...)
+	}
+	x := append([]float64(nil), b...)
+	for col := 0; col < n; col++ {
+		// Partial pivot.
+		pivot := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
+				pivot = r
+			}
+		}
+		if math.Abs(m[pivot][col]) < 1e-12 {
+			return nil, ErrDegenerate
+		}
+		m[col], m[pivot] = m[pivot], m[col]
+		x[col], x[pivot] = x[pivot], x[col]
+		// Eliminate below.
+		for r := col + 1; r < n; r++ {
+			f := m[r][col] / m[col][col]
+			if f == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				m[r][c] -= f * m[col][c]
+			}
+			x[r] -= f * x[col]
+		}
+	}
+	// Back substitution.
+	for col := n - 1; col >= 0; col-- {
+		sum := x[col]
+		for c := col + 1; c < n; c++ {
+			sum -= m[col][c] * x[c]
+		}
+		x[col] = sum / m[col][col]
+	}
+	return x, nil
 }

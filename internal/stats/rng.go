@@ -12,7 +12,6 @@ package stats
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand/v2"
 )
 
@@ -83,63 +82,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.rng.Float64() < p
-}
-
-// Poisson returns a Poisson variate with the given mean. It uses Knuth's
-// product method for small means and the PTRS transformed-rejection method
-// of Hörmann for large means, so it stays O(1) as mean grows.
-func (s *Stream) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		// Knuth: multiply uniforms until the product drops below e^-mean.
-		limit := math.Exp(-mean)
-		p := 1.0
-		k := 0
-		for {
-			p *= s.rng.Float64()
-			if p <= limit {
-				return k
-			}
-			k++
-		}
-	default:
-		return s.poissonPTRS(mean)
-	}
-}
-
-// poissonPTRS implements Hörmann's PTRS algorithm for Poisson variates with
-// mean >= 10 (we use it from 30 up, well inside its validity range).
-func (s *Stream) poissonPTRS(mu float64) int {
-	b := 0.931 + 2.53*math.Sqrt(mu)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := s.rng.Float64() - 0.5
-		v := s.rng.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mu + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lhs := math.Log(v * invAlpha / (a/(us*us) + b))
-		rhs := -mu + k*math.Log(mu) - logGamma(k+1)
-		if lhs <= rhs {
-			return int(k)
-		}
-	}
-}
-
-// logGamma is a thin wrapper over math.Lgamma discarding the sign (our
-// arguments are always positive).
-func logGamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
 }
 
 // splitmix64 is the SplitMix64 mixing function, used to decorrelate seeds.

@@ -89,34 +89,6 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	s := NewStream(11, "poisson")
-	for _, mean := range []float64{0.5, 3, 12, 29.9, 30, 80, 400} {
-		var acc Accumulator
-		n := 60000
-		for i := 0; i < n; i++ {
-			acc.Add(float64(s.Poisson(mean)))
-		}
-		if rel := RelativeError(acc.Mean(), mean); rel > 0.03 {
-			t.Errorf("Poisson(%g): mean %.3f (rel err %.3f)", mean, acc.Mean(), rel)
-		}
-		// Poisson variance equals the mean.
-		if rel := RelativeError(acc.Variance(), mean); rel > 0.06 {
-			t.Errorf("Poisson(%g): variance %.3f (rel err %.3f)", mean, acc.Variance(), rel)
-		}
-	}
-}
-
-func TestPoissonZeroAndNegative(t *testing.T) {
-	s := NewStream(1, "p0")
-	if got := s.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d", got)
-	}
-	if got := s.Poisson(-4); got != 0 {
-		t.Fatalf("Poisson(-4) = %d", got)
-	}
-}
-
 func TestPermAndShuffle(t *testing.T) {
 	s := NewStream(9, "perm")
 	p := s.Perm(10)

@@ -18,9 +18,6 @@ import (
 // changes meaning.
 const EngineVersion = "sweep-engine/v2"
 
-// DefaultCacheDir is where the tools memoize completed points.
-const DefaultCacheDir = "artifacts/cache"
-
 // Cache is a content-addressed result store: one JSON file per key under
 // <dir>/<key[:2]>/<key>.json, written atomically (temp file + rename) so a
 // crashed run never leaves a truncated entry behind. A nil *Cache disables
@@ -38,14 +35,6 @@ func OpenCache(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
 	return &Cache{dir: dir}, nil
-}
-
-// Dir reports the cache root ("" for a nil cache).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
 }
 
 // envelope is the on-disk entry layout: the key is echoed so a moved or
@@ -142,16 +131,6 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// PointKey derives the content address of one scenario point: the SHA-256
-// of (engine version, resolved scenario JSON, replication config). The
-// replication worker and shard counts are zeroed first — they change
-// wall-clock time, never results, so they must not split the cache — and
-// scenarios with a wall-clock timeout are not cacheable at all (the
-// completed prefix depends on machine speed), which cacheablePoint guards.
-func PointKey(s scenario.Scenario) (string, error) {
-	return newPointKeyer().key(s)
-}
-
 // keyEnvelope is the hashed form of one point.
 type keyEnvelope struct {
 	Engine      string               `json:"engine"`
@@ -159,8 +138,13 @@ type keyEnvelope struct {
 	Replication scenario.Replication `json:"replication"`
 }
 
-// pointKeyer computes PointKey with reusable marshal buffers and
-// heap-resident scratch (the envelope and normalized replication live in
+// pointKeyer derives the content address of one scenario point: the
+// SHA-256 of (engine version, resolved scenario JSON, replication config).
+// The replication worker and shard counts are zeroed first — they change
+// wall-clock time, never results, so they must not split the cache — and
+// scenarios with a wall-clock timeout are not cacheable at all (the
+// completed prefix depends on machine speed), which cacheablePoint guards.
+// It keeps reusable marshal buffers and heap-resident scratch (the envelope and normalized replication live in
 // the keyer, so neither escapes per call), so keying the many points of
 // one engine run stops allocating a fresh JSON blob per point. Not safe
 // for concurrent use; the engine pools keyers.
@@ -177,8 +161,7 @@ func newPointKeyer() *pointKeyer {
 	return k
 }
 
-// key returns the identical content address PointKey does — cache entries
-// written by either path satisfy lookups from the other.
+// key returns the content address of s.
 func (k *pointKeyer) key(s scenario.Scenario) (string, error) {
 	s.ApplyDefaults()
 	k.rep = *s.Replication

@@ -246,51 +246,52 @@ func TestPointKeySemantics(t *testing.T) {
 		return sp.Base
 	}
 
+	ky := newPointKeyer()
 	a := base()
 	b := base()
 	b.Replication.Workers = 8
-	ka, err := PointKey(a)
+	ka, err := ky.key(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := PointKey(b)
+	kb, err := ky.key(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ka != kb {
-		t.Fatal("PointKey depends on the worker count")
+		t.Fatal("point key depends on the worker count")
 	}
 
 	c := base()
 	c.Horizon = 99
-	kc, err := PointKey(c)
+	kc, err := ky.key(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kc == ka {
-		t.Fatal("PointKey ignores the horizon")
+		t.Fatal("point key ignores the horizon")
 	}
 
 	d := base()
 	d.Seed = a.Seed + 1
-	kd, err := PointKey(d)
+	kd, err := ky.key(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kd == ka {
-		t.Fatal("PointKey ignores the seed")
+		t.Fatal("point key ignores the seed")
 	}
 
 	// The shard count changes wall-clock time, never results: it must hit
 	// the same cache entry.
 	e := base()
 	e.Replication.Shards = 4
-	ke, err := PointKey(e)
+	ke, err := ky.key(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ke != ka {
-		t.Fatal("PointKey depends on shards")
+		t.Fatal("point key depends on shards")
 	}
 }
 

@@ -215,12 +215,3 @@ func PointSeed(root uint64, index int) uint64 {
 	}
 	return z
 }
-
-// compactJSON renders an axis value for labels.
-func compactJSON(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Sprint(v)
-	}
-	return string(b)
-}

@@ -18,7 +18,6 @@ package virt
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/stats"
 )
@@ -146,11 +145,6 @@ func (p PinningPolicy) String() string {
 // figure shows pinning recovering roughly a third over the unpinned
 // configuration, i.e. unpinned ≈ 0.75× pinned).
 const UnpinnedPenalty = 0.75
-
-// Dom0Cores is the number of physical cores the case study reserves for
-// Domain 0 ("the rest CPU cores and memory resources are allocated to
-// Domain 0": 8 cores − 6 DB vCPUs − ... leaves 2).
-const Dom0Cores = 2
 
 // HostOverhead bundles the per-resource impact curves of one host
 // configuration, with the VM count and pinning policy applied.
@@ -314,13 +308,4 @@ func stableMean(series []float64, band float64) (float64, error) {
 		}
 	}
 	return acc.Mean(), nil
-}
-
-// EffectiveServingRate applies an impact factor to a native serving rate:
-// μ·a, guarding against non-finite inputs.
-func EffectiveServingRate(nativeRate, factor float64) float64 {
-	if math.IsInf(nativeRate, 1) {
-		return nativeRate
-	}
-	return nativeRate * factor
 }

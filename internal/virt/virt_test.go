@@ -246,15 +246,6 @@ func TestStableMeanImpactErrors(t *testing.T) {
 	}
 }
 
-func TestEffectiveServingRate(t *testing.T) {
-	if got := EffectiveServingRate(1000, 0.8); got != 800 {
-		t.Fatalf("rate = %g", got)
-	}
-	if got := EffectiveServingRate(math.Inf(1), 0.5); !math.IsInf(got, 1) {
-		t.Fatal("infinite rate should stay infinite")
-	}
-}
-
 func TestWebDiskDegradationPassesHalfAfterSixVMs(t *testing.T) {
 	// Section IV-D: "the overhead of Xen on disk I/O is huge, especially
 	// when the number of VMs is more than six (the degradation of

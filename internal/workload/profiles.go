@@ -154,23 +154,6 @@ func TPCWEbook() ServiceProfile {
 	}
 }
 
-// Scaled returns a copy of the profile with every demand multiplied by
-// factor (> 0) — e.g. to model slower disks or heterogeneous servers.
-func (p ServiceProfile) Scaled(factor float64) ServiceProfile {
-	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
-		panic(fmt.Sprintf("workload: invalid scale factor %v", factor))
-	}
-	out := p
-	out.Demands = make(map[string]stats.Distribution, len(p.Demands))
-	for r, d := range p.Demands {
-		out.Demands[r] = stats.Scaled{D: d, Factor: factor}
-	}
-	if p.OSCeiling > 0 {
-		out.OSCeiling = p.OSCeiling / factor
-	}
-	return out
-}
-
 // WithDemandSCV returns a copy of the profile whose demand distributions
 // are replaced by distributions with the same means but the given squared
 // coefficient of variation: SCV 1 keeps exponential, SCV 0 gives

@@ -249,23 +249,6 @@ func TestProfileValidateErrors(t *testing.T) {
 	}
 }
 
-func TestScaledProfile(t *testing.T) {
-	web := SPECwebEcommerce().Scaled(2) // twice the demand = half the rate
-	if stats.RelativeError(web.ServingRate(DiskIO), WebDiskRate/2) > 1e-9 {
-		t.Fatalf("scaled disk rate = %g", web.ServingRate(DiskIO))
-	}
-	db := TPCWEbook().Scaled(2)
-	if stats.RelativeError(db.OSCeiling, DBCPURate/2) > 1e-9 {
-		t.Fatalf("scaled ceiling = %g", db.OSCeiling)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid scale accepted")
-		}
-	}()
-	web.Scaled(0)
-}
-
 func TestWithDemandSCV(t *testing.T) {
 	web := SPECwebEcommerce()
 	for _, scv := range []float64{0, 0.25, 0.5, 1, 4} {
