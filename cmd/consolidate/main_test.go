@@ -215,6 +215,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"unknown field", `{"lossTarget":0.05,"bogus":1,"services":[]}`},
 		{"invalid model", `{"lossTarget":0.05,"services":[]}`},
 		{"bad loss target", strings.Replace(validSpec, "0.05", "1.5", 1)},
+		{"trailing data", validSpec + " junk"},
 	}
 	for _, c := range cases {
 		if _, err := parseSpec([]byte(c.spec)); err == nil {

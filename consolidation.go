@@ -50,7 +50,7 @@ const (
 var DefaultPower = core.DefaultPower
 
 // ParseModelJSON reads a Model from its JSON schema (see internal/core's
-// ParseJSON for the schema documentation); Model.WriteJSON is the inverse.
+// ParseJSONBytes for the schema documentation); Model.WriteJSON is the inverse.
 func ParseModelJSON(raw []byte) (*Model, error) { return core.ParseJSONBytes(raw) }
 
 // ErlangB reports the Erlang B blocking probability for n servers offered

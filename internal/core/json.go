@@ -1,10 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/jsonenc"
 )
 
 // The JSON representation of a Model, for CLI tools and config files. The
@@ -55,13 +56,12 @@ var formNames = map[string]TrafficForm{
 	"harmonic":       TrafficHarmonic,
 }
 
-// ParseJSON reads a model from JSON, rejecting unknown fields and
-// validating the result.
-func ParseJSON(r io.Reader) (*Model, error) {
+// ParseJSONBytes reads a model from JSON, rejecting unknown fields and
+// anything after the model (one strict jsonenc.Decode), and validates the
+// result.
+func ParseJSONBytes(raw []byte) (*Model, error) {
 	var mj modelJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&mj); err != nil {
+	if err := jsonenc.Decode(raw, &mj); err != nil {
 		return nil, fmt.Errorf("core: parsing model JSON: %w", err)
 	}
 	form, ok := formNames[mj.Form]
@@ -102,11 +102,6 @@ func ParseJSON(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ParseJSONBytes is ParseJSON over a byte slice.
-func ParseJSONBytes(raw []byte) (*Model, error) {
-	return ParseJSON(bytes.NewReader(raw))
 }
 
 // WriteJSON writes the model as indented JSON. The model is validated

@@ -63,6 +63,7 @@ func TestParseJSONErrors(t *testing.T) {
 		{"bad form", strings.Replace(jsonSpec, "harmonic", "psychic", 1)},
 		{"invalid model", `{"lossTarget":0.05,"services":[]}`},
 		{"loss out of range", strings.Replace(jsonSpec, "0.05", "7", 1)},
+		{"trailing data", jsonSpec + "{}"},
 	}
 	for _, c := range cases {
 		if _, err := ParseJSONBytes([]byte(c.spec)); err == nil {
@@ -80,7 +81,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := orig.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseJSON(&buf)
+	back, err := ParseJSONBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("round-trip parse: %v\n%s", err, buf.String())
 	}

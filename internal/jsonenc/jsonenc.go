@@ -1,8 +1,12 @@
-// Package jsonenc appends JSON numbers and strings byte for byte as
-// encoding/json writes them. The response types that encode themselves by
-// appending (eval.Result, plan.Plan, plan.PeriodPlan) and the service's
-// GET answers share these two appenders, so every number and string the
-// API prints has one form whichever path printed it.
+// Package jsonenc writes and reads JSON as encoding/json does. It appends
+// numbers and strings byte for byte as encoding/json writes them: the
+// response types that encode themselves by appending (eval.Result,
+// plan.Plan, plan.PeriodPlan) and the service's GET answers share these
+// two appenders, so every number and string the API prints has one form
+// whichever path printed it. And Decode is the one strict decoder that
+// every request body, scenario, sweep spec and model file goes through:
+// a single pass over the input, in the language of encoding/json's strict
+// decoder (decode.go).
 package jsonenc
 
 import (

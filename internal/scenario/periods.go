@@ -45,21 +45,27 @@ type PeriodBin struct {
 	Multipliers []float64 `json:"multipliers,omitempty"`
 }
 
+// maxPeriodBins caps a periods spec's bins, listed or defaulted: five-
+// minute bins over the canonical day. Planning a day costs time cubic in
+// its bin count (DESIGN.md §13), so a larger count is refused before
+// anything is sized by it.
+const maxPeriodBins = 288
+
 // applyDefaults materializes the periods defaults: an hourly bin width,
 // one day of bins, positional names, and day-shape multipliers sampled at
 // each bin's start time (the strictly-containing-window lookup of
 // diurnal.Series.At, so non-representable bin edges read the right hour).
+// A bin width that would split the day into more than maxPeriodBins bins
+// gets none, which validate reports.
 func (p *Periods) applyDefaults() {
 	if p.BinSec == 0 {
 		p.BinSec = 3600
 	}
 	if len(p.Bins) == 0 && p.BinSec > 0 {
 		day := diurnal.DayShape()
-		n := int(math.Round(day.BinSec * float64(len(day.Values)) / p.BinSec))
-		if n < 1 {
-			n = 1
+		if n := math.Round(day.BinSec * float64(len(day.Values)) / p.BinSec); n <= maxPeriodBins {
+			p.Bins = make([]PeriodBin, max(int(n), 1))
 		}
-		p.Bins = make([]PeriodBin, n)
 	}
 	shape := diurnal.DayShape()
 	for i := range p.Bins {
@@ -82,8 +88,11 @@ func (p *Periods) validate(services []Service) error {
 	if !(p.BinSec > 0) || math.IsInf(p.BinSec, 0) {
 		return fmt.Errorf("%w: periods bin_sec %g", ErrInvalid, p.BinSec)
 	}
-	if len(p.Bins) == 0 {
-		return fmt.Errorf("%w: periods needs at least one bin", ErrInvalid)
+	switch {
+	case len(p.Bins) == 0: // applyDefaults made none
+		return fmt.Errorf("%w: periods bin_sec %g splits the day into more than the %d-bin cap", ErrInvalid, p.BinSec, maxPeriodBins)
+	case len(p.Bins) > maxPeriodBins:
+		return fmt.Errorf("%w: periods has %d bins, more than the %d-bin cap", ErrInvalid, len(p.Bins), maxPeriodBins)
 	}
 	for i, b := range p.Bins {
 		if b.Multiplier != 0 && len(b.Multipliers) > 0 {
@@ -110,30 +119,20 @@ func (p *Periods) validate(services []Service) error {
 	return nil
 }
 
-// binMultipliers reports bin b's per-service multipliers (broadcasting the
-// scalar form), on a resolved spec.
-func (p *Periods) binMultipliers(bin, services int) []float64 {
-	b := p.Bins[bin]
-	out := make([]float64, services)
-	for i := range out {
-		if len(b.Multipliers) > 0 {
-			out[i] = b.Multipliers[i]
-		} else {
-			out[i] = b.Multiplier
-		}
-	}
-	return out
-}
-
-// PeriodScenario is one resolved time bin: its identity, duration,
-// per-service rate multipliers, and (from ResolvePeriods, not PeriodBins)
-// the stationary periods-free sub-scenario evaluators consume.
-type PeriodScenario struct {
-	Index       int
+// BinLoad is one resolved time bin as a planner reads it: its name, its
+// duration and its per-service rate multipliers.
+type BinLoad struct {
 	Name        string
 	Seconds     float64
 	Multipliers []float64
-	Scenario    Scenario
+}
+
+// PeriodScenario is one time bin from ResolvePeriods: its load, its index,
+// and the stationary periods-free sub-scenario evaluators consume.
+type PeriodScenario struct {
+	BinLoad
+	Index    int
+	Scenario Scenario
 }
 
 // BaseRates reports each service's mean arrival rate — the stationary
@@ -185,19 +184,29 @@ func (s Scenario) Stationary(label string, mults []float64) (Scenario, error) {
 	return resolved, nil
 }
 
-// PeriodBins lists a resolved periods scenario's bins — index, name,
-// duration and per-service multipliers — and leaves each bin's Scenario
-// zero: a caller scoring rescaled kernels needs no more. The receiver
-// must be resolved (Resolve), which defaulted and validated its periods;
-// PeriodBins does neither again. ResolvePeriods accepts a raw scenario.
-func (s Scenario) PeriodBins() ([]PeriodScenario, error) {
+// PeriodBins lists a resolved periods scenario's bins: name, duration
+// and per-service multipliers (a scalar multiplier broadcast), the bins'
+// multipliers windows of one array. The receiver must be resolved
+// (Resolve), which defaulted and validated its periods; PeriodBins does
+// neither again. ResolvePeriods accepts a raw scenario.
+func (s Scenario) PeriodBins() ([]BinLoad, error) {
 	p := s.Periods
 	if p == nil {
 		return nil, fmt.Errorf("%w: scenario has no periods", ErrInvalid)
 	}
-	out := make([]PeriodScenario, len(p.Bins))
-	for b := range p.Bins {
-		out[b] = PeriodScenario{Index: b, Name: p.Bins[b].Name, Seconds: p.BinSec, Multipliers: p.binMultipliers(b, len(s.Services))}
+	n := len(s.Services)
+	mults := make([]float64, len(p.Bins)*n)
+	out := make([]BinLoad, len(p.Bins))
+	for b, bin := range p.Bins {
+		m := mults[b*n : (b+1)*n : (b+1)*n]
+		if len(bin.Multipliers) > 0 {
+			copy(m, bin.Multipliers)
+		} else {
+			for i := range m {
+				m[i] = bin.Multiplier
+			}
+		}
+		out[b] = BinLoad{Name: bin.Name, Seconds: p.BinSec, Multipliers: m}
 	}
 	return out, nil
 }
@@ -218,10 +227,13 @@ func (s Scenario) ResolvePeriods() ([]PeriodScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	for b := range bins {
-		if bins[b].Scenario, err = resolved.Stationary(bins[b].Name, bins[b].Multipliers); err != nil {
+	out := make([]PeriodScenario, len(bins))
+	for b, bin := range bins {
+		sub, err := resolved.Stationary(bin.Name, bin.Multipliers)
+		if err != nil {
 			return nil, fmt.Errorf("periods bin %d: %w", b, err)
 		}
+		out[b] = PeriodScenario{BinLoad: bin, Index: b, Scenario: sub}
 	}
-	return bins, nil
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/diurnal"
@@ -82,6 +83,8 @@ func TestPeriodsValidateRejects(t *testing.T) {
 			s.Services[1].Arrivals = nil
 			s.Services[1].Clients = 50
 		}},
+		{"bins over the cap", func(s *Scenario) { s.Periods.Bins = make([]PeriodBin, maxPeriodBins+1) }},
+		{"bin_sec defaulting past the cap", func(s *Scenario) { s.Periods.BinSec = 86400.0 / (maxPeriodBins + 1) }},
 	}
 	for _, c := range cases {
 		s := periodsBase()
@@ -91,6 +94,39 @@ func TestPeriodsValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// The bin cap is checked before anything is sized by the bin count: a
+// bin_sec of 1e-12 would ask defaulting for 8.64e16 bins, a list at the
+// cap validates, and parsing, validating and resolving all refuse the
+// count with an error that names the cap.
+func TestPeriodsBinCap(t *testing.T) {
+	for _, binSec := range []float64{1e-12, 1e-300, 86400.0 / (maxPeriodBins + 1)} {
+		s := periodsBase()
+		s.Periods.BinSec = binSec
+		for name, err := range map[string]error{"Validate": s.Validate(), "Resolve": second(s.Resolve()), "ResolvePeriods": second(s.ResolvePeriods())} {
+			if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "288-bin cap") {
+				t.Errorf("bin_sec %g: %s error %v, want the cap", binSec, name, err)
+			}
+		}
+		if s.Periods.Bins != nil {
+			t.Errorf("bin_sec %g: the caller's scenario gained %d bins", binSec, len(s.Periods.Bins))
+		}
+	}
+	s := periodsBase()
+	s.Periods.BinSec = 86400.0 / maxPeriodBins
+	if err := s.Validate(); err != nil {
+		t.Fatalf("a day of %d bins: %v", maxPeriodBins, err)
+	}
+	parsed, err := ParseBytes([]byte(`{"services": [{"profile": {"preset": "tpcw-ebook"}, "arrivals": {"kind": "poisson", "rate": 1}}], "periods": {"bin_sec": 1e-12}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parsed.Validate(); err == nil || !strings.Contains(err.Error(), "288-bin cap") {
+		t.Fatalf("parsed bin_sec 1e-12: %v", err)
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
 
 // ResolvePeriods lowers each bin to a stationary periods-free scenario
 // whose Poisson rates are the base mean rates scaled by the bin's
@@ -156,11 +192,12 @@ func TestResolvePeriods(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range bins {
-		want := bins[i]
-		want.Scenario = Scenario{}
-		if !reflect.DeepEqual(bare[i], want) {
-			t.Fatalf("PeriodBins bin %d = %+v, want %+v", i, bare[i], want)
+		if bins[i].Index != i || !reflect.DeepEqual(bare[i], bins[i].BinLoad) {
+			t.Fatalf("PeriodBins bin %d = %+v, ResolvePeriods bin %+v", i, bare[i], bins[i])
 		}
+	}
+	if want := []float64{0.25, 0.25}; !reflect.DeepEqual(bare[0].Multipliers, want) {
+		t.Fatalf("bin 0 multipliers %v, want the scalar broadcast %v", bare[0].Multipliers, want)
 	}
 
 	// A periods-free scenario does not resolve.

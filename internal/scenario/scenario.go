@@ -17,7 +17,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,6 +24,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/jsonenc"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -309,23 +309,24 @@ type Replication struct {
 
 // Parse strictly decodes one scenario from JSON: unknown fields are
 // rejected so typos in scenario files fail loudly instead of silently
-// falling back to defaults.
+// falling back to defaults, and nothing but whitespace may follow the
+// scenario object.
 func Parse(r io.Reader) (Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Scenario
-	if err := dec.Decode(&s); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return Scenario{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	// Reject trailing garbage after the scenario object.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return Scenario{}, fmt.Errorf("%w: trailing data after scenario object", ErrInvalid)
+	return ParseBytes(data)
+}
+
+// ParseBytes decodes one scenario from a JSON byte slice (jsonenc.Decode).
+func ParseBytes(data []byte) (Scenario, error) {
+	var s Scenario
+	if err := jsonenc.Decode(data, &s); err != nil {
+		return Scenario{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return s, nil
 }
-
-// ParseBytes decodes one scenario from a JSON byte slice.
-func ParseBytes(data []byte) (Scenario, error) { return Parse(bytes.NewReader(data)) }
 
 // Encode renders the scenario as indented JSON with a trailing newline —
 // the canonical form golden fixtures and -dump-scenario use.

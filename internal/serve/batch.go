@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 
 	"repro/internal/erlang"
+	"repro/internal/jsonenc"
 )
 
 // Query is one batch question. Kind selects the computation; the other
@@ -51,11 +51,7 @@ type BatchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodePost(w, r, func(r *http.Request) error {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		return dec.Decode(&req)
-	}) {
+	if !s.decodePost(w, r, func(data []byte) error { return jsonenc.Decode(data, &req) }) {
 		return
 	}
 	if len(req.Queries) == 0 {

@@ -7,29 +7,48 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
-// twoPassDecode is the decode handlePlan replaced: a strict PlanRequest,
-// then scenario.ParseBytes of its raw scenario when one is present.
+// twoPassDecode is the decode handlePlan replaced, on encoding/json alone:
+// a strict PlanRequest, then a strict scenario.Scenario from its raw
+// scenario when one is present.
 func twoPassDecode(body []byte) (PlanRequest, *scenario.Scenario, error) {
 	var req PlanRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := stdDecode(body, &req); err != nil {
 		return PlanRequest{}, nil, err
 	}
 	if len(req.Scenario) == 0 {
 		return req, nil, nil
 	}
-	sc, err := scenario.ParseBytes(req.Scenario)
-	if err != nil {
+	var sc scenario.Scenario
+	if err := stdDecode(req.Scenario, &sc); err != nil {
 		return PlanRequest{}, nil, err
 	}
 	return req, &sc, nil
+}
+
+// request is b as a PlanRequest without its scenario.
+func (b planBody) request() PlanRequest {
+	return PlanRequest{Target: b.Target, Objective: b.Objective, Seed: b.Seed, MaxIters: b.MaxIters, Evaluator: b.Evaluator, Periods: b.Periods}
+}
+
+// planDecodeSeeds are bodies at the edges of the plan decode.
+var planDecodeSeeds = []string{
+	`{"scenario": null, "target": 0.1}`,
+	`{"scenario": {"services": [], "bogus": 1}, "target": 0.1}`,
+	`{"scenario": {"name": "a"}, "Scenario": {"seed": 3}, "target": 0.1}`,
+	`{"SCENARIO": {"mode": "dedicated"}, "periods": {"migration_cost_wh": 2}, "evaluator": "sim"}`,
+	`{"scenario": {"horizon": "x"}, "target": 0.1}`,
+	`{"scenario": 5}`,
+	`{"target": 0.1, "seed": 7, "max_iters": 3}`,
+	`{"scenario": {}} trailing`,
+	`null`,
+	`{"scenario": {"fleet": {"classes": [{"preset": "amd", "count": 2, "capability": {"cpu": 1.5}}]}}}`,
 }
 
 // scenarioKeys counts the top-level keys of body's first JSON value that
@@ -62,8 +81,9 @@ func scenarioKeys(body []byte) int {
 // requests and scenarios, apart from handlePlan's documented edges — a
 // null scenario decodes as absent, and a repeated "scenario" key merges
 // (such bodies are skipped). The third edge, an unknown field inside the
-// scenario, changes only the error message, so it is held here too. No
-// planning runs, so every input is cheap.
+// scenario, changes only the error message, so it is held here too. Both
+// sides take one JSON value per body. No planning runs, so every input is
+// cheap.
 func FuzzPlanDecode(f *testing.F) {
 	for _, name := range []string{"plan-request.json", "plan-periods-request.json", "plan-infeasible-request.json", "plan-periods-unknown-request.json"} {
 		body, err := os.ReadFile(filepath.Join("testdata", name))
@@ -72,25 +92,14 @@ func FuzzPlanDecode(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	for _, body := range []string{
-		`{"scenario": null, "target": 0.1}`,
-		`{"scenario": {"services": [], "bogus": 1}, "target": 0.1}`,
-		`{"scenario": {"name": "a"}, "Scenario": {"seed": 3}, "target": 0.1}`,
-		`{"SCENARIO": {"mode": "dedicated"}, "periods": {"migration_cost_wh": 2}, "evaluator": "sim"}`,
-		`{"scenario": {"horizon": "x"}, "target": 0.1}`,
-		`{"scenario": 5}`,
-		`{"target": 0.1, "seed": 7, "max_iters": 3}`,
-		`{"scenario": {}} trailing`,
-		`null`,
-		`{"scenario": {"fleet": {"classes": [{"preset": "amd", "count": 2, "capability": {"cpu": 1.5}}]}}}`,
-	} {
+	for _, body := range planDecodeSeeds {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if scenarioKeys(body) > 1 {
 			return // a repeated key merges into the first value
 		}
-		got, gotErr := decodePlanBody(bytes.NewReader(body))
+		got, gotErr := decodePlanBody(body)
 		req, sc, wantErr := twoPassDecode(body)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("one pass: %v; two passes: %v\nbody %q", gotErr, wantErr, body)
@@ -100,8 +109,8 @@ func FuzzPlanDecode(f *testing.F) {
 		}
 		raw := req.Scenario
 		req.Scenario = nil
-		if !reflect.DeepEqual(got.PlanRequest, req) {
-			t.Fatalf("request %+v, two passes %+v\nbody %q", got.PlanRequest, req, body)
+		if !reflect.DeepEqual(got.request(), req) {
+			t.Fatalf("request %+v, two passes %+v\nbody %q", got.request(), req, body)
 		}
 		switch {
 		case got.Scenario == nil:
@@ -114,6 +123,21 @@ func FuzzPlanDecode(f *testing.F) {
 			t.Fatalf("scenario %+v, two passes %+v\nbody %q", *got.Scenario, *sc, body)
 		}
 	})
+}
+
+// planBody takes exactly PlanRequest's keys, in PlanRequest's order (the
+// order decides which field a case-folded key selects).
+func TestPlanBodyKeys(t *testing.T) {
+	tags := func(t reflect.Type) []string {
+		var out []string
+		for i := 0; i < t.NumField(); i++ {
+			out = append(out, t.Field(i).Tag.Get("json"))
+		}
+		return out
+	}
+	if body, req := tags(reflect.TypeFor[planBody]()), tags(reflect.TypeFor[PlanRequest]()); !slices.Equal(body, req) {
+		t.Fatalf("planBody keys %q, PlanRequest keys %q", body, req)
+	}
 }
 
 // TestPlanDecodeEdges pins the three places where handlePlan's one-pass
@@ -138,7 +162,7 @@ func TestPlanDecodeEdges(t *testing.T) {
 	// of the first survive beside the name of the second, and the merged
 	// scenario plans.
 	body := `{"scenario": ` + planScenario + `, "scenario": {"name": "merged"}, "target": 0.05}`
-	pb, err := decodePlanBody(strings.NewReader(body))
+	pb, err := decodePlanBody([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 
 	"repro/internal/eval"
+	"repro/internal/jsonenc"
 	"repro/internal/plan"
 	"repro/internal/scenario"
 )
@@ -19,7 +19,8 @@ import (
 type PlanRequest struct {
 	// Scenario is the embedded scenario document. The handler decodes it
 	// in the same strict pass as the rest of the body (planBody), so
-	// unknown fields inside it are rejected too.
+	// unknown fields inside it are rejected too. It stays raw here so a
+	// client can build a request around a scenario file's bytes.
 	Scenario json.RawMessage `json:"scenario"`
 
 	// Target is the loss-probability target B in (0, 1).
@@ -56,21 +57,24 @@ type PlanPeriods struct {
 	MigrationCostWh float64 `json:"migration_cost_wh,omitempty"`
 }
 
-// planBody is the shape handlePlan decodes a PlanRequest into: its
-// Scenario field shadows PlanRequest.Scenario, so one strict decoder
-// fills the request and its scenario in a single pass over the body, and
-// the scenario is never re-parsed from raw bytes.
+// planBody is the shape handlePlan decodes a plan request into: the keys
+// of PlanRequest, with the scenario decoded in the same strict pass as the
+// rest of the body rather than kept raw, so it is never re-parsed.
+// TestPlanBodyKeys keeps the two key lists equal.
 type planBody struct {
-	PlanRequest
-	Scenario *scenario.Scenario `json:"scenario"`
+	Scenario  *scenario.Scenario `json:"scenario"`
+	Target    float64            `json:"target"`
+	Objective string             `json:"objective,omitempty"`
+	Seed      int64              `json:"seed,omitempty"`
+	MaxIters  int                `json:"max_iters,omitempty"`
+	Evaluator string             `json:"evaluator,omitempty"`
+	Periods   *PlanPeriods       `json:"periods,omitempty"`
 }
 
 // decodePlanBody strictly decodes one plan request body.
-func decodePlanBody(r io.Reader) (planBody, error) {
+func decodePlanBody(data []byte) (planBody, error) {
 	var body planBody
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&body)
+	err := jsonenc.Decode(data, &body)
 	return body, err
 }
 
@@ -94,15 +98,14 @@ func decodePlanBody(r io.Reader) (planBody, error) {
 // The plan is appended into a pooled buffer and written with its
 // Content-Length (writeAppended).
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var body planBody
-	if !s.decodePost(w, r, func(r *http.Request) (err error) {
-		body, err = decodePlanBody(r.Body)
+	var req planBody
+	if !s.decodePost(w, r, func(data []byte) (err error) {
+		req, err = decodePlanBody(data)
 		return err
 	}) {
 		return
 	}
-	req := &body.PlanRequest
-	if body.Scenario == nil {
+	if req.Scenario == nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, "plan needs a scenario")
 		return
 	}
@@ -140,7 +143,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	spec := plan.Spec{
-		Scenario:  *body.Scenario,
+		Scenario:  *req.Scenario,
 		Target:    req.Target,
 		Objective: req.Objective,
 		Seed:      req.Seed,

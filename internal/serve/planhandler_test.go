@@ -91,6 +91,7 @@ func TestPlanEndpointRejections(t *testing.T) {
 		{"retired seed under sim", `{"scenario": ` + planScenario + `, "target": 0.05, "seed": -3, "evaluator": "sim"}`, 400, CodeInvalidArgument},
 		{"unknown field", `{"scenario": ` + planScenario + `, "target": 0.05, "bogus": 1}`, 400, CodeInvalidArgument},
 		{"scenario unknown field", `{"scenario": {"mode": "consolidated", "bogus": 1}, "target": 0.05}`, 400, CodeInvalidArgument},
+		{"trailing data", `{"scenario": ` + planScenario + `, "target": 0.05} {"x": 1} garbage`, 400, CodeInvalidArgument},
 		{"class supply above the planner's bound", `{"scenario": ` + oversupplied(planScenario) + `, "target": 0.05}`, 400, CodeInvalidArgument},
 		{"closed-loop scenario", `{"scenario": {"mode": "consolidated",
 			"services": [{"profile": {"preset": "tpcw-ebook"},
@@ -183,19 +184,27 @@ func TestPlanEndpointPeriods(t *testing.T) {
 
 // The periods surface rejects malformed requests as structured 400s:
 // bad costs, typos inside the periods block (the strict decoder is
-// recursive), a periods block on a periods-free scenario, and a periods
-// scenario without the periods block.
+// recursive), a periods block on a periods-free scenario, a periods
+// scenario without the periods block, and more bins than the cap, listed
+// or from a bin_sec (1e-12 once panicked the handler sizing 8.64e16 bins).
 func TestPlanEndpointPeriodsRejections(t *testing.T) {
 	s := newTestServer(t)
+	overCap := func(periods string) string {
+		return `{"scenario": {"services": [{"profile": {"preset": "tpcw-ebook"}, "arrivals": {"kind": "poisson", "rate": 200}}],
+			"fleet": {"hosts": 4}, "periods": ` + periods + `}, "target": 0.05, "periods": {}}`
+	}
 	cases := []struct {
 		name string
 		body string
+		msg  string // in the error message, when set
 	}{
-		{"negative cost", `{"scenario": ` + periodsScenario + `, "target": 0.05, "periods": {"migration_cost_wh": -1}}`},
-		{"unknown field in periods block", `{"scenario": ` + periodsScenario + `, "target": 0.05, "periods": {"migration_cost_wh": 12, "bogus": 1}}`},
-		{"periods block without periods scenario", `{"scenario": ` + planScenario + `, "target": 0.05, "periods": {"migration_cost_wh": 12}}`},
-		{"periods scenario without periods block", `{"scenario": ` + periodsScenario + `, "target": 0.05}`},
-		{"class supply above the planner's bound", `{"scenario": ` + oversupplied(periodsScenario) + `, "target": 0.05, "periods": {"migration_cost_wh": 12}}`},
+		{"bin_sec past the bin cap", overCap(`{"bin_sec": 1e-12}`), "288-bin cap"},
+		{"bins past the bin cap", overCap(`{"bins": [` + strings.Repeat(`{"multiplier": 1}, `, 288) + `{"multiplier": 1}]}`), "289 bins, more than the 288-bin cap"},
+		{"negative cost", `{"scenario": ` + periodsScenario + `, "target": 0.05, "periods": {"migration_cost_wh": -1}}`, ""},
+		{"unknown field in periods block", `{"scenario": ` + periodsScenario + `, "target": 0.05, "periods": {"migration_cost_wh": 12, "bogus": 1}}`, ""},
+		{"periods block without periods scenario", `{"scenario": ` + planScenario + `, "target": 0.05, "periods": {"migration_cost_wh": 12}}`, ""},
+		{"periods scenario without periods block", `{"scenario": ` + periodsScenario + `, "target": 0.05}`, ""},
+		{"class supply above the planner's bound", `{"scenario": ` + oversupplied(periodsScenario) + `, "target": 0.05, "periods": {"migration_cost_wh": 12}}`, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -203,8 +212,8 @@ func TestPlanEndpointPeriodsRejections(t *testing.T) {
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400; body %s", w.Code, w.Body.String())
 			}
-			if got := decodeError(t, w); got.Code != CodeInvalidArgument {
-				t.Fatalf("code %s, want %s", got.Code, CodeInvalidArgument)
+			if got := decodeError(t, w); got.Code != CodeInvalidArgument || !strings.Contains(got.Message, c.msg) {
+				t.Fatalf("error %+v, want code %s and a message naming %q", got, CodeInvalidArgument, c.msg)
 			}
 		})
 	}

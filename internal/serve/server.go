@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -250,14 +251,24 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // decodePost enforces method, body size and strict JSON decoding for the
-// POST endpoints. It writes the error response itself when it fails.
-func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, decode func(*http.Request) error) bool {
+// POST endpoints. The whole body is read into a pooled buffer under the
+// size limit, so any body over it is a 413, and decode gets its bytes; it
+// must keep no reference to them. It writes the error response itself
+// when it fails.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "use POST")
 		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := decode(r); err != nil {
+	rb := s.bufs.Get().(*respBuf)
+	body := bytes.NewBuffer(rb.b[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = decode(body.Bytes())
+	}
+	rb.b = body.Bytes()[:0]
+	s.bufs.Put(rb)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, err.Error())

@@ -270,6 +270,10 @@ func TestBatchEdgeCases(t *testing.T) {
 		{"unknown field", `{"queries":[{"kind":"loss","n":1,"rho":1}],"wat":1}`, 400, CodeInvalidArgument},
 		{"too many queries", `{"queries":[{"kind":"loss","n":1,"rho":1},{"kind":"loss","n":1,"rho":1},{"kind":"loss","n":1,"rho":1},{"kind":"loss","n":1,"rho":1},{"kind":"loss","n":1,"rho":1}]}`, 400, CodeInvalidArgument},
 		{"body too large", `{"queries":[` + strings.Repeat(`{"kind":"loss","n":1,"rho":1},`, 40) + `{"kind":"loss","n":1,"rho":1}]}`, 413, CodeBodyTooLarge},
+		// The whole body is read under the limit before decoding, so a
+		// complete first value does not save an oversized body.
+		{"valid body padded past the limit", `{"queries":[{"kind":"loss","n":1,"rho":1}]}` + strings.Repeat(" ", 512), 413, CodeBodyTooLarge},
+		{"trailing data", `{"queries":[{"kind":"loss","n":1,"rho":1}]}trailing`, 400, CodeInvalidArgument},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

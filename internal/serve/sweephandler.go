@@ -30,13 +30,9 @@ type SweepResponse struct {
 // the same grid run offline.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	if !s.decodePost(w, r, func(r *http.Request) error {
-		sp, err := sweep.ParseSpec(r.Body)
-		if err != nil {
-			return err
-		}
-		spec = sp
-		return nil
+	if !s.decodePost(w, r, func(data []byte) (err error) {
+		spec, err = sweep.ParseSpecBytes(data)
+		return err
 	}) {
 		return
 	}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/jsonenc"
 	"repro/internal/scenario"
 )
 
@@ -28,12 +28,12 @@ import (
 //     JSON object that was absent.
 //
 // Scalar axis values (numbers, strings, bools landing in non-pointer
-// scalar fields) are converted once at compile time through the json
-// codec, so out-of-domain values (2.5 into an int field) fail with the
-// same errors strict re-parsing produced. Composite values — and any
-// value landing in a pointer field — keep their marshaled form and are
-// strictly re-decoded per point, so unknown fields inside them are still
-// rejected and no decoded state is ever shared between points.
+// scalar fields) are converted once at compile time by the strict decoder
+// (jsonenc.Decode), so out-of-domain values (2.5 into an int field) fail
+// with the same errors strict re-parsing produced. Composite values — and
+// any value landing in a pointer field — keep their marshaled form and
+// are strictly re-decoded per point, so unknown fields inside them are
+// still rejected and no decoded state is ever shared between points.
 
 type stepKind uint8
 
@@ -153,41 +153,36 @@ func numericSegment(seg string) bool {
 }
 
 // convertAxisValue prepares one axis value (and its marshaled form) for
-// the target type through the json codec, so conversion errors match
+// the target type through the strict decoder, so conversion errors match
 // what a strict re-parse of the stamped document reported. Exact scalar
-// matches skip the codec entirely.
+// matches skip the decoder entirely.
 func convertAxisValue(v any, raw []byte, t reflect.Type) (axisValue, error) {
 	if sv, ok := fastScalar(v, t); ok {
 		return axisValue{scalar: sv}, nil
+	}
+	pv := reflect.New(t)
+	if err := jsonenc.Decode(raw, pv.Interface()); err != nil {
+		return axisValue{}, err
 	}
 	switch t.Kind() {
 	case reflect.Bool, reflect.String,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
 		reflect.Float32, reflect.Float64:
-		// A scalar has no fields for strict decoding to reject; a plain
-		// Unmarshal gives the same errors with fewer allocations.
-		pv := reflect.New(t)
-		if err := json.Unmarshal(raw, pv.Interface()); err != nil {
-			return axisValue{}, err
-		}
 		return axisValue{scalar: pv.Elem()}, nil
 	default:
-		// Composite or pointer target: decode once now to fail fast on
-		// malformed values, but keep the raw form — every apply decodes
-		// fresh so points never share mutable state.
-		if err := strictDecode(raw, reflect.New(t).Interface()); err != nil {
-			return axisValue{}, err
-		}
+		// Composite or pointer target: decoded now only to fail fast on
+		// malformed values; every apply decodes the raw form afresh so
+		// points never share mutable state.
 		return axisValue{raw: raw}, nil
 	}
 }
 
 // fastScalar converts the common in-domain scalar shapes directly (a
 // JSON number is a float64; integral targets require integral values,
-// exactly as the codec does) and declines everything else — out-of-range
-// or fractional values fall through to the json path so the error text
-// stays the codec's.
+// exactly as the decoder does) and declines everything else — out-of-range
+// or fractional values fall through to the decoder so the error text
+// stays its own.
 func fastScalar(v any, t reflect.Type) (reflect.Value, bool) {
 	const safeInt = 1 << 62
 	switch t.Kind() {
@@ -237,12 +232,6 @@ func floatValue(v any) (float64, bool) {
 	return 0, false
 }
 
-func strictDecode(raw []byte, into any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	return dec.Decode(into)
-}
-
 // apply stamps value vi into the scenario.
 func (ca *compiledAxis) apply(s *scenario.Scenario, vi int) error {
 	return applySteps(reflect.ValueOf(s).Elem(), ca.steps, &ca.values[vi])
@@ -289,7 +278,7 @@ func setTerminal(dst reflect.Value, val *axisValue) error {
 		return nil
 	}
 	pv := reflect.New(dst.Type())
-	if err := strictDecode(val.raw, pv.Interface()); err != nil {
+	if err := jsonenc.Decode(val.raw, pv.Interface()); err != nil {
 		return err
 	}
 	dst.Set(pv.Elem())

@@ -18,13 +18,12 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
 
+	"repro/internal/jsonenc"
 	"repro/internal/scenario"
 )
 
@@ -74,22 +73,25 @@ type Point struct {
 }
 
 // ParseSpec strictly decodes one sweep spec from JSON; unknown fields are
-// rejected so typos fail loudly.
+// rejected so typos fail loudly, and nothing but whitespace may follow
+// the spec object.
 func ParseSpec(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return Spec{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return Spec{}, fmt.Errorf("%w: trailing data after spec object", ErrInvalidSpec)
+	return ParseSpecBytes(data)
+}
+
+// ParseSpecBytes decodes one sweep spec from a JSON byte slice
+// (jsonenc.Decode).
+func ParseSpecBytes(data []byte) (Spec, error) {
+	var sp Spec
+	if err := jsonenc.Decode(data, &sp); err != nil {
+		return Spec{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	return sp, nil
 }
-
-// ParseSpecBytes decodes one sweep spec from a JSON byte slice.
-func ParseSpecBytes(data []byte) (Spec, error) { return ParseSpec(bytes.NewReader(data)) }
 
 // Size reports the grid size (the product of axis lengths).
 func (sp Spec) Size() int {
