@@ -178,6 +178,8 @@ func TestPlanGoldens(t *testing.T) {
 		{golden: "plan-sharded-fleet.json", scenario: "../../examples/scenarios/sharded-fleet.json", objective: "min-servers"},
 		{golden: "plan-hetero.json", scenario: "../../examples/scenarios/plan-hetero.json", objective: "min-power"},
 		{golden: "plan-hetero-min-servers.json", scenario: "../../examples/scenarios/plan-hetero.json", objective: "min-servers"},
+		{golden: "plan-blades.json", scenario: "testdata/plan-blades.json", objective: "min-power"},
+		{golden: "plan-blades-min-servers.json", scenario: "testdata/plan-blades.json", objective: "min-servers"},
 		{golden: "plan-periods.json", scenario: "../../examples/scenarios/periods-day.json", objective: "min-servers", periods: true, costWh: 12},
 	}
 	for _, c := range cases {

@@ -37,6 +37,14 @@
 //	// res.Dedicated.Servers (M), res.Consolidated.Servers (N),
 //	// res.UtilizationImprovement, res.PowerSaving, ...
 //
+// # Power model
+//
+// PowerParams is the one linear server power model the analytic model and
+// the simulator share (internal/power's ServerModel): Base and Max watts,
+// Validate, which also rejects infinite watts, and Draw(u, platform).
+// Eq. (12)–(14) read the draw on native Linux, platform 0, where no
+// virtualization factor applies: p.Draw(u, 0).
+//
 // # Layout
 //
 // The paper's primary contribution lives in internal/core and is re-exported

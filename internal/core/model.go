@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/power"
 )
 
 // Resource identifies a physical resource type of a server. The model
@@ -99,40 +101,19 @@ func (s Service) offeredTraffic(j Resource) float64 {
 	return s.ArrivalRate / mu
 }
 
-// PowerParams carries the linear server power model of Section III-B.3:
-// a server draws Base watts when idle and Max watts at full utilization,
-// interpolating linearly in between (ref. [1] of the paper).
-type PowerParams struct {
-	Base float64 // S_base, watts
-	Max  float64 // S_max, watts
-}
-
-// Validate checks the power parameters.
-func (p PowerParams) Validate() error {
-	if p.Base < 0 || p.Max < p.Base || math.IsNaN(p.Base) || math.IsNaN(p.Max) {
-		return fmt.Errorf("%w: power params base=%g max=%g", ErrInvalidModel, p.Base, p.Max)
-	}
-	return nil
-}
-
-// Draw reports the instantaneous power draw of one server at utilization u
-// (clamped to [0, 1]).
-func (p PowerParams) Draw(u float64) float64 {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return p.Base + (p.Max-p.Base)*u
-}
+// PowerParams is the linear server power model of Section III-B.3: a
+// server draws Base watts when idle and Max watts at full utilization,
+// interpolating linearly in between (ref. [1] of the paper). Eq. (12)–(14)
+// read its draw on the native-Linux platform, which applies no
+// virtualization factor.
+type PowerParams = power.ServerModel
 
 // DefaultPower is the reconstructed per-server power model used by the case
 // study (see DESIGN.md): servers hosting the case-study workloads draw only
 // a few percent more than idle ones, matching the paper's "up to 7 %"
 // observation and Barroso & Hölzle's finding that idle servers consume more
 // than half of peak.
-var DefaultPower = PowerParams{Base: 250, Max: 340}
+var DefaultPower = power.DefaultServer
 
 // Model is a complete input to the utility analytic model.
 type Model struct {
@@ -188,7 +169,7 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("%w: utilization scale %g", ErrInvalidModel, m.UtilizationScale)
 	}
 	if err := m.power().Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalidModel, err)
 	}
 	seen := map[string]bool{}
 	for i, s := range m.Services {

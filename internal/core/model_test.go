@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/power"
 )
 
 // webService and dbService build the paper's case-study services with the
@@ -184,20 +186,26 @@ func TestTrafficFormString(t *testing.T) {
 	}
 }
 
+// PowerParams is power's server model: Eq. (12)–(14) read its draw on
+// native Linux, where the factors of Xen do not apply.
 func TestPowerParams(t *testing.T) {
 	p := PowerParams{Base: 250, Max: 340}
-	if p.Draw(0) != 250 || p.Draw(1) != 340 {
+	draw := func(u float64) float64 { return p.Draw(u, power.NativeLinux) }
+	if draw(0) != 250 || draw(1) != 340 {
 		t.Fatal("power endpoints wrong")
 	}
-	if math.Abs(p.Draw(0.5)-295) > 1e-12 {
+	if math.Abs(draw(0.5)-295) > 1e-12 {
 		t.Fatal("power midpoint wrong")
 	}
 	// Clamping.
-	if p.Draw(-1) != 250 || p.Draw(2) != 340 {
+	if draw(-1) != 250 || draw(2) != 340 {
 		t.Fatal("power clamp broken")
 	}
 	if err := (PowerParams{Base: -1, Max: 10}).Validate(); err == nil {
 		t.Fatal("negative base accepted")
+	}
+	if DefaultPower != power.DefaultServer {
+		t.Fatalf("DefaultPower %+v, power.DefaultServer %+v", DefaultPower, power.DefaultServer)
 	}
 }
 

@@ -36,28 +36,6 @@ type SensitivityReport struct {
 	Rows         []Perturbation
 }
 
-// Critical reports the perturbations that changed N (the consolidated
-// plan), most impactful first.
-func (r *SensitivityReport) Critical() []Perturbation {
-	var out []Perturbation
-	for _, p := range r.Rows {
-		if p.DeltaN != 0 {
-			out = append(out, p)
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		da, db := out[a].DeltaN, out[b].DeltaN
-		if da < 0 {
-			da = -da
-		}
-		if db < 0 {
-			db = -db
-		}
-		return da > db
-	})
-	return out
-}
-
 // String renders the report compactly.
 func (r *SensitivityReport) String() string {
 	var b strings.Builder

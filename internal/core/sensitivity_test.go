@@ -65,13 +65,9 @@ func TestSensitivityDirections(t *testing.T) {
 	if p := byKey["lossTarget-"]; p.DeltaM < 0 || p.DeltaN < 0 {
 		t.Fatalf("tighter QoS shrank the plan: %+v", p)
 	}
-	// Critical list only contains rows with DeltaN != 0 and the report
-	// marks them.
-	for _, p := range rep.Critical() {
-		if p.DeltaN == 0 {
-			t.Fatalf("non-critical row in Critical(): %+v", p)
-		}
-		if !strings.Contains(rep.String(), p.Parameter) {
+	// The report marks every row that changed N.
+	for _, p := range rep.Rows {
+		if p.DeltaN != 0 && !strings.Contains(rep.String(), p.Parameter) {
 			t.Fatalf("critical row %s missing from report", p.Parameter)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/erlang"
+	"repro/internal/power"
 )
 
 // ServicePlan records the dedicated-server sizing of one service: the
@@ -227,7 +228,7 @@ func (m *Model) fillUtilizationAndPower(plan *Plan, dedicated bool) {
 	} else {
 		plan.Utilization = 0
 	}
-	plan.Power = m.power().Draw(plan.Utilization) * float64(plan.Servers)
+	plan.Power = m.power().Draw(plan.Utilization, power.NativeLinux) * float64(plan.Servers)
 }
 
 // PerResourceUtilization reports the per-resource mean utilization of a

@@ -124,46 +124,3 @@ func bContinuousSmall(x, rho float64) (float64, error) {
 	// leave 1/B an ulp below 1.
 	return 1 / math.Max(inv, 1), nil
 }
-
-// ServersContinuous reports the smallest fractional server count x (to the
-// given resolution, default 1e-6) with BContinuous(x, rho) <= target — the
-// capability-units sizing companion for heterogeneous pools.
-func ServersContinuous(rho, target, resolution float64) (float64, error) {
-	if rho < 0 || math.IsNaN(rho) || math.IsInf(rho, 0) {
-		return 0, fmt.Errorf("%w: ServersContinuous(rho=%g)", ErrInvalidInput, rho)
-	}
-	if target <= 0 || target > 1 || math.IsNaN(target) {
-		return 0, fmt.Errorf("%w: ServersContinuous(target=%g)", ErrInvalidInput, target)
-	}
-	if math.IsNaN(resolution) || math.IsInf(resolution, 0) {
-		return 0, fmt.Errorf("%w: ServersContinuous(resolution=%g)", ErrInvalidInput, resolution)
-	}
-	if resolution <= 0 {
-		resolution = 1e-6
-	}
-	if rho == 0 {
-		return 0, nil
-	}
-	// Bracket with the integer search, then bisect the final unit.
-	n, err := Servers(rho, target, 0)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	lo, hi := float64(n-1), float64(n)
-	for hi-lo > resolution {
-		mid := (lo + hi) / 2
-		b, err := BContinuous(mid, rho)
-		if err != nil {
-			return 0, err
-		}
-		if b <= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}

@@ -213,48 +213,6 @@ func TestBContinuousEdgeCases(t *testing.T) {
 	}
 }
 
-func TestServersContinuous(t *testing.T) {
-	rho, target := 1.52, 0.05
-	x, err := ServersContinuous(rho, target, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Must satisfy the target...
-	b, _ := BContinuous(x, rho)
-	if b > target+1e-9 {
-		t.Fatalf("B(%g) = %g exceeds target", x, b)
-	}
-	// ...and be tight within the resolution.
-	b2, _ := BContinuous(x-1e-3, rho)
-	if b2 <= target {
-		t.Fatalf("x = %g not minimal (B(x-0.001) = %g)", x, b2)
-	}
-	// The integer answer brackets the fractional one.
-	n, _ := Servers(rho, target, 0)
-	if x > float64(n) || x < float64(n-1) {
-		t.Fatalf("x = %g outside (%d-1, %d]", x, n, n)
-	}
-}
-
-func TestServersContinuousEdge(t *testing.T) {
-	if x, err := ServersContinuous(0, 0.01, 0); err != nil || x != 0 {
-		t.Fatalf("zero traffic: x=%g err=%v", x, err)
-	}
-	if _, err := ServersContinuous(-1, 0.01, 0); err == nil {
-		t.Fatal("negative traffic accepted")
-	}
-	if _, err := ServersContinuous(1, 0, 0); err == nil {
-		t.Fatal("zero target accepted")
-	}
-	// A NaN or infinite resolution would skip the bisection and return
-	// the integer bracket.
-	for _, res := range []float64{math.NaN(), math.Inf(1)} {
-		if x, err := ServersContinuous(1.52, 0.05, res); !errors.Is(err, ErrInvalidInput) {
-			t.Errorf("resolution %g: x=%g err=%v, want ErrInvalidInput", res, x, err)
-		}
-	}
-}
-
 // Property: BContinuous stays in (0, 1], decreases in x and increases in ρ.
 func TestBContinuousProperties(t *testing.T) {
 	f := func(xRaw, rhoRaw uint16) bool {

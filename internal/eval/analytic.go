@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -103,8 +104,7 @@ type Kernel struct {
 
 	capability []float64           // per host class: ClassCapability
 	classPower []power.ServerModel // per host class: its power model
-	twin       []int               // per host class: the first class of the same hardware
-	nextTwin   []int               // per host class: the next class of its hardware, or -1
+	order      []int               // host classes by ascending (capability, power), ties in class order
 	fleetPower power.ServerModel
 	platform   power.Platform
 }
@@ -147,28 +147,22 @@ func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 		for j, r := range m.Resources {
 			resources[j] = string(r)
 		}
-		classes := resolved.Fleet.Classes
-		for c, hc := range classes {
-			model := k.fleetPower
+		n := len(resolved.Fleet.Classes)
+		k.capability, k.classPower = make([]float64, n), make([]power.ServerModel, n)
+		k.declared.Classes, k.order = make([]int, n), make([]int, n)
+		for c, hc := range resolved.Fleet.Classes {
+			k.classPower[c] = k.fleetPower
 			if hc.Power != nil {
-				model = power.ServerModel{Base: hc.Power.BaseW, Max: hc.Power.MaxW}
+				k.classPower[c] = power.ServerModel{Base: hc.Power.BaseW, Max: hc.Power.MaxW}
 			}
-			k.capability = append(k.capability, ClassCapability(hc, resources))
-			k.classPower = append(k.classPower, model)
-			k.declared.Classes = append(k.declared.Classes, hc.Count)
-			k.twin = append(k.twin, c)
-			k.nextTwin = append(k.nextTwin, -1)
-			for d := range c {
-				if k.twin[d] == d && k.classPower[d] == model && sameCapability(classes[d], hc) {
-					k.twin[c] = d
-					last := d
-					for k.nextTwin[last] >= 0 {
-						last = k.nextTwin[last]
-					}
-					k.nextTwin[last] = c
-					break
-				}
+			k.capability[c] = ClassCapability(hc, resources)
+			k.declared.Classes[c] = hc.Count
+			// Insert c after every class that does not sort above it.
+			i := c
+			for ; i > 0 && k.above(k.order[i-1], c); i-- {
+				k.order[i] = k.order[i-1]
 			}
+			k.order[i] = c
 		}
 	}
 	k.flatten(m)
@@ -234,38 +228,37 @@ func (k *Kernel) Score(p Placement) (Result, error) {
 	return k.scoreConsolidated(p)
 }
 
-// sameCapability reports whether two host classes list the same
-// capability multipliers once presets are expanded.
-func sameCapability(a, b scenario.HostClass) bool {
-	ca, cb := a.ResolvedCapability(), b.ResolvedCapability()
-	if len(ca) != len(cb) {
-		return false
-	}
-	for r, v := range ca {
-		if w, ok := cb[r]; !ok || w != v {
-			return false
-		}
-	}
-	return true
+// above reports whether host class a sorts above class b in the kernel's
+// sum order: by capability units, then by power model.
+func (k *Kernel) above(a, b int) bool {
+	pa, pb := k.classPower[a], k.classPower[b]
+	return cmp.Or(cmp.Compare(k.capability[a], k.capability[b]), cmp.Compare(pa.Base, pb.Base), cmp.Compare(pa.Max, pb.Max)) > 0
 }
 
 // Price is consolidated placement p's score without its losses: the host
-// count, the capability units summed in class order, the Eq. (10)
-// utilization and the per-class draws summed in class order. Twins —
-// classes listing the same capability and power, which no evaluator
-// tells apart — are summed as one class where the first of them is
-// listed, so a count prices alike however it is split among them. Score
-// runs the same arithmetic, so a placement's price and its score agree
-// bit for bit; Price reads no Erlang B and does not check p's shape.
+// count, the capability units, the Eq. (10) utilization and the draws. A
+// group — the classes of equal capability units, which the model tells
+// apart only by power — adds its hosts' units as one term, and a twin —
+// the classes of a group with equal power models — adds its hosts' draw
+// as one term. Groups are summed by ascending units and twins by
+// ascending (units, power), so a placement prices alike however its
+// counts are split within a twin, its units and utilization however they
+// are split within a group, and neither depends on which classes are
+// empty: a stamped scenario, which lists only the placed classes, prices
+// bit for bit alike. Score runs the same arithmetic, so a placement's
+// price and its score agree bit for bit; Price reads no Erlang B, and p
+// must hold a count per class of a heterogeneous fleet.
 func (k *Kernel) Price(p Placement) Result {
 	pr := Result{Source: "analytic", Mode: k.mode}
 	if len(k.capability) == 0 {
 		pr.Hosts, pr.CapabilityUnits = p.Hosts, float64(p.Hosts)
 	}
-	for c, n := range p.Classes {
-		pr.Hosts += n
-		if k.twin[c] == c {
-			pr.CapabilityUnits += float64(k.twinHosts(p.Classes, c)) * k.capability[c]
+	n := 0
+	for i, c := range k.order {
+		pr.Hosts += p.Classes[c]
+		if n += p.Classes[c]; k.runEnds(i, false) {
+			pr.CapabilityUnits += float64(n) * k.capability[c]
+			n = 0
 		}
 	}
 	if pr.CapabilityUnits > 0 {
@@ -274,30 +267,30 @@ func (k *Kernel) Price(p Placement) Result {
 	if len(k.capability) == 0 {
 		pr.Watts = power.SteadyStateDraw(k.fleetPower, pr.Hosts, pr.Utilization, k.platform)
 	}
-	for c := range p.Classes {
-		if k.twin[c] == c {
-			pr.Watts += power.SteadyStateDraw(k.classPower[c], k.twinHosts(p.Classes, c), pr.Utilization, k.platform)
+	for i, c := range k.order {
+		if n += p.Classes[c]; k.runEnds(i, true) {
+			pr.Watts += power.SteadyStateDraw(k.classPower[c], n, pr.Utilization, k.platform)
+			n = 0
 		}
 	}
 	return pr
 }
 
-// twinHosts reports the hosts counts places on class c and its later twins.
-func (k *Kernel) twinHosts(counts []int, c int) int {
-	n := counts[c]
-	for d := k.nextTwin[c]; d >= 0 && d < len(counts); d = k.nextTwin[d] {
-		n += counts[d]
+// runEnds reports whether a group, or with twins a twin, ends at
+// position i of the sum order.
+func (k *Kernel) runEnds(i int, twins bool) bool {
+	if i+1 == len(k.order) {
+		return true
 	}
-	return n
+	c, d := k.order[i], k.order[i+1]
+	return k.capability[c] != k.capability[d] || twins && k.classPower[c] != k.classPower[d]
 }
 
 // ClassCost is one host class as Price sees it: a host's capability units,
-// its idle draw, the draw it adds at full utilization on the kernel's
-// platform, and Twin, the first class of the same hardware (the class
-// itself when no earlier class is its twin).
+// its idle draw and the draw it adds at full utilization on the kernel's
+// platform. Classes of equal Units form a group.
 type ClassCost struct {
 	Units, IdleW, ActiveW float64
-	Twin                  int
 }
 
 // ClassCosts reports the compiled fleet's host classes in class order.
@@ -305,7 +298,7 @@ func (k *Kernel) ClassCosts() []ClassCost {
 	out := make([]ClassCost, len(k.capability))
 	for c, m := range k.classPower {
 		idle := m.IdleDraw(k.platform)
-		out[c] = ClassCost{Units: k.capability[c], IdleW: idle, ActiveW: m.Draw(1, k.platform) - idle, Twin: k.twin[c]}
+		out[c] = ClassCost{Units: k.capability[c], IdleW: idle, ActiveW: m.Draw(1, k.platform) - idle}
 	}
 	return out
 }

@@ -215,10 +215,12 @@ func TestAnalyticDedicatedSumOrder(t *testing.T) {
 	}
 }
 
-// Twins — classes listing the same capability and power — price as one
-// class where the first of them is listed, so every split of a count
-// among them scores bit for bit alike; a class the analytic model merely
-// cannot tell apart from AMD (a faster disk) keeps its own sums.
+// Classes of equal capability units form a group, which the model tells
+// apart only by power, and the classes of a group with equal power are
+// twins. Every split of a group's count scores the same units,
+// utilization and losses bit for bit, every split among twins the same
+// watts too, and a fleet listing only the placed classes, as a stamped
+// scenario does, scores the same as the placement.
 func TestKernelPricesTwinsAsOneClass(t *testing.T) {
 	s := scenario.CaseStudy(4, 4, "consolidated", 0)
 	s.Fleet = scenario.Fleet{Classes: []scenario.HostClass{
@@ -229,33 +231,79 @@ func TestKernelPricesTwinsAsOneClass(t *testing.T) {
 		{Name: "j", Preset: "intel", Count: 4, Power: &scenario.Power{BaseW: 230, MaxW: 310}},
 		{Name: "k", Preset: "intel", Count: 4},
 	}}
-	k, err := eval.NewAnalytic(nil).Compile(resolve(t, s))
+	an := eval.NewAnalytic(nil)
+	k, err := an.Compile(resolve(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var twins []int
-	for _, cc := range k.ClassCosts() {
-		twins = append(twins, cc.Twin)
+	// Each class's group and twin, named by their first class.
+	costs := k.ClassCosts()
+	var groups, twins []int
+	for c := range costs {
+		g, tw := c, c
+		for d := c - 1; d >= 0; d-- {
+			if costs[d].Units == costs[c].Units {
+				g = d
+			}
+			if costs[d] == costs[c] {
+				tw = d
+			}
+		}
+		groups, twins = append(groups, g), append(twins, tw)
 	}
-	if want := []int{0, 1, 0, 3, 4, 1}; !equalInts(twins, want) {
+	if want := []int{0, 1, 0, 0, 1, 1}; !equalInts(groups, want) {
+		t.Fatalf("groups %v, want %v", groups, want)
+	}
+	if want := []int{0, 1, 0, 0, 4, 1}; !equalInts(twins, want) {
 		t.Fatalf("twins %v, want %v", twins, want)
 	}
-	// Summed class by class, moving the Intel host to its twin would move
-	// the units by an ulp (4.833333333333334 → 4.833333333333333).
-	first := eval.Placement{Classes: []int{0, 1, 3, 1, 0, 0}}
-	want, err := k.Score(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, split := range [][]int{{0, 0, 3, 1, 0, 1}, {3, 1, 0, 1, 0, 0}, {1, 0, 2, 1, 0, 1}} {
-		got, err := k.Score(eval.Placement{Classes: split})
+	score := func(counts []int) eval.Result {
+		t.Helper()
+		res, err := k.Score(eval.Placement{Classes: counts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(got, want) || !sameBits(k.Price(eval.Placement{Classes: split}), k.Price(first)) {
-			t.Errorf("split %v scores %+v, want %+v", split, got, want)
+		if !sameBits(k.Price(eval.Placement{Classes: counts}), withoutLosses(res)) {
+			t.Fatalf("%v: price and score disagree", counts)
+		}
+		// The placed classes alone, listed in reverse.
+		placed := s.Clone()
+		placed.Fleet.Classes = nil
+		for c := len(counts) - 1; c >= 0; c-- {
+			if counts[c] > 0 {
+				hc := s.Fleet.Classes[c]
+				hc.Count = counts[c]
+				placed.Fleet.Classes = append(placed.Fleet.Classes, hc)
+			}
+		}
+		if stamped, err := an.Evaluate(context.Background(), placed); err != nil || !sameBits(stamped, res) {
+			t.Fatalf("%v: the placed classes alone score %+v (%v), want %+v", counts, stamped, err, res)
+		}
+		return res
+	}
+	first := []int{0, 1, 3, 1, 0, 0}
+	want := score(first)
+	for _, split := range [][]int{{0, 0, 3, 1, 0, 1}, {3, 1, 0, 1, 0, 0}, {1, 0, 2, 1, 0, 1}, {4, 0, 0, 0, 0, 1}} {
+		if got := score(split); !sameBits(got, want) {
+			t.Errorf("twin split %v scores %+v, want %+v", split, got, want)
 		}
 	}
+	for _, split := range [][]int{{0, 0, 3, 1, 1, 0}, {4, 0, 0, 0, 1, 0}} {
+		got := score(split)
+		if got.Watts == want.Watts {
+			t.Errorf("split %v draws %v W like its group's other twin", split, got.Watts)
+		}
+		got.Watts = want.Watts
+		if !sameBits(got, want) {
+			t.Errorf("group split %v scores %+v, want %+v but for watts", split, got, want)
+		}
+	}
+}
+
+// withoutLosses is a score as Price reports it.
+func withoutLosses(r eval.Result) eval.Result {
+	r.Loss, r.Services = 0, nil
+	return r
 }
 
 func equalInts(a, b []int) bool {

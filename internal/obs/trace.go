@@ -22,15 +22,14 @@ import (
 // TraceWriter is safe for concurrent use (replicated runs may share one
 // writer; their lines interleave but each line stays intact).
 type TraceWriter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	closer  io.Closer
-	every   uint64
-	n       uint64
-	seq     uint64
-	buf     []byte
-	written uint64
-	err     error
+	mu     sync.Mutex
+	bw     *bufio.Writer
+	closer io.Closer
+	every  uint64
+	n      uint64
+	seq    uint64
+	buf    []byte
+	err    error
 }
 
 // NewTraceWriter wraps w. sampleEvery <= 1 records every operation;
@@ -72,16 +71,7 @@ func (t *TraceWriter) TraceEvent(op desim.TraceOp, now, at desim.Time) {
 	t.buf = b
 	if _, err := t.bw.Write(b); err != nil {
 		t.err = err
-		return
 	}
-	t.written++
-}
-
-// Written reports how many trace lines have been emitted (post-sampling).
-func (t *TraceWriter) Written() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.written
 }
 
 // Close flushes buffered lines and closes the underlying writer when it

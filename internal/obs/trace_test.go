@@ -61,7 +61,4 @@ func TestTraceWriterSampling(t *testing.T) {
 	if lines != 20 {
 		t.Fatalf("sampled lines = %d, want 20", lines)
 	}
-	if tw.Written() != 20 {
-		t.Fatalf("Written() = %d, want 20", tw.Written())
-	}
 }

@@ -95,8 +95,10 @@ func bruteForceHetero(s scenario.Scenario, target float64, objective string) (pl
 // randomHetero draws a two-service workload over 1–classes host classes
 // of at most hosts hosts each: capabilities per resource both below and
 // above the reference server, per-class power overrides or the fleet's
-// model (with an idle draw of 0 W at times), and twins that copy an
-// earlier class's capability and power so equal-watt mixes tie.
+// model (with an idle draw of 0 W at times), and classes that copy an
+// earlier class's capability: half of them its power too, so equal-watt
+// mixes tie, and half a power of their own, so one group's classes
+// differ in draw.
 func randomHetero(rng *rand.Rand, classes, hosts int) scenario.Scenario {
 	s := scenario.Scenario{
 		Mode: "consolidated",
@@ -111,11 +113,18 @@ func randomHetero(rng *rand.Rand, classes, hosts int) scenario.Scenario {
 	case 1:
 		s.Power = &scenario.Power{BaseW: 100 + rng.Float64()*200, MaxW: 350, Platform: []string{"xen", "linux"}[rng.Intn(2)]}
 	}
+	ownPower := func() *scenario.Power {
+		base := 50 + rng.Float64()*250
+		return &scenario.Power{BaseW: base, MaxW: base + rng.Float64()*150}
+	}
 	for c, n := 0, 1+rng.Intn(classes); c < n; c++ {
 		hc := scenario.HostClass{Name: fmt.Sprintf("c%d", c), Count: 1 + rng.Intn(hosts)}
-		if c > 0 && rng.Intn(3) == 0 {
+		if c > 0 && rng.Intn(2) == 0 {
 			twin := s.Fleet.Classes[rng.Intn(c)]
 			hc.Preset, hc.Capability, hc.Power = twin.Preset, twin.Capability, twin.Power
+			if rng.Intn(2) == 0 {
+				hc.Power = ownPower()
+			}
 		} else {
 			switch rng.Intn(3) {
 			case 0:
@@ -127,8 +136,7 @@ func randomHetero(rng *rand.Rand, classes, hosts int) scenario.Scenario {
 				}
 			}
 			if rng.Intn(2) == 0 {
-				base := 50 + rng.Float64()*250
-				hc.Power = &scenario.Power{BaseW: base, MaxW: base + rng.Float64()*150}
+				hc.Power = ownPower()
 			}
 		}
 		s.Fleet.Classes = append(s.Fleet.Classes, hc)
@@ -223,13 +231,97 @@ func matchBruteForce(t *testing.T, seed int64, classes, hosts int, budget time.D
 	t.Logf("%d trials, %d feasible searches", trials, feasible)
 }
 
-// At the supply cap and 200 times plan-hetero's rates the walk stays
-// bounded with five classes. Five AMD classes are twins, walked as one
-// class, so they plan at once; five classes of distinct hardware plan
-// within the step limit; five classes that differ only in disk speed
-// price alike to the analytic model — ties that rounding alone breaks,
-// about 1e9 of them — and are refused with eval.ErrUnsupported instead of
-// walked without end.
+// capSupply draws 2–5 host classes of at most 4,096 hosts in total. Each
+// class is a preset, a disk-only variant of AMD (diskio 1.1–1.5) or a
+// CPU/disk pair (cpu 0.5, 0.8 or 1, disk up to 0.3 above it), so classes
+// of equal capability units abound; with probability override its power
+// is overridden, from bases and spans.
+func capSupply(rng *rand.Rand, override float64, bases, spans []float64) []scenario.HostClass {
+	n := 2 + rng.Intn(4)
+	classes := make([]scenario.HostClass, n)
+	for c := range classes {
+		hc := scenario.HostClass{Name: fmt.Sprintf("c%d", c), Count: 1 + rng.Intn(4096/n)}
+		switch rng.Intn(3) {
+		case 0:
+			hc.Preset = []string{"amd", "intel", "blade"}[rng.Intn(3)]
+		case 1:
+			hc.Capability = map[string]float64{workload.DiskIO: 1.1 + 0.1*float64(rng.Intn(5))}
+		default:
+			cpu := []float64{0.5, 0.8, 1}[rng.Intn(3)]
+			hc.Capability = map[string]float64{workload.CPU: cpu, workload.DiskIO: cpu + 0.1*float64(rng.Intn(4))}
+		}
+		if rng.Float64() < override {
+			base := bases[rng.Intn(len(bases))]
+			hc.Power = &scenario.Power{BaseW: base, MaxW: base + spans[rng.Intn(len(spans))]}
+		}
+		classes[c] = hc
+	}
+	return classes
+}
+
+// On seeded random supplies up to the 4,096-host cap, at 1–200 times
+// plan-hetero's rates, every search under either objective plans, or
+// finds the supply infeasible, within the step limit: none is refused.
+// The limit bounds each search's time, and the 1,000 searches take about
+// 0.2 s on a 2-vCPU VM (-short runs a fifth). Corpus A overrides power on
+// half the classes, from 4 bases and 3 spans; corpus B on three
+// quarters, from 20 bases. Walking classes rather than groups refused 4
+// of these searches.
+func TestHeteroSearchPlansCapCorpora(t *testing.T) {
+	var twenty []float64
+	for i := range 20 {
+		twenty = append(twenty, 100+10*float64(i))
+	}
+	for _, c := range []struct {
+		name     string
+		seed     int64
+		supplies int
+		override float64
+		bases    []float64
+	}{
+		{"A", 28, 200, 0.5, []float64{120, 160, 200, 240}},
+		{"B", 29, 300, 0.75, twenty},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() {
+				c.supplies /= 5
+			}
+			rng := rand.New(rand.NewSource(c.seed))
+			var slowest time.Duration
+			for i := range c.supplies {
+				rates := 1 + rng.Float64()*199
+				s := scenario.Scenario{
+					Mode:     "consolidated",
+					Services: []scenario.Service{scenario.WebSpec(2800*rates, 3), scenario.DBSpec(200*rates, 3)},
+					Fleet:    scenario.Fleet{Classes: capSupply(rng, c.override, c.bases, []float64{40, 80, 120})},
+				}
+				for _, objective := range []string{plan.MinServers, plan.MinPower} {
+					start := time.Now()
+					p, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil,
+						plan.Spec{Scenario: s, Target: 0.05, Objective: objective})
+					slowest = max(slowest, time.Since(start))
+					if errors.Is(err, plan.ErrInfeasible) {
+						continue
+					}
+					if err != nil || p.Result.Loss > 0.05 {
+						t.Fatalf("supply %d at %g times the rates, %s: loss %g, %v\nsupply %+v", i, rates, objective, p.Result.Loss, err, s.Fleet.Classes)
+					}
+				}
+			}
+			t.Logf("%d supplies, slowest search %v", c.supplies, slowest)
+		})
+	}
+}
+
+// Near the supply cap and at up to 200 times plan-hetero's rates the walk
+// stays bounded. Five AMD twins plan at once, and so do five disk-speed
+// variants of AMD, which the analytic model prices as one group; five
+// classes of distinct hardware plan within the step limit; three blade
+// classes of distinct power plan after the greedy seed's score and one
+// more, where a walk over the classes took thousands of scores or reached
+// the limit. Three groups whose draws are proportional to their units
+// tie in watts across groups, and under min-power they are refused with
+// the step limit's eval.ErrUnsupported instead of walked without end.
 func TestHeteroSearchIsBounded(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "plan-hetero.json"))
 	if err != nil {
@@ -239,14 +331,18 @@ func TestHeteroSearchIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rate := range []float64{2800 * 200, 200 * 200} {
-		base.Services[i].Arrivals = workload.PoissonSpec(rate)
-	}
-	var twins, disks []scenario.HostClass
+	var twins, disks, proportional, blades []scenario.HostClass
 	for i := range 5 {
 		twins = append(twins, scenario.HostClass{Name: fmt.Sprintf("amd%d", i), Preset: "amd", Count: 800})
 		disks = append(disks, scenario.HostClass{Name: fmt.Sprintf("disk%d", i), Count: 800,
 			Capability: map[string]float64{workload.DiskIO: 1.1 + 0.1*float64(i)}})
+	}
+	for _, u := range []float64{1, 0.5, 0.75} {
+		proportional = append(proportional, scenario.HostClass{Name: fmt.Sprintf("units%g", u), Count: 800,
+			Capability: map[string]float64{workload.CPU: u, workload.DiskIO: u}, Power: &scenario.Power{BaseW: 200 * u, MaxW: 300 * u}})
+	}
+	for _, p := range []scenario.Power{{BaseW: 140, MaxW: 190}, {BaseW: 120, MaxW: 210}, {BaseW: 160, MaxW: 170}} {
+		blades = append(blades, scenario.HostClass{Name: fmt.Sprintf("blade%g", p.BaseW), Preset: "blade", Count: 1300, Power: &p})
 	}
 	distinct := []scenario.HostClass{
 		{Preset: "amd", Count: 800},
@@ -257,21 +353,34 @@ func TestHeteroSearchIsBounded(t *testing.T) {
 		{Name: "small", Count: 800, Capability: map[string]float64{workload.CPU: 0.7, workload.DiskIO: 0.7},
 			Power: &scenario.Power{BaseW: 150, MaxW: 240}},
 	}
+	both := func(counts ...int) map[string][]int {
+		return map[string][]int{plan.MinPower: counts, plan.MinServers: counts}
+	}
 	for _, tc := range []struct {
 		name    string
+		rates   float64 // times plan-hetero's
 		classes []scenario.HostClass
 		want    map[string][]int // per objective; nil: refused
+		scores  int              // the most evaluations a plan may take; 0: any
 	}{
-		{"twins", twins, map[string][]int{plan.MinPower: {396, 0, 0, 0, 0}, plan.MinServers: {396, 0, 0, 0, 0}}},
-		{"distinct", distinct, map[string][]int{plan.MinPower: {1, 0, 1, 0, 563}, plan.MinServers: {1, 1, 0, 315, 0}}},
-		{"disks", disks, nil},
+		{"twins", 200, twins, both(396, 0, 0, 0, 0), 0},
+		{"distinct", 200, distinct, map[string][]int{plan.MinPower: {1, 0, 1, 0, 563}, plan.MinServers: {1, 1, 0, 315, 0}}, 0},
+		{"disks", 200, disks, both(396, 0, 0, 0, 0), 0},
+		{"proportional", 200, proportional, map[string][]int{plan.MinServers: {395, 0, 1}}, 0},
+		{"blades x1", 1, blades, both(0, 0, 10), 2},
+		{"blades x20", 20, blades, both(0, 0, 92), 2},
+		{"blades x200", 200, blades, both(0, 0, 792), 2},
 	} {
 		s := base.Clone()
+		for i, rate := range []float64{2800, 200} {
+			s.Services[i].Arrivals = workload.PoissonSpec(rate * tc.rates)
+		}
 		s.Fleet.Classes = tc.classes
 		for _, objective := range []string{plan.MinPower, plan.MinServers} {
 			spec := plan.Spec{Scenario: s, Target: 0.05, Objective: objective}
 			p, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, spec)
-			if tc.want == nil {
+			want := tc.want[objective]
+			if want == nil {
 				if !errors.Is(err, eval.ErrUnsupported) || !strings.Contains(err.Error(), "steps") {
 					t.Fatalf("%s %s: err = %v, want the step limit's eval.ErrUnsupported", tc.name, objective, err)
 				}
@@ -284,8 +393,11 @@ func TestHeteroSearchIsBounded(t *testing.T) {
 			for _, c := range p.Classes {
 				counts = append(counts, c.Count)
 			}
-			if !reflect.DeepEqual(counts, tc.want[objective]) {
-				t.Fatalf("%s %s: plan %v, want %v", tc.name, objective, counts, tc.want[objective])
+			if !reflect.DeepEqual(counts, want) {
+				t.Fatalf("%s %s: plan %v, want %v", tc.name, objective, counts, want)
+			}
+			if tc.scores > 0 && p.Evaluations > tc.scores {
+				t.Errorf("%s %s: %d evaluations, want at most %d", tc.name, objective, p.Evaluations, tc.scores)
 			}
 		}
 	}

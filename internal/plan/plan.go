@@ -9,10 +9,11 @@
 // binary search finds the minimal count — the same N and M the paper's
 // Fig. 4 sizing yields. A heterogeneous class mix reaches the analytic
 // loss only through its capability units (Section III-B.1), so the search
-// is a branch and bound over class-count vectors: it prices mixes with
-// plain arithmetic, cuts prefixes whose completions cannot clear a
-// capability bound or beat the best feasible mix found, and scores only
-// the mixes left. Identical classes are walked as one, and a step limit
+// is a branch and bound over the host counts of groups, the classes of
+// equal capability units, each count filling its group's classes
+// cheapest first: it prices mixes with plain arithmetic, cuts prefixes
+// whose completions cannot clear a capability bound or beat the best
+// feasible mix found, and scores only the mixes left. A step limit
 // refuses the supplies the bounds cannot tell apart.
 //
 // Candidates are placements (eval.Placement): a host count, a class-count
@@ -72,12 +73,10 @@ const maxPoolServers = 1 << 16
 // walk's own step limit bounds its work at any supply; the cap keeps the
 // sums of units exact on a 2⁻²⁰ grid and requests sized like a data
 // center. At the cap, on a 2-vCPU VM, Search over plan-hetero's classes
-// (1638/1638/820 hosts, about 2.2e9 mixes) took 0.02–0.04 ms at the
-// example's rates and 11–12 ms at 200 times them (396 hosts, 1,448
-// scores), where the annealing search it replaced took 9–11 and 43–58
-// ms; five classes of 800 hosts at 200 times the rates took 0.02–0.03 ms
-// as AMD twins and 0.3–3.2 ms as distinct classes (annealer 2–4 and
-// 67–91 ms).
+// (1638/1638/820 hosts, about 2.2e9 mixes) took 0.02 ms at the example's
+// rates and 0.08–0.11 ms at 200 times them (396 hosts, 5 scores); five
+// classes of 800 hosts at 200 times the rates took 0.03–0.04 ms as AMD
+// twins and 0.3–3.4 ms as distinct classes.
 const maxHeteroSupply = 1 << 12
 
 // Spec is one planning request.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,7 +204,7 @@ func TestPlanHeteroAtLeastContinuousBound(t *testing.T) {
 	}
 	bound := 0.0
 	for _, j := range m.Resources {
-		n, err := erlang.ServersContinuous(m.ConsolidatedTraffic(j, m.Form), target, 0)
+		n, err := serversContinuous(m.ConsolidatedTraffic(j, m.Form), target, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,6 +214,91 @@ func TestPlanHeteroAtLeastContinuousBound(t *testing.T) {
 	}
 	if units := p.Result.CapabilityUnits; units < bound-1e-6 {
 		t.Errorf("plan capability units %g below continuous-B requirement %g", units, bound)
+	}
+}
+
+// serversContinuous reports the smallest fractional server count x (to the
+// given resolution, default 1e-6) with BContinuous(x, rho) <= target — the
+// capability-units sizing bound a heterogeneous plan cannot beat.
+func serversContinuous(rho, target, resolution float64) (float64, error) {
+	if rho < 0 || math.IsNaN(rho) || math.IsInf(rho, 0) {
+		return 0, fmt.Errorf("%w: serversContinuous(rho=%g)", erlang.ErrInvalidInput, rho)
+	}
+	if target <= 0 || target > 1 || math.IsNaN(target) {
+		return 0, fmt.Errorf("%w: serversContinuous(target=%g)", erlang.ErrInvalidInput, target)
+	}
+	if math.IsNaN(resolution) || math.IsInf(resolution, 0) {
+		return 0, fmt.Errorf("%w: serversContinuous(resolution=%g)", erlang.ErrInvalidInput, resolution)
+	}
+	if resolution <= 0 {
+		resolution = 1e-6
+	}
+	if rho == 0 {
+		return 0, nil
+	}
+	// Bracket with the integer search, then bisect the final unit.
+	n, err := erlang.Servers(rho, target, 0)
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	lo, hi := float64(n-1), float64(n)
+	for hi-lo > resolution {
+		mid := (lo + hi) / 2
+		b, err := erlang.BContinuous(mid, rho)
+		if err != nil {
+			return 0, err
+		}
+		if b <= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, nil
+}
+
+func TestServersContinuous(t *testing.T) {
+	rho, target := 1.52, 0.05
+	x, err := serversContinuous(rho, target, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Must satisfy the target...
+	b, _ := erlang.BContinuous(x, rho)
+	if b > target+1e-9 {
+		t.Fatalf("B(%g) = %g exceeds target", x, b)
+	}
+	// ...and be tight within the resolution.
+	b2, _ := erlang.BContinuous(x-1e-3, rho)
+	if b2 <= target {
+		t.Fatalf("x = %g not minimal (B(x-0.001) = %g)", x, b2)
+	}
+	// The integer answer brackets the fractional one.
+	n, _ := erlang.Servers(rho, target, 0)
+	if x > float64(n) || x < float64(n-1) {
+		t.Fatalf("x = %g outside (%d-1, %d]", x, n, n)
+	}
+}
+
+func TestServersContinuousEdge(t *testing.T) {
+	if x, err := serversContinuous(0, 0.01, 0); err != nil || x != 0 {
+		t.Fatalf("zero traffic: x=%g err=%v", x, err)
+	}
+	if _, err := serversContinuous(-1, 0.01, 0); err == nil {
+		t.Fatal("negative traffic accepted")
+	}
+	if _, err := serversContinuous(1, 0, 0); err == nil {
+		t.Fatal("zero target accepted")
+	}
+	// A NaN or infinite resolution would skip the bisection and return
+	// the integer bracket.
+	for _, res := range []float64{math.NaN(), math.Inf(1)} {
+		if x, err := serversContinuous(1.52, 0.05, res); !errors.Is(err, erlang.ErrInvalidInput) {
+			t.Errorf("resolution %g: x=%g err=%v, want erlang.ErrInvalidInput", res, x, err)
+		}
 	}
 }
 
@@ -377,6 +464,79 @@ func TestSearchRoutesAgree(t *testing.T) {
 			t.Errorf("%s: compiled and stamped plans differ:\n%s\n%s", tc.name, a, b)
 		}
 	}
+}
+
+// Three groups of two or three classes of equal capability units plan
+// byte-identically on both routes, evaluations included. Each group's
+// first-listed class draws the most, and the other classes follow in a
+// shuffled order. The fill leaves such a first class empty, so the
+// stamped scenario of a mix lists its group without it, in another
+// position among the groups, and must sum the units and draws as the
+// kernel does.
+func TestSearchRoutesAgreeOnEmptyFirstClasses(t *testing.T) {
+	pl, err := pool.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(30))
+	presets := []string{"amd", "blade", "intel"}
+	emptied := 0
+	for trial := range 40 {
+		rates := 1 + rng.Float64()*4
+		s := scenario.Scenario{
+			Mode:     "consolidated",
+			Services: []scenario.Service{scenario.WebSpec(2800*rates, 3), scenario.DBSpec(200*rates, 3)},
+		}
+		var cool []scenario.HostClass
+		for _, preset := range presets {
+			s.Fleet.Classes = append(s.Fleet.Classes, scenario.HostClass{Name: preset + "-hot", Preset: preset,
+				Count: 1 + rng.Intn(6), Power: &scenario.Power{BaseW: 400, MaxW: 500}})
+			for c := range 1 + rng.Intn(2) {
+				base := 100 + rng.Float64()*150
+				cool = append(cool, scenario.HostClass{Name: fmt.Sprintf("%s%d", preset, c), Preset: preset,
+					Count: 1 + rng.Intn(6), Power: &scenario.Power{BaseW: base, MaxW: base + rng.Float64()*100}})
+			}
+		}
+		rng.Shuffle(len(cool), func(i, j int) { cool[i], cool[j] = cool[j], cool[i] })
+		s.Fleet.Classes = append(s.Fleet.Classes, cool...)
+		for _, objective := range []string{plan.MinServers, plan.MinPower} {
+			spec := plan.Spec{Scenario: s, Target: target, Objective: objective}
+			compiled, err := plan.Search(context.Background(), eval.NewAnalytic(nil), nil, spec)
+			if errors.Is(err, plan.ErrInfeasible) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, objective, err)
+			}
+			stamped, err := plan.Search(context.Background(), evaluateOnly{eval.NewAnalytic(nil)}, pl, spec)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, objective, err)
+			}
+			a, err := compiled.EncodeJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := stamped.EncodeJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("trial %d %s: compiled and stamped plans differ:\n%s\n%s", trial, objective, a, b)
+			}
+			for g, preset := range presets {
+				for _, cc := range compiled.Classes[len(presets):] {
+					if compiled.Classes[g].Count == 0 && cc.Count > 0 && strings.HasPrefix(cc.Name, preset) {
+						emptied++
+						break
+					}
+				}
+			}
+		}
+	}
+	if emptied < 20 {
+		t.Fatalf("only %d plans leave a group's first class empty and place the group", emptied)
+	}
+	t.Logf("%d placed groups without their first class", emptied)
 }
 
 // memoryBound is a two-service workload whose 6 GB VMs plus Domain 0 fit

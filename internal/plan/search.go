@@ -231,11 +231,12 @@ func (s *searcher) searchHetero() (Plan, error) {
 // maxWalkSteps bounds the walk's work: every count a prefix tries and
 // every mix it prices costs one step per host class. The walk is exact,
 // so it cannot stop early with a guess; a supply whose mixes the bounds
-// cannot tell apart — classes that differ in hardware but price within
-// rounding of each other, offered in large counts — reaches the limit,
-// and Search refuses it with eval.ErrUnsupported instead of running on:
-// after 0.2–0.3 s on a 2-vCPU VM, or up to about 1 s where most steps are
-// scores at thousands of servers.
+// cannot tell apart reaches the limit, and Search refuses it with
+// eval.ErrUnsupported instead of running on: after 0.1–0.3 s on a 2-vCPU
+// VM, or up to about 1 s where most steps are scores at thousands of
+// servers. Such supplies hold groups of different units whose draws are
+// proportional to their units, so that mixes of different groups tie in
+// watts, offered in large counts.
 const maxWalkSteps = 1 << 24
 
 // scoreSteps is what a score costs against maxWalkSteps: an analytic
@@ -248,36 +249,45 @@ const scoreSteps = 1 << 10
 // mix that ties or beats the one it is compared with.
 const roundoff = 1e-9
 
-// walker enumerates a class supply's count vectors as a branch and bound,
-// one walked class per hardware (twins, which Price counts together, are
-// walked as one class whose count fills them in class order: of the
-// splits that price alike, the lexicographically largest), walked
-// classes in order and each count ascending. It cuts a prefix when the
-// capability bound is out of reach even with every remaining host, or
-// when a lower bound on its completions' rank loses to the best feasible
-// mix found: hosts, then watts, under min-servers and watts under
-// min-power. The bounds cover the rest of the units gap fractionally
-// with the remaining classes, cheapest per unit first, so along one
-// class's count each is convex: once a bound that loses stops falling,
-// the class's loop ends.
+// walker enumerates a class supply's mixes as a branch and bound over
+// groups, the classes of equal capability units that Price sums as one.
+// A mix's units, hence its losses and utilization u, depend on its group
+// counts alone, and within a group the split that draws least at u fills
+// the group's classes cheapest first (fill). So the walk tries group
+// counts, groups in order of first listing and each count ascending, and
+// prices that split of each. It cuts a prefix when the capability bound
+// is out of reach even with every remaining host, or when a lower bound
+// on its completions' rank loses to the best feasible mix found: hosts,
+// then watts, under min-servers and watts under min-power. The bounds
+// floor a prefix's draws by its groups' cheapest hosts and cover the rest
+// of the units gap fractionally with the remaining classes, cheapest per
+// unit first, so along one group's count each is convex: once a bound
+// that loses stops falling, the group's loop ends.
 type walker struct {
 	s        *searcher
 	k        *eval.Kernel
 	minPower bool
 	hosts    int // the full supply's host count
 
-	// Per walked class: its hosts (twins included), its cost, the
-	// scenario classes it stands for in class order, and the count the
-	// walk is trying.
-	supply  []int
-	cost    []eval.ClassCost
-	members [][]int
-	take    []int
+	// Per host class: its supply, its cost, its group, and its count in
+	// the mix being priced.
+	supply []int
+	cost   []eval.ClassCost
+	group  []int
+	counts []int
+	best   []int // the best feasible mix found; nil before the first
+
+	// Per group g: its classes sit at start[g]:start[g+1] of byIdle,
+	// byActive and byDraw, by ascending idle draw, active draw and draw at
+	// the utilization of the last fill; units is a host's capability
+	// units, size the group's hosts and take the count the walk is trying.
+	start, byIdle, byActive, byDraw []int
+	units                           []float64
+	size, take                      []int
 
 	floor     float64   // no mix of at most floor units meets the target
 	reach     float64   // floor less a rounding allowance on sums of units
-	exact     []bool    // exact[c]: sums of class-c units round nothing
-	restUnits []float64 // restUnits[c]: the most units classes c.. can add
+	restUnits []float64 // restUnits[g]: the most units groups g.. can add
 	byUnits   []int     // classes by descending units: the hosts cover
 	byRatio   []int     // classes by ascending ActiveW per unit
 	steps     int       // work done, bounded by maxWalkSteps
@@ -292,60 +302,62 @@ type walker struct {
 	byPrice []int
 	version int
 
-	classSupply []int // per scenario class: its Count
-	counts      []int // per scenario class: take spread over the twins
-	best        []int // the best feasible mix found; nil before the first
-	bestPr      eval.Result
-	bestRes     eval.Result
+	bestPr  eval.Result
+	bestRes eval.Result
 }
 
 func newWalker(s *searcher, k *eval.Kernel) *walker {
 	classes := s.resolved.Fleet.Classes
-	w := &walker{
-		s:           s,
-		k:           k,
-		minPower:    s.spec.Objective == MinPower,
-		classSupply: make([]int, len(classes)),
-		counts:      make([]int, len(classes)),
+	n := len(classes)
+	w := &walker{s: s, k: k, minPower: s.spec.Objective == MinPower, cost: k.ClassCosts()}
+	ints, floats := make([]int, 12*n+1), make([]float64, 3*n+1)
+	next := func(m int) []int {
+		out := ints[:m:m]
+		ints = ints[m:]
+		return out
 	}
-	walked := make([]int, len(classes)) // per scenario class: its walked class
-	for c, cc := range k.ClassCosts() {
-		w.classSupply[c] = classes[c].Count
+	w.supply, w.group, w.counts, w.byUnits, w.byRatio, w.byPrice = next(n), next(n), next(n), next(n), next(n), next(n)
+	w.byIdle, w.byActive, w.byDraw = next(n), next(n), next(n)[:0]
+	w.units, w.price = floats[:0:n], floats[n:2*n]
+	for c, cc := range w.cost {
+		w.supply[c] = classes[c].Count
 		w.hosts += classes[c].Count
-		g := len(w.supply)
-		if cc.Twin == c {
-			w.supply = append(w.supply, 0)
-			w.cost = append(w.cost, cc)
-			w.members = append(w.members, nil)
-		} else {
-			g = walked[cc.Twin]
-		}
-		walked[c] = g
-		w.supply[g] += classes[c].Count
-		w.members[g] = append(w.members[g], c)
-	}
-	n := len(w.supply)
-	ints, floats := make([]int, 4*n), make([]float64, 2*n+1)
-	w.take, w.byUnits, w.byRatio, w.byPrice = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
-	w.price, w.restUnits = floats[:n], floats[n:]
-	for c := range n {
 		w.byUnits[c], w.byRatio[c], w.byPrice[c] = c, c, c
+		w.group[c] = slices.Index(w.units, cc.Units)
+		if w.group[c] < 0 {
+			w.group[c] = len(w.units)
+			w.units = append(w.units, cc.Units)
+		}
+	}
+	groups := len(w.units)
+	w.start, w.size, w.take, w.restUnits = next(groups+1), next(groups), next(groups), floats[2*n:2*n+groups+1]
+	for g := range groups {
+		w.start[g] = len(w.byDraw)
+		for c := range n {
+			if w.group[c] == g {
+				w.byDraw = append(w.byDraw, c)
+				w.size[g] += w.supply[c]
+			}
+		}
+	}
+	w.start[groups] = n
+	copy(w.byIdle, w.byDraw)
+	copy(w.byActive, w.byDraw)
+	for g := range groups {
+		slices.SortStableFunc(w.byIdle[w.start[g]:w.start[g+1]], func(a, b int) int {
+			return cmp.Compare(w.cost[a].IdleW, w.cost[b].IdleW)
+		})
+		slices.SortStableFunc(w.byActive[w.start[g]:w.start[g+1]], func(a, b int) int {
+			return cmp.Compare(w.cost[a].ActiveW, w.cost[b].ActiveW)
+		})
 	}
 	// A bound that cannot be computed prunes nothing: floor stays 0.
-	if floor, err := k.UnitsFloor(s.spec.Target, k.Price(eval.Placement{Classes: w.classSupply}).CapabilityUnits); err == nil {
+	if floor, err := k.UnitsFloor(s.spec.Target, k.Price(eval.Placement{Classes: w.supply}).CapabilityUnits); err == nil {
 		w.floor = floor
 	}
 	w.reach = w.floor - roundoff*math.Max(1, w.floor)
-	// Units on a 2⁻²⁰ grid below 2¹² sum exactly over at most
-	// maxHeteroSupply hosts: mixes of such classes need no rounding
-	// allowance on the bound.
-	w.exact = make([]bool, n)
-	for c, cc := range w.cost {
-		g := cc.Units * (1 << 20)
-		w.exact[c] = g == math.Trunc(g) && cc.Units < 1<<12
-	}
-	for c := n - 1; c >= 0; c-- {
-		w.restUnits[c] = w.restUnits[c+1] + float64(w.supply[c])*w.cost[c].Units
+	for g := groups - 1; g >= 0; g-- {
+		w.restUnits[g] = w.restUnits[g+1] + float64(w.size[g])*w.units[g]
 	}
 	slices.SortStableFunc(w.byUnits, func(a, b int) int {
 		return cmp.Compare(w.cost[b].Units, w.cost[a].Units)
@@ -354,6 +366,15 @@ func newWalker(s *searcher, k *eval.Kernel) *walker {
 		return cmp.Compare(w.cost[a].ActiveW*w.cost[b].Units, w.cost[b].ActiveW*w.cost[a].Units)
 	})
 	return w
+}
+
+// exactUnits reports whether sums of hosts of u capability units round
+// nothing: units on a 2⁻²⁰ grid below 2¹² sum exactly over at most
+// maxHeteroSupply hosts, so mixes of such classes need no rounding
+// allowance on the bound.
+func exactUnits(u float64) bool {
+	g := u * (1 << 20)
+	return g == math.Trunc(g) && u < 1<<12
 }
 
 // seed scores one greedy mix before the walk, so the bounds cut from its
@@ -374,8 +395,9 @@ func (w *walker) seed() error {
 			break
 		}
 		if units := w.cost[c].Units; units > 0 {
-			w.take[c] = min(w.supply[c], int(math.Ceil(need/units)))
-			need -= float64(w.take[c]) * units
+			t := min(w.supply[c], int(math.Ceil(need/units)))
+			w.take[w.group[c]] += t
+			need -= float64(t) * units
 		}
 	}
 	err := w.leaf()
@@ -383,52 +405,72 @@ func (w *walker) seed() error {
 	return err
 }
 
-// prefix is a partial mix: its hosts, capability units, and draws at
-// idle and at the full-utilization increment (active); inexact when its
-// units may carry rounding.
+// prefix is a partial mix: its hosts, capability units, and floors under
+// its draws at idle and at the full-utilization increment (active);
+// inexact when its units may carry rounding.
 type prefix struct {
 	hosts               int
 	units, idle, active float64
 	inexact             bool
 }
 
-// add returns prefix p with n hosts of walked class c added.
-func (w *walker) add(p prefix, c, n int) prefix {
-	cc, f := w.cost[c], float64(n)
-	return prefix{p.hosts + n, p.units + f*cc.Units, p.idle + f*cc.IdleW, p.active + f*cc.ActiveW,
-		p.inexact || n > 0 && !w.exact[c]}
+// add returns prefix p with n hosts of group g added, their idle and
+// active draws each floored by the group's n cheapest hosts in that draw,
+// and the active draw of the group's next host.
+func (w *walker) add(p prefix, g, n int) (prefix, float64) {
+	idle, _ := w.cheapest(w.byIdle, g, n, false)
+	active, next := w.cheapest(w.byActive, g, n, true)
+	return prefix{p.hosts + n, p.units + float64(n)*w.units[g], p.idle + idle, p.active + active,
+		p.inexact || n > 0 && !exactUnits(w.units[g])}, next
 }
 
-// visit walks the counts of class c after prefix p, fewest first; past
-// the last class it is at a complete count vector. The primary bound is
-// convex in the count, so the loop ends at the first count whose primary
-// bound loses and has stopped falling, or whose active floor loses for
-// good.
-func (w *walker) visit(c int, p prefix) error {
-	if c == len(w.supply) {
+// cheapest sums the idle or the active draw of group g's n cheapest hosts,
+// taking its classes in order, and reports that draw of the host after
+// them (+Inf past the group's last).
+func (w *walker) cheapest(order []int, g, n int, active bool) (sum, next float64) {
+	for _, c := range order[w.start[g]:w.start[g+1]] {
+		d := w.cost[c].IdleW
+		if active {
+			d = w.cost[c].ActiveW
+		}
+		t := min(n, w.supply[c])
+		sum += float64(t) * d
+		if n -= t; t < w.supply[c] {
+			return sum, d
+		}
+	}
+	return sum, math.Inf(1)
+}
+
+// visit walks the counts of group g after prefix p, fewest first; past
+// the last group it is at a complete mix. The primary bound is convex in
+// the count, so the loop ends at the first count whose primary bound
+// loses and has stopped falling, or whose active floor loses for good.
+func (w *walker) visit(g int, p prefix) error {
+	if g == len(w.take) {
 		return w.leaf()
 	}
 	if err := w.s.ctx.Err(); err != nil {
 		return err
 	}
 	n := 0
-	if gap := w.reach - p.units - w.restUnits[c+1]; gap > 0 {
-		n = max(int(math.Min(gap/w.cost[c].Units, float64(w.supply[c]+1)))-1, 0)
+	if gap := w.reach - p.units - w.restUnits[g+1]; gap > 0 {
+		n = max(int(math.Min(gap/w.units[g], float64(w.size[g]+1)))-1, 0)
 	}
 	prev, version := math.Inf(1), w.version
-	for ; n <= w.supply[c]; n++ {
-		if err := w.step(len(w.counts)); err != nil {
+	for ; n <= w.size[g]; n++ {
+		if err := w.step(len(w.supply)); err != nil {
 			return err
 		}
-		q := w.add(p, c, n)
-		if q.units+w.restUnits[c+1] < w.reach {
+		q, more := w.add(p, g, n)
+		if q.units+w.restUnits[g+1] < w.reach {
 			continue // the bound is out of reach even with every remaining host
 		}
 		if w.best != nil {
 			if version != w.version {
 				prev, version = math.Inf(1), w.version
 			}
-			lb, over, cut, stays := w.bound(c+1, q)
+			lb, over, cut, stays := w.bound(g+1, q, more)
 			if over && lb >= prev || stays {
 				break
 			}
@@ -436,12 +478,12 @@ func (w *walker) visit(c int, p prefix) error {
 				continue
 			}
 		}
-		w.take[c] = n
-		if err := w.visit(c+1, q); err != nil {
+		w.take[g] = n
+		if err := w.visit(g+1, q); err != nil {
 			return err
 		}
 	}
-	w.take[c] = 0
+	w.take[g] = 0
 	return nil
 }
 
@@ -455,23 +497,24 @@ func (w *walker) step(n int) error {
 }
 
 // bound reports a lower bound on the primary rank key of every admissible
-// completion of prefix p through class next−1 — hosts under min-servers,
+// completion of prefix p through group next−1 — hosts under min-servers,
 // watts under min-power — whether that bound alone loses to the best mix,
 // whether the prefix loses on either key, and whether it loses in a way
-// that more hosts of class next−1 cannot mend.
-func (w *walker) bound(next int, p prefix) (lb float64, over, cut, stays bool) {
+// that more hosts of group next−1, the next of which adds an active draw
+// of more, cannot mend.
+func (w *walker) bound(next int, p prefix, more float64) (lb float64, over, cut, stays bool) {
 	if w.minPower {
 		lb = w.watts(next, p)
 		if over = w.loses(lb); over {
 			return lb, true, true, false
 		}
-		// The active floor's ratio never falls below a class's own, so
-		// once it reaches class next−1's, more of that class only raises
-		// the floor.
+		// The active floor's ratio never falls below the ratio of a host
+		// it adds, and a group adds its hosts by ascending active draw, so
+		// once the next one's ratio reaches the floor's, more hosts of the
+		// group only raise the floor.
 		floor, ratio := w.activeFloor(next, p)
-		cc := w.cost[next-1]
 		cut = w.loses(p.idle + floor)
-		return lb, false, cut, cut && cc.ActiveW >= ratio*cc.Units
+		return lb, false, cut, cut && more >= ratio*w.units[next-1]
 	}
 	lb = float64(p.hosts) + w.cover(next, w.reach-p.units, w.byUnits, nil)
 	if lb > float64(w.bestPr.Hosts)+roundoff {
@@ -487,7 +530,7 @@ func (w *walker) bound(next int, p prefix) (lb float64, over, cut, stays bool) {
 	return lb, false, false, false
 }
 
-// hostsNeeded is the fewest hosts classes next.. can add to prefix p to
+// hostsNeeded is the fewest hosts groups next.. can add to prefix p to
 // clear the capability bound: most units per host first, whole hosts,
 // and strictly above the bound while the sum of units stays exact.
 func (w *walker) hostsNeeded(next int, p prefix) int {
@@ -498,10 +541,10 @@ func (w *walker) hostsNeeded(next int, p prefix) int {
 	}
 	for _, c := range w.byUnits {
 		u := w.cost[c].Units
-		if c < next || u <= 0 {
+		if w.group[c] < next || u <= 0 {
 			continue
 		}
-		if exact && !w.exact[c] {
+		if exact && !exactUnits(u) {
 			exact, need = false, need-(w.floor-w.reach)
 		}
 		if need < 0 || need == 0 && !exact {
@@ -536,13 +579,13 @@ func clears(added, need float64, exact bool) bool {
 func (w *walker) loses(watts float64) bool { return watts > w.bestPr.Watts*(1+roundoff) }
 
 // watts bounds from below the draw of every admissible completion of
-// prefix p by classes next.. .
+// prefix p by groups next.. .
 func (w *walker) watts(next int, p prefix) float64 {
 	return p.idle + w.kappa*p.active + w.cover(next, w.reach-p.units, w.byPrice, w.price)
 }
 
 // activeFloor bounds from below the active draw of every admissible
-// completion of prefix p by classes next.., and reports the lowest ratio
+// completion of prefix p by groups next.., and reports the lowest ratio
 // of full-utilization increment to units such a completion can have. The
 // draw is min(U, demand) times the mix's ratio, and a class lowers the
 // ratio only while its own is below it, so the lowest ratio adds whole
@@ -553,7 +596,7 @@ func (w *walker) activeFloor(next int, p prefix) (floor, ratio float64) {
 	a, units := p.active, p.units
 	for _, c := range w.byRatio {
 		cc := w.cost[c]
-		if c < next || cc.Units <= 0 {
+		if w.group[c] < next || cc.Units <= 0 {
 			continue
 		}
 		if units > 0 && cc.ActiveW*units >= a*cc.Units {
@@ -569,17 +612,17 @@ func (w *walker) activeFloor(next int, p prefix) (floor, ratio float64) {
 	return math.Min(math.Max(p.units, w.reach), w.k.Demand()) * ratio, ratio
 }
 
-// cover is the least cost of adding need capability units from classes
-// next.. when hosts may be taken fractionally, taking the classes in
-// order (cheapest per unit first); a class-c host costs price[c], or one
-// when price is nil.
+// cover is the least cost of adding need capability units from the
+// classes of groups next.. when hosts may be taken fractionally, taking
+// the classes in order (cheapest per unit first); a class-c host costs
+// price[c], or one when price is nil.
 func (w *walker) cover(next int, need float64, order []int, price []float64) float64 {
 	total := 0.0
 	for _, c := range order {
 		if need <= 0 {
 			break
 		}
-		if c < next || w.cost[c].Units <= 0 {
+		if w.group[c] < next || w.cost[c].Units <= 0 {
 			continue
 		}
 		t := math.Min(float64(w.supply[c]), need/w.cost[c].Units)
@@ -661,21 +704,22 @@ func (w *walker) setPrices() {
 	})
 }
 
-// leaf scores the complete count vector when it is admissible and ranks
-// ahead of the best mix, and keeps it when it meets the target.
+// leaf prices the mix of the walk's group counts, filled, and scores it
+// when it is admissible and ranks ahead of the best mix; it keeps the
+// mix when it meets the target.
 func (w *walker) leaf() error {
-	if err := w.step(len(w.counts)); err != nil {
+	if err := w.step(len(w.supply)); err != nil {
 		return err
 	}
-	for c, m := range w.members {
-		left := w.take[c]
-		for _, d := range m {
-			w.counts[d] = min(left, w.classSupply[d])
-			left -= w.counts[d]
-		}
-	}
+	w.fill(0) // any split prices the units, which set the utilization
 	pr := w.k.Price(eval.Placement{Classes: w.counts})
-	if pr.CapabilityUnits <= w.floor || w.best != nil && !w.ahead(pr, w.counts) {
+	if pr.CapabilityUnits <= w.floor {
+		return nil
+	}
+	if w.fill(pr.Utilization) {
+		pr = w.k.Price(eval.Placement{Classes: w.counts})
+	}
+	if w.best != nil && !w.ahead(pr, w.counts) {
 		return nil
 	}
 	if err := w.step(scoreSteps); err != nil {
@@ -688,6 +732,29 @@ func (w *walker) leaf() error {
 	w.best, w.bestPr, w.bestRes = append(w.best[:0], w.counts...), pr, res
 	w.refresh()
 	return nil
+}
+
+// fill spreads each group's count over its classes, the cheapest per-host
+// draw IdleW + u·ActiveW first (u capped at 1, as a host's draw is) and
+// ties in class order. The splits of a group's count share its units,
+// hence the mix's losses and utilization u, and a split's draw at u is
+// linear in its per-class counts, so the fill draws least; among splits
+// that draw alike it is the lexicographically largest. It reports whether
+// a count moved.
+func (w *walker) fill(u float64) (moved bool) {
+	u = math.Min(u, 1)
+	for g, n := range w.take {
+		order := w.byDraw[w.start[g]:w.start[g+1]]
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(w.cost[a].IdleW+u*w.cost[a].ActiveW, w.cost[b].IdleW+u*w.cost[b].ActiveW), a-b)
+		})
+		for _, c := range order {
+			t := min(n, w.supply[c])
+			moved = moved || t != w.counts[c]
+			w.counts[c], n = t, n-t
+		}
+	}
+	return moved
 }
 
 // ahead reports whether mix counts at price pr ranks ahead of the best:

@@ -56,7 +56,8 @@ type ServerModel struct {
 	Max  float64 // S_max: full-utilization draw, watts
 }
 
-// DefaultServer mirrors core.DefaultPower (see DESIGN.md §2).
+// DefaultServer is the reconstructed case-study server (DESIGN.md §2),
+// which core.DefaultPower names for the analytic model.
 var DefaultServer = ServerModel{Base: 250, Max: 340}
 
 // ErrInvalidModel reports invalid power-model parameters.
@@ -95,15 +96,13 @@ func (m ServerModel) IdleDraw(p Platform) float64 { return m.Draw(0, p) }
 // Meter integrates energy over time for a group of servers, emulating the
 // paper's electric parameter tester "which measures the power consumed by
 // one or more servers switching in it". Feed it utilization observations
-// with Observe; read totals with Energy and MeanPower.
+// with Observe; read totals with Energy and IdleEnergy.
 type Meter struct {
 	model    ServerModel
 	platform Platform
 
-	elapsed     float64 // seconds observed
 	totalJoules float64
 	idleJoules  float64 // what the same servers would have drawn idle
-	maxServers  int
 }
 
 // NewMeter builds a meter for servers with the given model and platform.
@@ -131,10 +130,6 @@ func (m *Meter) Observe(dt float64, utilizations []float64) error {
 	}
 	m.totalJoules += watts * dt
 	m.idleJoules += m.model.IdleDraw(m.platform) * float64(len(utilizations)) * dt
-	m.elapsed += dt
-	if len(utilizations) > m.maxServers {
-		m.maxServers = len(utilizations)
-	}
 	return nil
 }
 
@@ -145,25 +140,6 @@ func (m *Meter) Energy() float64 { return m.totalJoules }
 // consumed idle — the quantity the paper subtracts to isolate "the power
 // consumed by the service workloads" (Fig. 13).
 func (m *Meter) IdleEnergy() float64 { return m.idleJoules }
-
-// WorkloadEnergy reports Energy − IdleEnergy: the active energy
-// attributable to the workloads.
-func (m *Meter) WorkloadEnergy() float64 { return m.totalJoules - m.idleJoules }
-
-// Elapsed reports the observed duration in seconds.
-func (m *Meter) Elapsed() float64 { return m.elapsed }
-
-// MeanPower reports the time-average power draw in watts (NaN when nothing
-// has been observed).
-func (m *Meter) MeanPower() float64 {
-	if m.elapsed == 0 {
-		return math.NaN()
-	}
-	return m.totalJoules / m.elapsed
-}
-
-// MaxServers reports the largest server group observed.
-func (m *Meter) MaxServers() int { return m.maxServers }
 
 // Comparison captures the paper's Fig. 12/13 power comparison between a
 // dedicated deployment and a consolidated one.

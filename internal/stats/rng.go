@@ -49,9 +49,6 @@ func (s *Stream) Substream(name string) *Stream {
 // Name reports the stream's derivation path.
 func (s *Stream) Name() string { return s.name }
 
-// Seed reports the root seed the stream was derived from.
-func (s *Stream) Seed() uint64 { return s.seed }
-
 // Float64 returns a uniform variate in [0, 1).
 func (s *Stream) Float64() float64 { return s.rng.Float64() }
 
@@ -69,9 +66,6 @@ func (s *Stream) ExpFloat64() float64 { return s.rng.ExpFloat64() }
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {

@@ -51,8 +51,9 @@ func TestSubstreamPathNaming(t *testing.T) {
 	if got, want := s.Name(), "a/b/c"; got != want {
 		t.Fatalf("Name() = %q, want %q", got, want)
 	}
-	if s.Seed() != 1 {
-		t.Fatalf("Seed() = %d, want 1", s.Seed())
+	// The path alone names a stream: the root seed carries over.
+	if s.Float64() != NewStream(1, "a/b/c").Float64() {
+		t.Fatal("substream a/b/c draws unlike the root-seeded stream of that path")
 	}
 }
 
@@ -89,7 +90,7 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 }
 
-func TestPermAndShuffle(t *testing.T) {
+func TestPerm(t *testing.T) {
 	s := NewStream(9, "perm")
 	p := s.Perm(10)
 	seen := map[int]bool{}
@@ -98,15 +99,6 @@ func TestPermAndShuffle(t *testing.T) {
 			t.Fatalf("invalid permutation %v", p)
 		}
 		seen[v] = true
-	}
-	xs := []int{1, 2, 3, 4, 5}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 15 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
 

@@ -119,9 +119,6 @@ func (p *NHPP) Rate() float64 {
 	return p.Rates[len(p.Rates)-1]
 }
 
-// PeakRate reports the largest windowed rate.
-func (p *NHPP) PeakRate() float64 { return stats.Max(p.Rates) }
-
 // String describes the process.
 func (p *NHPP) String() string {
 	return fmt.Sprintf("NHPP(bins=%d,bin=%gs,cycle=%t)", len(p.Rates), p.BinSec, p.Cycle)

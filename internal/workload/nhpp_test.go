@@ -13,7 +13,7 @@ func TestNHPPConstantRateIsPoisson(t *testing.T) {
 	if stats.RelativeError(got, 5) > 0.03 {
 		t.Fatalf("constant NHPP rate %.3f, want 5", got)
 	}
-	if p.Rate() != 5 || p.PeakRate() != 5 {
+	if p.Rate() != 5 {
 		t.Fatal("rate metadata wrong")
 	}
 }
@@ -47,9 +47,6 @@ func TestNHPPPerBinRates(t *testing.T) {
 	}
 	if stats.RelativeError(p.Rate(), 6) > 1e-12 {
 		t.Fatalf("mean rate %g", p.Rate())
-	}
-	if p.PeakRate() != 10 {
-		t.Fatalf("peak %g", p.PeakRate())
 	}
 }
 

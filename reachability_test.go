@@ -20,14 +20,13 @@ import (
 // program reaches but that stay, each with its reason. Keys are
 // "<package directory>.<name>".
 var reachAllowlist = map[string]string{
-	"internal/erlang.ServersContinuous": "oracle of plan's TestPlanHeteroAtLeastContinuousBound",
-	"internal/stats.Autocorrelation":    "used by workload's tests",
-	"internal/stats.ExpSpec":            "used by the tests of eval and scenario",
-	"internal/stats.ParetoWithMean":     "used by workload's tests",
-	"internal/stats.RelativeError":      "used by the tests of cluster, queueing and workload",
-	"internal/stats.SCV":                "used by workload's tests",
-	"internal/stats.Variance":           "used by workload's tests",
-	"internal/serve.ErrorResponse":      "the documented error envelope of the service",
+	"internal/stats.Autocorrelation": "used by workload's tests",
+	"internal/stats.ExpSpec":         "used by the tests of eval and scenario",
+	"internal/stats.ParetoWithMean":  "used by workload's tests",
+	"internal/stats.RelativeError":   "used by the tests of cluster, queueing and workload",
+	"internal/stats.SCV":             "used by workload's tests",
+	"internal/stats.Variance":        "used by workload's tests",
+	"internal/serve.ErrorResponse":   "the documented error envelope of the service",
 }
 
 // TestReachability fails on any package-level declaration under internal/
