@@ -174,6 +174,7 @@ func TestPlanGoldens(t *testing.T) {
 		objective string
 		periods   bool
 		costWh    float64
+		evaluator string // "" is analytic
 	}{
 		{golden: "plan-sharded-fleet.json", scenario: "../../examples/scenarios/sharded-fleet.json", objective: "min-servers"},
 		{golden: "plan-hetero.json", scenario: "../../examples/scenarios/plan-hetero.json", objective: "min-power"},
@@ -181,13 +182,20 @@ func TestPlanGoldens(t *testing.T) {
 		{golden: "plan-blades.json", scenario: "testdata/plan-blades.json", objective: "min-power"},
 		{golden: "plan-blades-min-servers.json", scenario: "testdata/plan-blades.json", objective: "min-servers"},
 		{golden: "plan-periods.json", scenario: "../../examples/scenarios/periods-day.json", objective: "min-servers", periods: true, costWh: 12},
+		// The day scored by the event simulator: a few seconds of it.
+		{golden: "plan-periods-sim.json", scenario: "testdata/periods-day-sim.json", objective: "min-servers", periods: true, costWh: 12, evaluator: "sim"},
 	}
 	for _, c := range cases {
+		if c.evaluator == "" {
+			c.evaluator = "analytic"
+		} else if testing.Short() {
+			continue
+		}
 		s, err := loadScenario(c.scenario)
 		if err != nil {
 			t.Fatalf("%s: %v", c.scenario, err)
 		}
-		out, err := runPlan(s, 0.05, c.objective, "analytic", c.periods, c.costWh)
+		out, err := runPlan(s, 0.05, c.objective, c.evaluator, c.periods, c.costWh)
 		if err != nil {
 			t.Fatalf("%s: %v", c.golden, err)
 		}

@@ -86,12 +86,11 @@ type entry struct {
 // Simulator owns the clock and the event queue. The zero value is not
 // usable; call New.
 type Simulator struct {
-	now     Time
-	arena   []event // slot storage; grows, never shrinks
-	free    []int32 // recycled slot indexes
-	queue   []entry // binary min-heap keyed by (at, seq)
-	seq     uint64
-	stopped bool
+	now   Time
+	arena []event // slot storage; grows, never shrinks
+	free  []int32 // recycled slot indexes
+	queue []entry // binary min-heap keyed by (at, seq)
+	seq   uint64
 	// firing is set while queue[0] is the executing event's spent entry,
 	// which the next At overwrites and Run removes otherwise. The entry
 	// keeps the heap valid meanwhile: every pending event orders after it.
@@ -207,7 +206,7 @@ func (s *Simulator) Reset() {
 		s.free = append(s.free, int32(i))
 	}
 	s.queue = s.queue[:0]
-	s.now, s.seq, s.stopped, s.firing = 0, 0, false, false
+	s.now, s.seq, s.firing = 0, 0, false
 	s.fired, s.scheduled, s.cancelled, s.maxQueue = 0, 0, 0, 0
 }
 
@@ -302,18 +301,14 @@ func (s *Simulator) Reschedule(h Handle, t Time, fn func()) Handle {
 	return Handle{sim: s, idx: h.idx, gen: ev.gen}
 }
 
-// Stop halts the run loop after the currently executing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events in timestamp order until the queue is empty, the
-// horizon is reached, or Stop is called. Events scheduled exactly at the
-// horizon do fire; later events stay queued. It returns the number of
-// events executed during this call.
+// Run executes events in timestamp order until the queue is empty or the
+// horizon is reached. Events scheduled exactly at the horizon do fire;
+// later events stay queued. It returns the number of events executed
+// during this call.
 func (s *Simulator) Run(horizon Time) uint64 {
-	s.stopped = false
 	s.dropFiring() // left behind by an event that panicked
 	var count uint64
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		top := s.queue[0]
 		if top.at > horizon {
 			break
@@ -334,7 +329,7 @@ func (s *Simulator) Run(horizon Time) uint64 {
 		s.fired++
 		count++
 	}
-	if s.now < horizon && !s.stopped && !math.IsInf(horizon, 1) {
+	if s.now < horizon && !math.IsInf(horizon, 1) {
 		// Advance the clock to the horizon even if the queue drained, so
 		// time-weighted statistics cover the whole window. RunAll (infinite
 		// horizon) leaves the clock at the last event instead.
@@ -343,7 +338,7 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	return count
 }
 
-// RunAll executes events until the queue is empty or Stop is called.
+// RunAll executes events until the queue is empty.
 func (s *Simulator) RunAll() uint64 {
 	return s.Run(math.Inf(1))
 }
@@ -462,7 +457,6 @@ type TimeAverage struct {
 	lastV    float64
 	area     float64
 	duration float64
-	max      float64
 }
 
 // Set records that the signal takes value v from time t onward.
@@ -475,10 +469,6 @@ func (a *TimeAverage) Set(t Time, v float64) {
 		}
 	} else {
 		a.started = true
-		a.max = v
-	}
-	if v > a.max {
-		a.max = v
 	}
 	a.lastT = t
 	a.lastV = v
@@ -496,7 +486,6 @@ func (a *TimeAverage) Reset(t Time) {
 	a.Set(t, a.lastV)
 	a.area = 0
 	a.duration = 0
-	a.max = a.lastV
 }
 
 // Average reports the time-weighted mean (NaN if no time has elapsed).
@@ -506,17 +495,3 @@ func (a *TimeAverage) Average() float64 {
 	}
 	return a.area / a.duration
 }
-
-// Max reports the largest value observed.
-func (a *TimeAverage) Max() float64 {
-	if !a.started {
-		return math.NaN()
-	}
-	return a.max
-}
-
-// Duration reports the observed time span.
-func (a *TimeAverage) Duration() float64 { return a.duration }
-
-// Current reports the most recently set value.
-func (a *TimeAverage) Current() float64 { return a.lastV }

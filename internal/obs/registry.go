@@ -101,9 +101,6 @@ func (h *Histogram) Observe(v float64) {
 // Count reports the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum reports the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
 // snapshot freezes the histogram.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{

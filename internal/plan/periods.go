@@ -84,11 +84,10 @@ type PeriodPlan struct {
 	TotalKWh    float64 `json:"total_kwh"`
 
 	// Evaluations counts the candidate evaluations of every segment
-	// search plus one per (peak, bin) pair scored. Under eval.Analytic a
-	// pair whose placement and level an earlier pair already scored reads
-	// that score and still counts, as a simulator cache hit counts on the
-	// stamping route. Behind an evaluator with Evaluate alone the count
-	// equals its Evaluate calls.
+	// search plus one per (peak, bin) pair scored. A pair whose placement
+	// and level an earlier pair already scored reads that score and still
+	// counts, so the count is the same whatever the evaluator, and can
+	// exceed the evaluator's calls: 232 against 142 on periods-day.
 	Evaluations int `json:"evaluations"`
 }
 
@@ -199,10 +198,15 @@ func (bp *BinPlan) appendJSON(b []byte) ([]byte, error) {
 // SearchPeriods plans a periods scenario bin by bin and then smooths the
 // bin plans against a per-migration charge.
 //
-// Every contiguous bin segment is sized once by Search at the segment's
-// peak demand (the element-wise maximum of its bins' rate multipliers),
-// deduplicated by peak vector, and each bin is scored under its
-// segment's placement. A dynamic program over contiguous segmentations
+// Every contiguous bin segment is sized at the segment's peak demand
+// (the element-wise maximum of its bins' rate multipliers), deduplicated
+// by peak vector, by the single-point search on the peak's operating
+// point: the base kernel rescaled to the peak under eval.Analytic, the
+// peak's stationary scenario under any other evaluator. Each bin is
+// scored under its segment's placement at the point of its level, the
+// peak of its one-bin segment, on one table whatever the evaluator: a
+// row per placement, a column per level, each needed cell scored once.
+// A dynamic program over contiguous segmentations
 // then picks the partition minimizing total energy plus migrationCostWh
 // per VM move at each segment boundary — exact over partitions, so a
 // zero cost degenerates to independent per-bin plans and an infinite
@@ -307,39 +311,40 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		col[i] = pe.level
 	}
 
-	// Size each distinct peak with the single-point planner. A peak the
-	// supply cannot serve makes its segments invalid, not the whole
-	// plan: with per-service peaks in different bins, splitting can be
-	// feasible where the static peak is not. Under the analytic evaluator
-	// a level's rescaled kernel is also the kernel of the bins at that
-	// level, so it is kept even when its peak is infeasible: those bins
-	// are still scored under other peaks' placements.
-	var levelKernels []*eval.Kernel
-	if base != nil {
-		levelKernels = make([]*eval.Kernel, levels)
+	// Size each distinct peak with the single-point search on the peak's
+	// operating point: the base kernel rescaled to the peak under the
+	// analytic evaluator, the peak's stationary scenario for any other. A
+	// peak the supply cannot serve makes its segments invalid, not the
+	// whole plan: with per-service peaks in different bins, splitting can
+	// be feasible where the static peak is not. A level's point is its
+	// peak's point, kept even when the peak is infeasible: the level's
+	// bins are still scored under other peaks' placements.
+	levelKernels := make([]*eval.Kernel, levels) // nil on the stamping route
+	var levelScenarios []scenario.Scenario       // the stamping route's
+	if base == nil {
+		levelScenarios = make([]scenario.Scenario, levels)
 	}
 	evaluations := 0
 	plans := make([]Plan, len(peaks))
 	for pi := range peaks {
 		pe, mults := &peaks[pi], peakMults[pi*services:(pi+1)*services]
+		s, k := flat, (*eval.Kernel)(nil)
 		var err error
 		if base != nil {
-			var k *eval.Kernel
-			if k, err = base.Scale(mults); err != nil {
-				return PeriodPlan{}, err
-			}
-			if pe.level >= 0 {
-				levelKernels[pe.level] = k
-			}
-			plans[pi], err = search(ctx, ev, spec, flat, k)
+			k, err = base.Scale(mults)
 		} else {
-			s := spec
-			if s.Scenario, err = flat.Stationary(fmt.Sprintf("peak%02d", pi), mults); err != nil {
-				return PeriodPlan{}, err
-			}
-			plans[pi], err = Search(ctx, ev, nil, s)
+			s, err = flat.Stationary(fmt.Sprintf("peak%02d", pi), mults)
 		}
 		if err != nil {
+			return PeriodPlan{}, err
+		}
+		if pe.level >= 0 {
+			levelKernels[pe.level] = k
+			if base == nil {
+				levelScenarios[pe.level] = s
+			}
+		}
+		if plans[pi], err = search(ctx, ev, spec, s, k); err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
 			}
@@ -349,103 +354,73 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		evaluations += pe.plan.Evaluations
 	}
 
-	// The score table has a row per placement and a column per level. On
-	// the kernel a bin's score depends only on the placement and the
-	// bin's level, so peaks whose plans place the same fleet share a row
-	// and each (placement, level) cell is scored once, however many
-	// (peak, bin) pairs read it. The stamping route hands the evaluator
-	// each bin's own stationary scenario, so there every feasible peak
-	// keeps its own row and every bin its own column.
+	// The score table has a row per placement and a column per level. A
+	// bin's score depends only on the placement and the bin's level, so
+	// peaks whose plans place the same fleet share a row, and each needed
+	// (placement, level) cell is scored once, at its first need in
+	// peak-major bin-minor order, however many (peak, bin) pairs read it:
+	// inline on the level's kernel, or stamped onto the level's scenario
+	// and sent with the other stamped cells as one batch, so the sim
+	// evaluator lowers the whole grid onto a single engine run. Each
+	// (peak, bin) pair counts as one evaluation. Every bin lasts bin_sec,
+	// so a cell's energy is that of each bin at its level.
 	var places []eval.Placement // per row
-	cols := levels
-	if base != nil {
-		rowOf := make(map[string]int)
-		for pi := range peaks {
-			pe := &peaks[pi]
-			if pe.plan == nil {
+	rowOf := make(map[string]int)
+	for pi := range peaks {
+		pe := &peaks[pi]
+		if pe.plan == nil {
+			continue
+		}
+		key = appendFleet(key[:0], pe.plan)
+		id, ok := rowOf[string(key)]
+		if !ok {
+			id = len(places)
+			rowOf[string(key)] = id
+			places = append(places, pe.plan.placement())
+		}
+		pe.id = id
+	}
+	scores := make([]binScore, len(places)*levels)
+	var cells []int // the stamped cells, in batch order
+	var cands []scenario.Scenario
+	for pi := range peaks {
+		pe := &peaks[pi]
+		if pe.plan == nil {
+			continue
+		}
+		for b, ok := range need[pi*n : (pi+1)*n] {
+			if !ok {
 				continue
 			}
-			key = appendFleet(key[:0], pe.plan)
-			id, ok := rowOf[string(key)]
-			if !ok {
-				id = len(places)
-				rowOf[string(key)] = id
-				places = append(places, pe.plan.placement())
+			evaluations++
+			at := pe.id*levels + col[b]
+			if scores[at].scored {
+				continue
 			}
-			pe.id = id
-		}
-	} else {
-		cols = n
-		for b := range col {
-			col[b] = b
-		}
-		for pi := range peaks {
-			if pe := &peaks[pi]; pe.plan != nil {
-				pe.id = len(places)
-				places = append(places, pe.plan.placement())
+			if base == nil {
+				scores[at].scored = true
+				cells = append(cells, at)
+				cands = append(cands, stamp(levelScenarios[col[b]], places[pe.id]))
+				continue
 			}
+			if err := ctx.Err(); err != nil {
+				return PeriodPlan{}, err
+			}
+			res, err := levelKernels[col[b]].Score(places[pe.id])
+			if err != nil {
+				return PeriodPlan{}, err
+			}
+			scores[at] = newBinScore(res, bins[b].Seconds, spec.Target)
 		}
 	}
-	scores := make([]binScore, len(places)*cols)
-
-	// Score each bin under every placement some segment would run it on,
-	// in deterministic peak-major bin-minor order: on the levels'
-	// kernels, one Score per cell, or as one batch of stamped bin
-	// scenarios, so the sim evaluator lowers the whole grid onto a single
-	// engine run. Only the stamping route builds a bin's stationary
-	// scenario, once per bin it scores. Either way each (peak, bin) pair
-	// counts as one evaluation.
-	if base != nil {
-		for pi := range peaks {
-			pe := &peaks[pi]
-			if pe.plan == nil {
-				continue
-			}
-			row := scores[pe.id*cols : (pe.id+1)*cols]
-			for b, ok := range need[pi*n : (pi+1)*n] {
-				if !ok {
-					continue
-				}
-				evaluations++
-				if row[col[b]].scored {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return PeriodPlan{}, err
-				}
-				res, err := levelKernels[col[b]].Score(places[pe.id])
-				if err != nil {
-					return PeriodPlan{}, err
-				}
-				row[col[b]] = newBinScore(res, bins[b].Seconds, spec.Target)
-			}
-		}
-	} else {
-		var order []int // pi*n + b
-		for at, ok := range need {
-			if ok && peaks[at/n].plan != nil {
-				order = append(order, at)
-			}
-		}
-		stat := make([]scenario.Scenario, n) // Services stays nil until built
-		cands := make([]scenario.Scenario, len(order))
-		for t, at := range order {
-			b := at % n
-			if stat[b].Services == nil {
-				if stat[b], err = resolved.Stationary(bins[b].Name, bins[b].Multipliers); err != nil {
-					return PeriodPlan{}, fmt.Errorf("periods bin %d: %w", b, err)
-				}
-			}
-			cands[t] = stamp(stat[b], places[peaks[at/n].id])
-		}
+	if len(cands) > 0 {
 		results, err := eval.EvaluateBatch(ctx, ev, cands)
 		if err != nil {
 			return PeriodPlan{}, err
 		}
-		for t, at := range order {
-			scores[peaks[at/n].id*cols+at%n] = newBinScore(results[t], bins[at%n].Seconds, spec.Target)
+		for t, at := range cells {
+			scores[at] = newBinScore(results[t], bins[0].Seconds, spec.Target)
 		}
-		evaluations += len(order)
 	}
 
 	// Dynamic program over contiguous segmentations, one row per segment
@@ -457,11 +432,11 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// pre-summed, so partitions whose per-bin placements coincide get
 	// bitwise-equal costs and the tie-break can see the tie. Along a row
 	// the segment grows by one bin per column. While its peak keeps the
-	// same score-table row (the same placement, on the kernel), each
-	// predecessor's running cost just takes the new bin's energy, the
-	// next term of the same sum; where that row changes, the segment's
-	// earlier bins are re-checked and every running cost is rebuilt from
-	// its predecessor, charge included. Ties on cost keep more segments,
+	// same score-table row (the same placement), each predecessor's
+	// running cost just takes the new bin's energy, the next term of the
+	// same sum; where the placement changes, the segment's earlier bins
+	// are re-checked and every running cost is rebuilt from its
+	// predecessor, charge included. Ties on cost keep more segments,
 	// then the earliest previous start — all deterministic.
 	type cell struct {
 		cost float64
@@ -496,13 +471,13 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 				// and rebuild the running costs below.
 				id, ok, fresh = pe.id, pe.id >= 0, false
 				for b := k; ok && b < j; b++ {
-					ok = scores[id*cols+col[b]].ok
+					ok = scores[id*levels+col[b]].ok
 				}
 			}
-			if ok = ok && scores[id*cols+col[j]].ok; !ok {
+			if ok = ok && scores[id*levels+col[j]].ok; !ok {
 				continue
 			}
-			row := scores[id*cols : (id+1)*cols]
+			row := scores[id*levels : (id+1)*levels]
 			e := row[col[j]].energy
 			if k == 0 {
 				// A first segment has no predecessor and no charge.
@@ -585,7 +560,7 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		pe := &peaks[segPeak[start*n+end]]
 		pl := pe.plan
 		for b := start; b <= end; b++ {
-			sc := &scores[pe.id*cols+col[b]]
+			sc := &scores[pe.id*levels+col[b]]
 			res := sc.res
 			if sc.taken {
 				// An earlier bin of the same level holds this score.
@@ -628,8 +603,8 @@ type binScore struct {
 	res    eval.Result
 	energy float64 // res.Watts × Seconds / 3600; every bin lasts bin_sec
 	ok     bool    // res.Loss is a number at or under the target
-	scored bool
-	taken  bool // an output bin holds res.Services
+	scored bool    // or queued for the stamping route's batch
+	taken  bool    // an output bin holds res.Services
 }
 
 func newBinScore(res eval.Result, seconds, target float64) binScore {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -67,6 +69,15 @@ func TestSearchPeriodsDomain(t *testing.T) {
 			plan.Spec{Scenario: s, Target: target}, cost); err == nil {
 			t.Errorf("migration cost %g accepted", cost)
 		}
+	}
+	// A finite multiplier whose rate overflows is refused alike on the
+	// kernel and on the stamping route.
+	s.Periods.Bins[2].Multiplier = 1e306
+	spec := plan.Spec{Scenario: s, Target: target}
+	_, kernelErr := plan.SearchPeriods(context.Background(), eval.NewAnalytic(nil), nil, spec, 0)
+	_, stampErr := plan.SearchPeriods(context.Background(), evaluateOnly{eval.NewAnalytic(nil)}, nil, spec, 0)
+	if kernelErr == nil || fmt.Sprint(stampErr) != kernelErr.Error() {
+		t.Errorf("overflowing rate: kernel route err = %v, stamping route %v", kernelErr, stampErr)
 	}
 }
 
@@ -251,6 +262,76 @@ func TestSearchPeriodsWithSimEvaluator(t *testing.T) {
 	}
 }
 
+// simCounter is eval.Sim behind a decorator that keeps its batch method
+// and records the candidates the simulator is handed: one at a time by
+// the peak searches, as a batch by the bin scores.
+type simCounter struct {
+	sim   *eval.Sim
+	calls int
+	batch []scenario.Scenario
+}
+
+func (c *simCounter) Evaluate(ctx context.Context, s scenario.Scenario) (eval.Result, error) {
+	c.calls++
+	return c.sim.Evaluate(ctx, s)
+}
+
+func (c *simCounter) EvaluateBatch(ctx context.Context, cands []scenario.Scenario) ([]eval.Result, error) {
+	c.batch = append(c.batch, cands...)
+	return c.sim.EvaluateBatch(ctx, cands)
+}
+
+// On a day whose bins repeat levels (off/on/off/on), the simulator scores
+// each (placement, level) cell once, and every output bin reads what the
+// simulator says of its own stationary scenario, named after the bin,
+// with the bin's placement stamped on. At zero cost the off bins run the
+// off peak's placement and the on bins the on peak's, and the on peak's
+// segments cover the off bins too: 3 cells for the 6 (peak, bin) pairs.
+func TestSearchPeriodsSimScoresEachCellOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed planning")
+	}
+	s := scenario.CaseStudy(2, 2, "consolidated", 2)
+	s.Horizon = 20
+	s.Periods = &scenario.Periods{
+		BinSec: 6 * 3600,
+		Bins: []scenario.PeriodBin{
+			{Name: "off", Multiplier: 0.4},
+			{Name: "on", Multiplier: 1.0},
+			{Name: "off-again", Multiplier: 0.4},
+			{Name: "on-again", Multiplier: 1.0},
+		},
+	}
+	ctx := context.Background()
+	ev := &simCounter{sim: eval.NewSim(nil)}
+	pp, err := plan.SearchPeriods(ctx, ev, nil, plan.Spec{Scenario: s, Target: 0.2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.Bins[0].Hosts == pp.Bins[1].Hosts {
+		t.Fatalf("off and on bins both run %d hosts: the day does not separate its levels", pp.Bins[0].Hosts)
+	}
+	if pp.Evaluations != ev.calls+6 || len(ev.batch) != 3 {
+		t.Errorf("%d evaluations, %d search candidates and %d bin candidates; want the searches' plus 6, and 3 bin candidates",
+			pp.Evaluations, ev.calls, len(ev.batch))
+	}
+	bins, err := s.ResolvePeriods()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := eval.NewSim(nil)
+	for i, b := range pp.Bins {
+		placed := plan.Plan{Hosts: b.Hosts, Classes: b.Classes, Dedicated: b.Dedicated}.Apply(bins[i].Scenario)
+		want, err := sim.Evaluate(ctx, placed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(b.Result, want) {
+			t.Errorf("bin %s: result %+v, the simulator on %s says %+v", b.Name, b.Result, placed.Name, want)
+		}
+	}
+}
+
 // The multi-period planner plans byte-identically on rescaled kernels and
 // on the stamping route (an Evaluate-only decorator handed a 2-slot pool,
 // scoring the bin grid as one batch).
@@ -302,10 +383,13 @@ func (c cancelAfter) Evaluate(ctx context.Context, s scenario.Scenario) (eval.Re
 	return r, err
 }
 
-// A context cancelled inside the last evaluation of the day still stops
-// the plan: the segment-validity pass and the dynamic program that follow
-// the bin scores check ctx, so SearchPeriods returns context.Canceled
-// rather than a full plan.
+// A context cancelled inside the last evaluator call of the day still
+// stops the plan: the dynamic program that follows the bin scores checks
+// ctx, so SearchPeriods returns context.Canceled rather than a full plan.
+// An uncancelled run counts the calls first. Behind an Evaluate-only
+// decorator periods-day makes 142 of them for its 232 evaluations: each
+// (placement, level) cell is scored once, while every (peak, bin) pair
+// still counts as an evaluation.
 func TestSearchPeriodsStopsWhenCancelled(t *testing.T) {
 	s, ok := loadExamples(t)["periods-day.json"]
 	if !ok {
@@ -322,16 +406,17 @@ func TestSearchPeriodsStopsWhenCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := calls.Load(); last != int64(full.Evaluations) {
-		t.Fatalf("%d Evaluate calls for %d evaluations", last, full.Evaluations)
+	last := calls.Load()
+	if last != 142 || full.Evaluations != 232 {
+		t.Fatalf("%d Evaluate calls for %d evaluations, want 142 for 232", last, full.Evaluations)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls.Store(0)
 	pp, err := plan.SearchPeriods(ctx,
-		cancelAfter{ev: eval.NewAnalytic(nil), n: int64(full.Evaluations), calls: &calls, cancel: cancel}, pl, spec, 12)
+		cancelAfter{ev: eval.NewAnalytic(nil), n: last, calls: &calls, cancel: cancel}, pl, spec, 12)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled in the last evaluation: err = %v with %d bins, want context.Canceled", err, len(pp.Bins))
+		t.Fatalf("cancelled in the last evaluator call: err = %v with %d bins, want context.Canceled", err, len(pp.Bins))
 	}
 }

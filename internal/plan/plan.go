@@ -19,19 +19,17 @@
 // Candidates are placements (eval.Placement): a host count, a class-count
 // vector or per-service pool sizes. Under eval.Analytic the scenario is
 // compiled once per search — once per request for SearchPeriods, whose
-// segment peaks and bins are rescaled kernels, so no per-bin scenario is
-// built — and every placement is scored inline on the kernel. Any other
+// segment peaks are rescaled kernels, so no per-bin scenario is built —
+// and every placement is scored inline on the kernel. Any other
 // evaluator (the simulator, or a decorator) gets each placement stamped
-// onto the scenario, the same stamping Plan.Apply does (SearchPeriods
-// builds a bin's stationary scenario only for the bins it scores), one at
-// a time, while a heterogeneous search prices its mixes on an analytic
-// kernel. Under eval.Analytic, SearchPeriods scores a bin on the kernel of
-// its level (the peak of its one-bin segment), once per (placement,
-// level) pair however many segment peaks size to that placement. On
-// either route its dynamic program carries a running cost per
-// predecessor along each row and rebuilds it only where the segment's
-// scores change: at a new placement on the kernel, at a new peak when
-// stamping.
+// onto the scenario, the same stamping Plan.Apply does, one at a time,
+// while a heterogeneous search prices its mixes on an analytic kernel;
+// SearchPeriods stamps onto each segment peak's stationary scenario. On
+// either route SearchPeriods scores a bin at its level, the peak of its
+// one-bin segment, once per (placement, level) pair however many segment
+// peaks size to that placement (the stamped pairs go out as one batch),
+// and its dynamic program carries a running cost per predecessor along
+// each row, rebuilt only where the segment's placement changes.
 //
 // Every decision is made sequentially from deterministic inputs, so the
 // same Spec yields a byte-identical Plan on either route and regardless of

@@ -156,7 +156,9 @@ func (s Scenario) BaseRates() ([]float64, error) {
 // Stationary returns the periods-free stationary scenario in which each
 // service's arrival process is replaced by a Poisson process at mults[i]
 // times its mean rate — the sub-scenario one time bin resolves to. The
-// receiver may be raw or resolved; the result is resolved.
+// receiver may be raw or resolved; the result is resolved. A rate·mult
+// that is not a positive finite rate (the product can overflow) is
+// refused with validation's message, as eval.Kernel.Scale refuses it.
 func (s Scenario) Stationary(label string, mults []float64) (Scenario, error) {
 	resolved := s.Clone()
 	resolved.ApplyDefaults()
@@ -180,6 +182,9 @@ func (s Scenario) Stationary(label string, mults []float64) (Scenario, error) {
 			return Scenario{}, fmt.Errorf("%w: multiplier[%d] = %g", ErrInvalid, i, mults[i])
 		}
 		resolved.Services[i].Arrivals = workload.PoissonSpec(rates[i] * mults[i])
+		if err := resolved.Services[i].Arrivals.Validate(); err != nil {
+			return Scenario{}, fmt.Errorf("service %d: %w", i, err)
+		}
 	}
 	return resolved, nil
 }

@@ -238,4 +238,7 @@ func TestStationaryRejectsBadMultipliers(t *testing.T) {
 	if _, err := s.Stationary("x", []float64{1, math.Inf(1)}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("infinite multiplier: err = %v", err)
 	}
+	if _, err := s.Stationary("x", []float64{1, 1e306}); err == nil {
+		t.Fatal("a rate the multiplier overflows was accepted")
+	}
 }

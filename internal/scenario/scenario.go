@@ -720,7 +720,7 @@ func (h HostClass) validate() error {
 	}
 	for r, v := range h.Capability {
 		if r == "" || !(v > 0) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: host class capability[%s] = %g", ErrInvalid, r, v)
+			return fmt.Errorf("%w: host class capability[%q] = %g", ErrInvalid, r, v)
 		}
 	}
 	if p := h.Power; p != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"repro/internal/jsonenc"
 )
 
 // Error codes of the structured error shape. Every non-2xx response body
@@ -36,14 +38,16 @@ type ErrorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// appendError appends the structured error JSON to buf. It is the only
-// error serializer — the hot path and encoding/json handlers produce the
-// identical shape.
+// appendError appends the structured error JSON to buf: the bytes
+// json.Marshal writes for the ErrorResponse, so a message carrying control
+// bytes or invalid UTF-8 still makes a valid body. It is the only error
+// serializer — the hot path and encoding/json handlers produce the
+// identical shape — and allocates nothing.
 func appendError(buf []byte, code, message string) []byte {
 	buf = append(buf, `{"error":{"code":`...)
-	buf = strconv.AppendQuote(buf, code)
+	buf = jsonenc.AppendString(buf, code)
 	buf = append(buf, `,"message":`...)
-	buf = strconv.AppendQuote(buf, message)
+	buf = jsonenc.AppendString(buf, message)
 	buf = append(buf, "}}"...)
 	return buf
 }

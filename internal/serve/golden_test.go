@@ -35,6 +35,7 @@ var goldenCases = []struct {
 	{"plan-periods", "POST", "/v1/plan", "plan-periods-request.json", 200, "plan-periods.json"},
 	{"plan-periods-unknown", "POST", "/v1/plan", "plan-periods-unknown-request.json", 400, "error-plan-periods-unknown.json"},
 	{"plan-periods-infeasible", "POST", "/v1/plan", "plan-periods-infeasible-request.json", 422, "error-plan-periods-infeasible.json"},
+	{"plan-capability-control-byte", "POST", "/v1/plan", "plan-capability-request.json", 400, "error-plan-capability.json"},
 	{"bad-target", "GET", "/v1/servers?rho=5&target=2", "", 400, "error-bad-target.json"},
 	{"healthz", "GET", "/healthz", "", 200, "healthz.json"},
 }

@@ -82,21 +82,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 type Accumulator struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
+	max      float64
 }
 
 // Add records one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
@@ -124,14 +117,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev reports the running standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min reports the smallest observation (NaN when empty).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
 
 // Max reports the largest observation (NaN when empty).
 func (a *Accumulator) Max() float64 {

@@ -64,9 +64,6 @@ func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }
 // ExpFloat64 returns a unit-mean exponential variate.
 func (s *Stream) ExpFloat64() float64 { return s.rng.ExpFloat64() }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {

@@ -90,18 +90,6 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	s := NewStream(9, "perm")
-	p := s.Perm(10)
-	seen := map[int]bool{}
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSplitmix64Mixes(t *testing.T) {
 	// Adjacent inputs should produce wildly different outputs.
 	a, b := splitmix64(1), splitmix64(2)

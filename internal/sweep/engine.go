@@ -62,9 +62,6 @@ func (e *Engine) Pool() *pool.Pool { return e.pool }
 // Registry exposes the engine's metric registry (never nil).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
-// Cache exposes the engine's result cache (possibly nil).
-func (e *Engine) Cache() *Cache { return e.cache }
-
 func (e *Engine) metric(name string) string {
 	if e.scope == "" {
 		return "sweep/" + name

@@ -134,16 +134,6 @@ type PointResult struct {
 	Failures int64 `json:"failures,omitempty"`
 }
 
-// Service returns the named service's summary, or nil.
-func (pr *PointResult) Service(name string) *ServicePoint {
-	for i := range pr.Services {
-		if pr.Services[i].Name == name {
-			return &pr.Services[i]
-		}
-	}
-	return nil
-}
-
 // summarize folds a replication set into the serializable point form,
 // attaching energy figures from the point's compiled power model.
 func summarize(set *cluster.ReplicationSet, c scenario.Compiled) PointResult {
