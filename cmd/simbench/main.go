@@ -1,8 +1,8 @@
 // Command simbench runs the simulation-core benchmarks — the
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesim*,
 // BenchmarkSweepExpand, BenchmarkSweepPointKey, BenchmarkServeQuery,
-// BenchmarkServeLoss, BenchmarkBContinuous/*) plus the whole-pipeline
-// macro benchmarks BenchmarkRepro, BenchmarkShardedRun,
+// BenchmarkServeLoss, BenchmarkBContinuous/*, BenchmarkKernelScore/*)
+// plus the whole-pipeline macro benchmarks BenchmarkRepro, BenchmarkShardedRun,
 // BenchmarkSweepPoint, BenchmarkPlan* and BenchmarkServePlan/* — through
 // `go test -bench` and records ns/op, B/op, allocs/op and (for the
 // whole-run benchmarks) events/s in a JSON file, so the performance
@@ -73,14 +73,13 @@ type Record struct {
 // kernel → evaluator → planner → service) and the simulation ladder
 // (station → desim queue → cluster run → sweep point → reproduction), in
 // ladder order, each rung with the name prefixes of the benchmarks that
-// measure it. No benchmark here measures the evaluator alone: Compile and
-// Score run inside every planner row.
+// measure it.
 var rungs = []struct {
 	name     string
 	prefixes []string
 }{
 	{"analytic/erlang", []string{"BenchmarkBContinuous"}},
-	{"analytic/eval", nil},
+	{"analytic/eval", []string{"BenchmarkKernelScore"}},
 	{"analytic/plan", []string{"BenchmarkPlan"}},
 	{"analytic/serve", []string{"BenchmarkServe"}},
 	{"simulation/station", []string{"BenchmarkStation"}},
@@ -291,9 +290,9 @@ func main() {
 	}
 
 	records := runBench(
-		"BenchmarkStationHighOccupancy|BenchmarkDesim|BenchmarkSweepExpand|BenchmarkSweepPointKey|BenchmarkRepro|BenchmarkServeQuery|BenchmarkServeLoss|BenchmarkBContinuous",
+		"BenchmarkStationHighOccupancy|BenchmarkDesim|BenchmarkSweepExpand|BenchmarkSweepPointKey|BenchmarkRepro|BenchmarkServeQuery|BenchmarkServeLoss|BenchmarkBContinuous|BenchmarkKernelScore",
 		*benchtime, false,
-		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve", "./internal/erlang")
+		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve", "./internal/erlang", "./internal/eval")
 	// The whole-run shard benchmark is ~10^5 slower per op than the
 	// microbenchmarks; a fixed 20000x count would run for hours, so it
 	// gets its own much smaller fixed count. One sweep-hosts grid point

@@ -117,7 +117,8 @@ func TestGCFreeCountsMarksUngatedRows(t *testing.T) {
 }
 
 // Every row of the committed baseline sits on a ladder rung, the rungs
-// come in ladder order, and a benchmark no rung claims is an error.
+// come in ladder order, the eval rung has rows of its own, and a
+// benchmark no rung claims is an error.
 func TestTagRungs(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_simcore.json"))
 	if err != nil {
@@ -140,8 +141,13 @@ func TestTagRungs(t *testing.T) {
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("rung order %v, want %v", order, want)
 	}
+	eval := 0
 	for _, r := range records {
 		switch {
+		case strings.HasPrefix(r.Name, "BenchmarkKernelScore/"):
+			if eval++; r.Rung != "analytic/eval" {
+				t.Errorf("%s on rung %q", r.Name, r.Rung)
+			}
 		case strings.HasPrefix(r.Name, "BenchmarkServePlan/"), strings.HasPrefix(r.Name, "BenchmarkServeQuery"):
 			if r.Rung != "analytic/serve" {
 				t.Errorf("%s on rung %q", r.Name, r.Rung)
@@ -151,6 +157,9 @@ func TestTagRungs(t *testing.T) {
 				t.Errorf("%s on rung %q", r.Name, r.Rung)
 			}
 		}
+	}
+	if eval == 0 {
+		t.Error("no row measures the analytic/eval rung")
 	}
 	if _, err := tagRungs([]Record{{Name: "BenchmarkNowhere"}}); err == nil {
 		t.Fatal("a benchmark on no rung was tagged")

@@ -301,50 +301,63 @@ func (f TrafficForm) String() string {
 }
 
 // ConsolidatedTraffic reports ρ'ⱼ, the consolidated offered load on
-// resource j in Erlangs, under the given form. See TrafficForm for the
-// three readings of Eq. (5).
+// resource j in Erlangs, under the given form: the model's maps gathered
+// into MergedTraffic's flat inputs.
 func (m *Model) ConsolidatedTraffic(j Resource, form TrafficForm) float64 {
+	n := len(m.Services)
+	flat := make([]float64, 3*n)
+	lambda, mu, a := flat[:n], flat[n:2*n], flat[2*n:]
+	for i, s := range m.Services {
+		lambda[i], mu[i], a[i] = s.ArrivalRate, s.servingRate(j), s.impactFactor(j)
+	}
+	return MergedTraffic(form, lambda, mu, a)
+}
+
+// MergedTraffic is Eq. (5)'s ρ'ⱼ for one resource j under form, from
+// per-service inputs in service order: lambda[i] = λᵢ, mu[i] = μᵢⱼ (+Inf
+// where service i places no demand on j) and a[i] = aᵢⱼ (1 where unset).
+// It is the one implementation of the three readings (TrafficForm):
+// Model.ConsolidatedTraffic and internal/eval's compiled kernel both call
+// it, so the two agree bit for bit.
+func MergedTraffic(form TrafficForm, lambda, mu, a []float64) float64 {
 	switch form {
 	case TrafficEq5Verbatim:
-		lambda := 0.0
+		total := 0.0
 		denom := 0.0
-		for _, s := range m.Services {
-			lambda += s.ArrivalRate
-			mu := s.servingRate(j)
-			if math.IsInf(mu, 1) {
+		for i, l := range lambda {
+			total += l
+			if math.IsInf(mu[i], 1) {
 				// An infinitely fast term dominates the arithmetic mean:
 				// μ'ⱼ → ∞, so ρ'ⱼ → 0.
 				return 0
 			}
-			denom += s.ArrivalRate * mu * s.impactFactor(j)
+			denom += l * mu[i] * a[i]
 		}
 		if denom == 0 {
 			return 0
 		}
-		return lambda * lambda / denom
+		return total * total / denom
 	case TrafficEq5Restricted:
-		lambda := 0.0
+		total := 0.0
 		denom := 0.0
-		for _, s := range m.Services {
-			mu := s.servingRate(j)
-			if math.IsInf(mu, 1) {
+		for i, l := range lambda {
+			if math.IsInf(mu[i], 1) {
 				continue
 			}
-			lambda += s.ArrivalRate
-			denom += s.ArrivalRate * mu * s.impactFactor(j)
+			total += l
+			denom += l * mu[i] * a[i]
 		}
 		if denom == 0 {
 			return 0
 		}
-		return lambda * lambda / denom
+		return total * total / denom
 	case TrafficHarmonic:
 		sum := 0.0
-		for _, s := range m.Services {
-			mu := s.servingRate(j)
-			if math.IsInf(mu, 1) {
+		for i, l := range lambda {
+			if math.IsInf(mu[i], 1) {
 				continue
 			}
-			sum += s.ArrivalRate / (mu * s.impactFactor(j))
+			sum += l / (mu[i] * a[i])
 		}
 		return sum
 	default:

@@ -88,19 +88,30 @@ type Placement struct {
 // Kernel is a scenario compiled for the analytic model. Between the
 // candidates a sizing search tries only the fleet changes — λᵢ, μᵢⱼ, aᵢⱼ
 // and the merged traffic ρ′ⱼ of Eq. (5) stay fixed — so validation and
-// the bridge to core.Model run once, in Compile, and Score prices a
-// Placement with one Erlang B read per resource (per pool and resource in
-// dedicated mode) plus the Eq. (9)–(14) arithmetic, with no scenario
-// clone and no map. A Kernel is immutable and safe for concurrent use.
+// the bridge to core.Model run once, in Compile, which reads the bridged
+// model's maps into flat per-(service, resource) arrays. ScoreInto prices
+// a Placement with one Erlang B read per resource (per pool and resource
+// in dedicated mode) plus the Eq. (9)–(14) arithmetic, with no scenario
+// clone, no map and no allocation. A level — the same scenario at other
+// arrival rates (Scale, Levels) — is another λ vector over the same
+// arrays. A Kernel is immutable and safe for concurrent use.
 type Kernel struct {
+	*compiled
+	level
+}
+
+// compiled is what the levels of one compiled scenario share.
+type compiled struct {
 	memo     *erlang.Memo
-	model    *core.Model // the bridged model; Scale rescales its arrival rates
 	mode     string
 	declared Placement // the compiled scenario's own fleet
+	form     core.TrafficForm
 
-	services []kernelService
-	rho      []float64 // ρ′ⱼ per resource, in sorted resource order
-	demand   float64   // Σⱼ ρ′ⱼ, the Eq. (10) numerator
+	names []string // service names, in scenario order
+	// The traffic, per resource j in sorted resource order and within it
+	// per service i: mu[j·S+i] is μᵢⱼ (+Inf where service i places no
+	// demand on j) and impact[j·S+i] is aᵢⱼ, S the service count.
+	mu, impact []float64
 
 	capability []float64           // per host class: ClassCapability
 	classPower []power.ServerModel // per host class: its power model
@@ -109,16 +120,13 @@ type Kernel struct {
 	platform   power.Platform
 }
 
-// kernelService is one service's share of a Kernel.
-type kernelService struct {
-	name    string
-	demands []kernelDemand // resources with finite μᵢⱼ, in sorted resource order
-}
-
-// kernelDemand is one resource a service demands.
-type kernelDemand struct {
-	res int     // index into the kernel's resources
-	rho float64 // ρᵢⱼ = λᵢ/μᵢⱼ (Eq. 3), a dedicated pool's offered traffic
+// level is a kernel's arrival rates and the traffic they offer, in one
+// slab of S + R + S·R floats for S services and R resources.
+type level struct {
+	lambda  []float64 // λᵢ
+	rho     []float64 // ρ′ⱼ per resource (Eq. 5)
+	offered []float64 // ρᵢⱼ = λᵢ/μᵢⱼ (Eq. 3) at i·R+j, a dedicated pool's traffic; unset where μᵢⱼ = +Inf
+	demand  float64   // Σⱼ ρ′ⱼ, the Eq. (10) numerator
 }
 
 // Compile bridges a resolved scenario to the analytic model once
@@ -132,7 +140,7 @@ func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &Kernel{memo: a.memo, mode: resolved.Mode}
+	k := &Kernel{compiled: &compiled{memo: a.memo, mode: resolved.Mode}}
 	k.fleetPower, k.platform = scenarioPower(resolved)
 	switch {
 	case resolved.Mode == "dedicated":
@@ -169,26 +177,61 @@ func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 	return k, nil
 }
 
-// flatten derives the kernel's traffic from the bridged model: ρ′ⱼ per
-// resource under the model's TrafficForm, and each service's ρᵢⱼ in the
-// model's sorted resource order, so every sum runs in a fixed order.
+// flatten reads the bridged model's maps once, into one slab: μᵢⱼ and
+// aᵢⱼ per resource, in the model's sorted resource order so every sum
+// runs in a fixed order, then the model's own level.
 func (k *Kernel) flatten(m *core.Model) {
-	k.model = m
-	k.rho = make([]float64, len(m.Resources))
-	k.demand = 0
-	for j, r := range m.Resources {
-		k.rho[j] = m.ConsolidatedTraffic(r, m.Form)
-		k.demand += k.rho[j]
-	}
-	k.services = make([]kernelService, len(m.Services))
+	S, R := len(m.Services), len(m.Resources)
+	k.form = m.Form
+	k.names = make([]string, S)
+	slab := make([]float64, 2*R*S+levelSize(S, R))
+	k.mu, k.impact = slab[:R*S:R*S], slab[R*S:2*R*S:2*R*S]
+	k.level = carve(slab[2*R*S:], S, R)
 	for i, svc := range m.Services {
-		ks := kernelService{name: svc.Name}
+		k.names[i] = svc.Name
+		k.lambda[i] = svc.ArrivalRate
 		for j, r := range m.Resources {
-			if mu, ok := svc.ServingRates[r]; ok && !math.IsInf(mu, 1) {
-				ks.demands = append(ks.demands, kernelDemand{res: j, rho: svc.ArrivalRate / mu})
+			mu, ok := svc.ServingRates[r]
+			if !ok {
+				mu = math.Inf(1)
+			}
+			a, ok := svc.ImpactFactors[r]
+			if !ok {
+				a = 1
+			}
+			k.mu[j*S+i], k.impact[j*S+i] = mu, a
+		}
+	}
+	k.derive()
+}
+
+// levelSize is the floats a level of S services on R resources holds.
+func levelSize(S, R int) int { return S + R + S*R }
+
+// carve lays a level of S services on R resources out on slab.
+func carve(slab []float64, S, R int) level {
+	return level{
+		lambda:  slab[:S:S],
+		rho:     slab[S : S+R : S+R],
+		offered: slab[S+R : S+R+S*R : S+R+S*R],
+	}
+}
+
+// derive computes the level's traffic from its λ: ρ′ⱼ by Eq. (5) under the
+// model's TrafficForm (core.MergedTraffic), their sum, and each service's
+// ρᵢⱼ.
+func (k *Kernel) derive() {
+	S, R := len(k.lambda), len(k.rho)
+	k.demand = 0
+	for j := range k.rho {
+		mu := k.mu[j*S : (j+1)*S]
+		k.rho[j] = core.MergedTraffic(k.form, k.lambda, mu, k.impact[j*S:(j+1)*S])
+		k.demand += k.rho[j]
+		for i, m := range mu {
+			if !math.IsInf(m, 1) {
+				k.offered[i*R+j] = k.lambda[i] / m
 			}
 		}
-		k.services[i] = ks
 	}
 }
 
@@ -197,35 +240,71 @@ func (k *Kernel) flatten(m *core.Model) {
 // scenario.Stationary builds for a periods bin or segment peak, whose
 // Poisson rates are the same rate·mult products, so scoring a placement
 // on the scaled kernel matches compiling that stationary scenario bit for
-// bit. Fleet, classes and power are shared with k.
+// bit. It is Levels of one level.
 func (k *Kernel) Scale(mults []float64) (*Kernel, error) {
-	if len(mults) != len(k.model.Services) {
-		return nil, fmt.Errorf("%w: %d multipliers for %d services", scenario.ErrInvalid, len(mults), len(k.model.Services))
+	if len(mults) != len(k.names) {
+		return nil, fmt.Errorf("%w: %d multipliers for %d services", scenario.ErrInvalid, len(mults), len(k.names))
 	}
-	m := *k.model
-	m.Services = make([]core.Service, len(k.model.Services))
-	for i, svc := range k.model.Services {
-		svc.ArrivalRate *= mults[i]
-		// The check validating the stationary scenario's Poisson arrivals;
-		// it also refuses a multiplier that is not positive and finite.
-		if err := workload.PoissonSpec(svc.ArrivalRate).Validate(); err != nil {
-			return nil, fmt.Errorf("service %d: %w", i, err)
+	levels, err := k.Levels(mults)
+	if err != nil {
+		return nil, err
+	}
+	return &levels[0], nil
+}
+
+// Levels returns the kernels at every arrival-rate level of mults, which
+// holds S multipliers per level for S services: level l is Scale of
+// mults[l·S:(l+1)·S]. The levels share k's compiled μᵢⱼ, aᵢⱼ and fleet,
+// and take their rates and traffic from one slab, so a whole day's levels
+// cost two allocations and read no model and no map. A rate·mult that is
+// not a positive finite Poisson rate (the product can overflow) is
+// refused with validation's message, as scenario.Stationary refuses it.
+func (k *Kernel) Levels(mults []float64) ([]Kernel, error) {
+	S, R := len(k.names), len(k.rho)
+	if len(mults)%S != 0 {
+		return nil, fmt.Errorf("%w: %d multipliers for %d services", scenario.ErrInvalid, len(mults), S)
+	}
+	out := make([]Kernel, len(mults)/S)
+	size := levelSize(S, R)
+	slab := make([]float64, len(out)*size)
+	for l := range out {
+		out[l] = Kernel{k.compiled, carve(slab[l*size:], S, R)}
+		for i, m := range mults[l*S : (l+1)*S] {
+			rate := k.lambda[i] * m
+			if !(rate > 0) || math.IsInf(rate, 1) {
+				// The check validating the stationary scenario's Poisson
+				// arrivals, for its message.
+				return nil, fmt.Errorf("service %d: %w", i, workload.PoissonSpec(rate).Validate())
+			}
+			out[l].lambda[i] = rate
 		}
-		m.Services[i] = svc
+		out[l].derive()
 	}
-	out := *k
-	out.flatten(&m)
-	return &out, nil
+	return out, nil
 }
 
 // Score prices placement p, which must have the compiled scenario's
 // shape: per-service pool sizes in dedicated mode, one count per host
-// class for a heterogeneous fleet, else a host count.
+// class for a heterogeneous fleet, else a host count. It is ScoreInto
+// with storage of its own.
 func (k *Kernel) Score(p Placement) (Result, error) {
-	if k.mode == "dedicated" {
-		return k.scoreDedicated(p)
+	var res Result
+	if err := k.ScoreInto(&res, make([]ServiceLoss, len(k.names)), p); err != nil {
+		return Result{}, err
 	}
-	return k.scoreConsolidated(p)
+	return res, nil
+}
+
+// ScoreInto prices placement p as Score does into the caller's storage:
+// the score into res, and its per-service losses into services, which
+// must hold one per service and becomes res.Services. It allocates
+// nothing, so a search that keeps its buffers scores for free.
+func (k *Kernel) ScoreInto(res *Result, services []ServiceLoss, p Placement) error {
+	services = services[:len(k.names)]
+	if k.mode == "dedicated" {
+		return k.scoreDedicated(res, services, p)
+	}
+	return k.scoreConsolidated(res, services, p)
 }
 
 // above reports whether host class a sorts above class b in the kernel's
@@ -235,21 +314,21 @@ func (k *Kernel) above(a, b int) bool {
 	return cmp.Or(cmp.Compare(k.capability[a], k.capability[b]), cmp.Compare(pa.Base, pb.Base), cmp.Compare(pa.Max, pb.Max)) > 0
 }
 
-// Price is consolidated placement p's score without its losses: the host
-// count, the capability units, the Eq. (10) utilization and the draws. A
-// group — the classes of equal capability units, which the model tells
-// apart only by power — adds its hosts' units as one term, and a twin —
-// the classes of a group with equal power models — adds its hosts' draw
-// as one term. Groups are summed by ascending units and twins by
+// Price sets *pr to consolidated placement p's score without its losses:
+// the host count, the capability units, the Eq. (10) utilization and the
+// draws. A group — the classes of equal capability units, which the model
+// tells apart only by power — adds its hosts' units as one term, and a
+// twin — the classes of a group with equal power models — adds its hosts'
+// draw as one term. Groups are summed by ascending units and twins by
 // ascending (units, power), so a placement prices alike however its
 // counts are split within a twin, its units and utilization however they
 // are split within a group, and neither depends on which classes are
 // empty: a stamped scenario, which lists only the placed classes, prices
-// bit for bit alike. Score runs the same arithmetic, so a placement's
+// bit for bit alike. ScoreInto starts from the price, so a placement's
 // price and its score agree bit for bit; Price reads no Erlang B, and p
 // must hold a count per class of a heterogeneous fleet.
-func (k *Kernel) Price(p Placement) Result {
-	pr := Result{Source: "analytic", Mode: k.mode}
+func (k *Kernel) Price(pr *Result, p Placement) {
+	*pr = Result{Source: "analytic", Mode: k.mode}
 	if len(k.capability) == 0 {
 		pr.Hosts, pr.CapabilityUnits = p.Hosts, float64(p.Hosts)
 	}
@@ -273,7 +352,6 @@ func (k *Kernel) Price(p Placement) Result {
 			n = 0
 		}
 	}
-	return pr
 }
 
 // runEnds reports whether a group, or with twins a twin, ends at
@@ -341,13 +419,13 @@ func (k *Kernel) UnitsFloor(target, maxUnits float64) (float64, error) {
 // Erlang B of the merged traffic ρ′ⱼ (Eq. 5) over the fleet's capability
 // units, a service's loss is the worst over the resources it demands, and
 // watts sum per-class draws at the Eq. (10) utilization (Price).
-func (k *Kernel) scoreConsolidated(p Placement) (Result, error) {
+func (k *Kernel) scoreConsolidated(res *Result, services []ServiceLoss, p Placement) error {
 	if len(p.Dedicated) > 0 || len(p.Classes) != len(k.capability) {
-		return Result{}, fmt.Errorf("eval: placement does not fit a consolidated fleet of %d host classes", len(k.capability))
+		return fmt.Errorf("eval: placement does not fit a consolidated fleet of %d host classes", len(k.capability))
 	}
-	res := k.Price(p)
+	k.Price(res, p)
 	// A stack buffer holds the per-resource losses for the usual few
-	// resources, so a score allocates only its Services slice.
+	// resources.
 	var buf [8]float64
 	lossByResource := buf[:0]
 	if len(k.rho) > len(buf) {
@@ -356,52 +434,57 @@ func (k *Kernel) scoreConsolidated(p Placement) (Result, error) {
 	for _, rho := range k.rho {
 		b, err := k.loss(res.CapabilityUnits, rho)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		lossByResource = append(lossByResource, b)
 		if b > res.Loss {
 			res.Loss = b
 		}
 	}
-	res.Services = make([]ServiceLoss, len(k.services))
-	for i, svc := range k.services {
+	S := len(services)
+	for i := range services {
 		worst := 0.0
-		for _, d := range svc.demands {
-			if b := lossByResource[d.res]; b > worst {
+		for j, b := range lossByResource {
+			if !math.IsInf(k.mu[j*S+i], 1) && b > worst {
 				worst = b
 			}
 		}
-		res.Services[i] = ServiceLoss{Name: svc.name, Loss: worst}
+		services[i] = ServiceLoss{Name: k.names[i], Loss: worst}
 	}
-	return res, nil
+	res.Services = services
+	return nil
 }
 
 // scoreDedicated scores per-service dedicated pools: each service's pool
 // of reference servers sees its own offered traffic ρᵢⱼ = λᵢ/μᵢⱼ
 // (Eq. 3), and watts sum per-pool draws at each pool's Eq. (9)
 // utilization.
-func (k *Kernel) scoreDedicated(p Placement) (Result, error) {
-	if len(p.Dedicated) != len(k.services) {
-		return Result{}, fmt.Errorf("eval: placement has %d dedicated pools for %d services", len(p.Dedicated), len(k.services))
+func (k *Kernel) scoreDedicated(res *Result, services []ServiceLoss, p Placement) error {
+	if len(p.Dedicated) != len(services) {
+		return fmt.Errorf("eval: placement has %d dedicated pools for %d services", len(p.Dedicated), len(services))
 	}
-	res := Result{Source: "analytic", Mode: k.mode, Services: make([]ServiceLoss, len(k.services))}
+	*res = Result{Source: "analytic", Mode: k.mode, Services: services}
+	S, R := len(services), len(k.rho)
 	totalDemand := 0.0
-	for i, svc := range k.services {
+	for i := range services {
 		n := p.Dedicated[i]
 		res.Hosts += n
 		worst := 0.0
 		demand := 0.0
-		for _, d := range svc.demands {
-			demand += d.rho
-			b, err := k.loss(float64(n), d.rho)
+		for j, rho := range k.offered[i*R : (i+1)*R] {
+			if math.IsInf(k.mu[j*S+i], 1) {
+				continue
+			}
+			demand += rho
+			b, err := k.loss(float64(n), rho)
 			if err != nil {
-				return Result{}, err
+				return err
 			}
 			if b > worst {
 				worst = b
 			}
 		}
-		res.Services[i] = ServiceLoss{Name: svc.name, Loss: worst}
+		services[i] = ServiceLoss{Name: k.names[i], Loss: worst}
 		if worst > res.Loss {
 			res.Loss = worst
 		}
@@ -414,7 +497,7 @@ func (k *Kernel) scoreDedicated(p Placement) (Result, error) {
 	if res.Hosts > 0 {
 		res.Utilization = totalDemand / float64(res.Hosts)
 	}
-	return res, nil
+	return nil
 }
 
 // loss evaluates Erlang B over a possibly fractional server count: the

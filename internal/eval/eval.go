@@ -10,7 +10,10 @@
 //     capability units (heterogeneous fleets). It compiles a scenario
 //     once into a Kernel that scores placements of its fleet, which is
 //     how internal/plan tries candidates without rebuilding the scenario
-//     for each.
+//     for each: the kernel's traffic is flat per-(service, resource)
+//     arrays, a level (Kernel.Levels) is the scenario at other arrival
+//     rates over the same arrays, and ScoreInto scores into the caller's
+//     storage without allocating.
 //   - Sim lowers the candidate onto the existing sweep engine, so scores
 //     inherit the shared worker-pool budget and the content-addressed
 //     result cache: re-evaluating a candidate a search has already visited
@@ -102,9 +105,11 @@ func (r Result) AppendJSON(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	b = append(b, `,"loss":`...)
+	loss := len(b)
 	if b, err = jsonenc.AppendFloat(b, r.Loss); err != nil {
 		return nil, err
 	}
+	lossEnd := len(b)
 	b = append(b, `,"services":`...)
 	if r.Services == nil {
 		b = append(b, "null"...)
@@ -117,7 +122,10 @@ func (r Result) AppendJSON(b []byte) ([]byte, error) {
 			b = append(b, `{"name":`...)
 			b = jsonenc.AppendString(b, sl.Name)
 			b = append(b, `,"loss":`...)
-			if b, err = jsonenc.AppendFloat(b, sl.Loss); err != nil {
+			if math.Float64bits(sl.Loss) == math.Float64bits(r.Loss) {
+				// The worst service's loss is the result's, printed above.
+				b = append(b, b[loss:lossEnd]...)
+			} else if b, err = jsonenc.AppendFloat(b, sl.Loss); err != nil {
 				return nil, err
 			}
 			b = append(b, '}')

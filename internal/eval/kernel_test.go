@@ -32,7 +32,7 @@ func sameBits(a, b eval.Result) bool {
 }
 
 // periodsDay loads the shipped 24-bin diurnal example.
-func periodsDay(t *testing.T) scenario.Scenario {
+func periodsDay(t testing.TB) scenario.Scenario {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "periods-day.json"))
 	if err != nil {
@@ -263,7 +263,9 @@ func TestKernelPricesTwinsAsOneClass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(k.Price(eval.Placement{Classes: counts}), withoutLosses(res)) {
+		var price eval.Result
+		k.Price(&price, eval.Placement{Classes: counts})
+		if !sameBits(price, withoutLosses(res)) {
 			t.Fatalf("%v: price and score disagree", counts)
 		}
 		// The placed classes alone, listed in reverse.
@@ -320,7 +322,7 @@ func equalInts(a, b []int) bool {
 
 // resolve returns s resolved for Compile, whose contract takes a
 // scenario.Scenario.Resolve copy.
-func resolve(t *testing.T, s scenario.Scenario) scenario.Scenario {
+func resolve(t testing.TB, s scenario.Scenario) scenario.Scenario {
 	t.Helper()
 	r, err := s.Resolve()
 	if err != nil {

@@ -26,6 +26,13 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
+	// Below 2⁵³ every integer is a float64 and its neighbours are at most
+	// 1 away, so an integral value's shortest digits are its integer
+	// digits, which strconv.AppendInt writes without the digit search.
+	// Negative zero prints as "-0" and takes the general path.
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, i, 10), nil
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -42,6 +49,16 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 
 const hex = "0123456789abcdef"
 
+// htmlSafe marks the ASCII bytes AppendString copies as they are: the
+// printable ones but the quote, the backslash and the HTML-sensitive <,
+// > and &.
+var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := byte(0x20); c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // AppendString appends s as a quoted JSON string escaped as json.Marshal
 // escapes it: quote and backslash; \b, \f, \n, \r and \t by name; other
 // control bytes and the HTML-sensitive <, > and & as \u00XX; U+2028 and
@@ -51,7 +68,7 @@ func AppendString(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if htmlSafe[c] {
 				i++
 				continue
 			}

@@ -15,10 +15,13 @@ import (
 // error, and EncodeJSON must equal json.MarshalIndent plus a newline. The
 // seeds cover names with <>&, U+2028/U+2029, control bytes and invalid
 // UTF-8, and numbers across the 1e-6 and 1e21 form boundaries, ±0,
-// subnormals, NaN and ±Inf.
+// subnormals, integers on both sides of 2⁵³, NaN and ±Inf. A result's
+// last service has the result's own loss, and a bin's energy its
+// result's watts, and a third bin repeats the first's result, whose
+// printed bytes the encoders reuse.
 func FuzzAppendJSON(f *testing.F) {
 	names := []string{"", "amd", "<a&b>", "line\u2028para\u2029", "ctl\x00\x01\x1f\x7f\"\\\b\f\n\r\t", "bad\xff\xfeutf8\xc3", "\u00e9\u2603\U0001F600"}
-	floats := []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 1e-7, 1e-300, 5e-324, math.SmallestNonzeroFloat64 * 3, 123456789.125, -2.5e-9, 1.7976931348623157e308, math.NaN(), math.Inf(1), math.Inf(-1)}
+	floats := []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 1e-7, 1e-300, 5e-324, math.SmallestNonzeroFloat64 * 3, 123456789.125, -2.5e-9, 1.7976931348623157e308, 3600, -42, 1<<53 - 1, -(1<<53 - 1), 1 << 53, 1<<53 + 2, math.NaN(), math.Inf(1), math.Inf(-1)}
 	for i, name := range names {
 		for j := range floats {
 			f.Add(name, names[(i+j)%len(names)], floats[j], floats[(j+5)%len(floats)], floats[(j+11)%len(floats)], i*j-3, uint8(i*len(floats)+j))
@@ -30,7 +33,7 @@ func FuzzAppendJSON(f *testing.F) {
 		case 1:
 			services = []eval.ServiceLoss{}
 		case 2:
-			services = []eval.ServiceLoss{{Name: name, Loss: x}, {Name: other, Loss: z}}
+			services = []eval.ServiceLoss{{Name: name, Loss: x}, {Name: other, Loss: z}, {Name: name, Loss: y}}
 		}
 		res := eval.Result{Source: name, Mode: other, Hosts: n, CapabilityUnits: x, Loss: y, Services: services, Utilization: z, Watts: y, CacheHit: shape&64 != 0}
 		var classes []plan.ClassCount
@@ -52,7 +55,8 @@ func FuzzAppendJSON(f *testing.F) {
 		} else if shape&128 == 0 {
 			bins = []plan.BinPlan{
 				{Name: name, Seconds: x, Segment: n, Hosts: n, Classes: classes, Result: res, EnergyWh: z},
-				{Name: other, Seconds: 3600, Dedicated: pools, Result: eval.Result{Services: services}, EnergyWh: y},
+				{Name: other, Seconds: 3600, Dedicated: pools, Result: eval.Result{Services: services, Watts: y}, EnergyWh: y},
+				{Name: name, Seconds: 3600, Result: res, EnergyWh: x},
 			}
 		}
 		var moves []plan.Migration

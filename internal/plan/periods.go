@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -121,11 +122,34 @@ func (p PeriodPlan) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
+		// Bins at one level under one placement hold equal results, so a
+		// result equal to an earlier bin's is copied from that bin's
+		// bytes, which spans[2j:2j+2] bounds for bin j; the buffer holds
+		// two hourly days' spans without allocating.
+		var buf [2 * 48]int
+		spans := buf[:0]
 		for i := range p.Bins {
+			bp := &p.Bins[i]
 			if i > 0 {
 				b = append(b, ',')
 			}
-			if b, err = p.Bins[i].appendJSON(b); err != nil {
+			if b, err = bp.appendHead(b); err != nil {
+				return nil, err
+			}
+			start := len(b)
+			j := i - 1
+			for watts := math.Float64bits(bp.Result.Watts); j >= 0; j-- {
+				if r := &p.Bins[j].Result; math.Float64bits(r.Watts) == watts && sameJSON(r, &bp.Result) {
+					break
+				}
+			}
+			if j >= 0 {
+				b = append(b, b[spans[2*j]:spans[2*j+1]]...)
+			} else if b, err = bp.Result.AppendJSON(b); err != nil {
+				return nil, err
+			}
+			spans = append(spans, start, len(b))
+			if b, err = bp.appendEnergy(b); err != nil {
 				return nil, err
 			}
 		}
@@ -170,8 +194,9 @@ func (p PeriodPlan) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendJSON appends the bin's JSON object to b, as json.Marshal would.
-func (bp *BinPlan) appendJSON(b []byte) ([]byte, error) {
+// appendHead appends the bin's JSON object up to its result's value, as
+// json.Marshal would write it.
+func (bp *BinPlan) appendHead(b []byte) ([]byte, error) {
 	b = append(b, `{"name":`...)
 	b = jsonenc.AppendString(b, bp.Name)
 	b = append(b, `,"seconds":`...)
@@ -184,15 +209,41 @@ func (bp *BinPlan) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, `,"hosts":`...)
 	b = strconv.AppendInt(b, int64(bp.Hosts), 10)
 	b = appendPools(b, bp.Classes, bp.Dedicated)
-	b = append(b, `,"result":`...)
-	if b, err = bp.Result.AppendJSON(b); err != nil {
-		return nil, err
-	}
+	return append(b, `,"result":`...), nil
+}
+
+// appendEnergy appends the rest of the bin's JSON object after its result.
+func (bp *BinPlan) appendEnergy(b []byte) ([]byte, error) {
 	b = append(b, `,"energy_wh":`...)
-	if b, err = jsonenc.AppendFloat(b, bp.EnergyWh); err != nil {
+	if math.Float64bits(bp.EnergyWh) == math.Float64bits(bp.Result.Watts) {
+		// An hour-long bin's energy in Wh is often its draw in W, which
+		// the result printed last, between a colon and its closing brace.
+		result := b[:len(b)-len(`,"energy_wh":`)]
+		watts := result[bytes.LastIndexByte(result, ':')+1 : len(result)-1]
+		return append(append(b, watts...), '}'), nil
+	}
+	b, err := jsonenc.AppendFloat(b, bp.EnergyWh)
+	if err != nil {
 		return nil, err
 	}
 	return append(b, '}'), nil
+}
+
+// sameJSON reports whether two results encode to the same bytes: equal in
+// every member the encoding prints, numbers bit for bit.
+func sameJSON(a, b *eval.Result) bool {
+	bits := math.Float64bits
+	if bits(a.Watts) != bits(b.Watts) || bits(a.Loss) != bits(b.Loss) || bits(a.Utilization) != bits(b.Utilization) ||
+		bits(a.CapabilityUnits) != bits(b.CapabilityUnits) || a.Hosts != b.Hosts || a.Source != b.Source || a.Mode != b.Mode ||
+		len(a.Services) != len(b.Services) || (a.Services == nil) != (b.Services == nil) {
+		return false
+	}
+	for i, s := range a.Services {
+		if bits(s.Loss) != bits(b.Services[i].Loss) || s.Name != b.Services[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // SearchPeriods plans a periods scenario bin by bin and then smooths the
@@ -201,19 +252,20 @@ func (bp *BinPlan) appendJSON(b []byte) ([]byte, error) {
 // Every contiguous bin segment is sized at the segment's peak demand
 // (the element-wise maximum of its bins' rate multipliers), deduplicated
 // by peak vector, by the single-point search on the peak's operating
-// point: the base kernel rescaled to the peak under eval.Analytic, the
-// peak's stationary scenario under any other evaluator. Each bin is
-// scored under its segment's placement at the point of its level, the
-// peak of its one-bin segment, on one table whatever the evaluator: a
-// row per placement, a column per level, each needed cell scored once.
-// A dynamic program over contiguous segmentations
-// then picks the partition minimizing total energy plus migrationCostWh
-// per VM move at each segment boundary — exact over partitions, so a
-// zero cost degenerates to independent per-bin plans and an infinite
-// cost collapses to the static peak placement. Ties on cost prefer more
-// segments (the finest equivalent schedule). The planning day is linear:
-// the wrap-around from the last bin back to the first is neither charged
-// nor listed among the migrations.
+// point: under eval.Analytic a level of the base scenario's kernel,
+// compiled once (the peak's arrival rates over the same flat traffic
+// arrays), under any other evaluator the peak's stationary scenario. Each
+// bin is scored under its segment's placement at the point of its level,
+// the peak of its one-bin segment, on one table whatever the evaluator: a
+// row per placement, a column per level, each needed cell scored once,
+// into one slab of results. A dynamic program over contiguous
+// segmentations then picks the partition minimizing total energy plus
+// migrationCostWh per VM move at each segment boundary — exact over
+// partitions, so a zero cost degenerates to independent per-bin plans
+// and an infinite cost collapses to the static peak placement. Ties on
+// cost prefer more segments (the finest equivalent schedule). The
+// planning day is linear: the wrap-around from the last bin back to the
+// first is neither charged nor listed among the migrations.
 //
 // Like Search, it takes no slot of p, and every decision is sequential
 // over deterministic inputs, so the same inputs yield a byte-identical
@@ -238,10 +290,12 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	}
 	n := len(bins)
 	services := len(resolved.Services)
+	done := ctx.Done()
 
 	// Under the analytic evaluator the base scenario (periods stripped) is
-	// compiled once, and every segment peak below is a rescaled kernel:
-	// scenario.Stationary's rate·mult products without the scenario.
+	// compiled once, and every segment peak below is a level of it: an
+	// arrival-rate vector, scenario.Stationary's rate·mult products
+	// without the scenario.
 	flat := resolved
 	flat.Periods = nil
 	base, err := compile(ev, flat)
@@ -258,24 +312,27 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	// level is the peak of its one-bin segment, so every level is a peak.
 	type peakEntry struct {
 		plan  *Plan // nil: the supply cannot serve this peak
-		id    int   // the peak's row of the score table; -1 while plan is nil
-		level int   // the level of the bins whose own multipliers this is, else -1
+		row   int32 // the peak's row of the score table; -1 while plan is nil
+		level int32 // the level of the bins whose own multipliers this is, else -1
 	}
-	peakIdx := make(map[string]int)
-	var peaks []peakEntry
-	var peakMults []float64 // peak pi's multipliers at [pi*services:(pi+1)*services]
-	var need []bool
-	segPeak := make([]int, n*n) // segPeak[i*n+j] = peak index of segment [i..j]
-	col := make([]int, n)       // col[b] = bin b's column of the score table
-	levels := 0
+	peakIdx := make(map[string]int32, n)
+	// A day has at least as many peaks as levels, and usually not many
+	// more, so the peak arrays start with room for n.
+	peaks := make([]peakEntry, 0, n)
+	peakMults := make([]float64, 0, n*services) // peak pi's multipliers at [pi*services:(pi+1)*services]
+	need := make([]bool, 0, n*n)
+	segPeak := make([]int32, n*(n+1)/2) // segPeak[tri(n, i, j)] = peak index of segment [i..j]
+	col := make([]int32, n)             // col[b] = bin b's level: its column of the score table
+	levels := int32(0)
 	key := make([]byte, 0, 8*services)
 	cur := make([]float64, services)
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
+		if err := cancelled(ctx, done); err != nil {
 			return PeriodPlan{}, err
 		}
 		copy(cur, bins[i].Multipliers)
-		idx := -1
+		row := segPeak[tri(n, i, i) : tri(n, i, n-1)+1]
+		idx := int32(-1)
 		for j := i; j < n; j++ {
 			grew := j == i
 			for t, v := range bins[j].Multipliers {
@@ -290,20 +347,20 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 				}
 				var ok bool
 				if idx, ok = peakIdx[string(key)]; !ok {
-					idx = len(peaks)
+					idx = int32(len(peaks))
 					peakIdx[string(key)] = idx
-					peaks = append(peaks, peakEntry{id: -1, level: -1})
+					peaks = append(peaks, peakEntry{row: -1, level: -1})
 					peakMults = append(peakMults, cur...)
 					need = append(need, make([]bool, n)...)
 				}
 				for b := i; b < j; b++ {
-					need[idx*n+b] = true
+					need[int(idx)*n+b] = true
 				}
 			}
-			segPeak[i*n+j] = idx
-			need[idx*n+j] = true
+			row[j-i] = idx
+			need[int(idx)*n+j] = true
 		}
-		pe := &peaks[segPeak[i*n+i]]
+		pe := &peaks[row[0]]
 		if pe.level < 0 {
 			pe.level = levels
 			levels++
@@ -311,61 +368,68 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		col[i] = pe.level
 	}
 
-	// Size each distinct peak with the single-point search on the peak's
-	// operating point: the base kernel rescaled to the peak under the
-	// analytic evaluator, the peak's stationary scenario for any other. A
-	// peak the supply cannot serve makes its segments invalid, not the
-	// whole plan: with per-service peaks in different bins, splitting can
-	// be feasible where the static peak is not. A level's point is its
-	// peak's point, kept even when the peak is infeasible: the level's
-	// bins are still scored under other peaks' placements.
-	levelKernels := make([]*eval.Kernel, levels) // nil on the stamping route
-	var levelScenarios []scenario.Scenario       // the stamping route's
-	if base == nil {
-		levelScenarios = make([]scenario.Scenario, levels)
+	// Each distinct peak's operating point: a level of the base kernel
+	// under the analytic evaluator, the peak's stationary scenario for
+	// any other. A level's point is its peak's.
+	var kernels []eval.Kernel      // the kernel route's, per peak
+	var points []scenario.Scenario // the stamping route's, per peak
+	if base != nil {
+		kernels, err = base.Levels(peakMults)
+	} else {
+		points = make([]scenario.Scenario, len(peaks))
+		for pi := range peaks {
+			if points[pi], err = flat.Stationary(fmt.Sprintf("peak%02d", pi), peakMults[pi*services:(pi+1)*services]); err != nil {
+				break
+			}
+		}
 	}
+	if err != nil {
+		return PeriodPlan{}, err
+	}
+	levelPeak := make([]int32, levels) // levelPeak[l]: the peak whose point level l is
+	for pi, pe := range peaks {
+		if pe.level >= 0 {
+			levelPeak[pe.level] = int32(pi)
+		}
+	}
+
+	// Size each distinct peak with the single-point search on its
+	// operating point. A peak the supply cannot serve makes its segments
+	// invalid, not the whole plan: with per-service peaks in different
+	// bins, splitting can be feasible where the static peak is not. Its
+	// point still serves its level: the level's bins are scored under
+	// other peaks' placements.
 	evaluations := 0
 	plans := make([]Plan, len(peaks))
 	for pi := range peaks {
-		pe, mults := &peaks[pi], peakMults[pi*services:(pi+1)*services]
-		s, k := flat, (*eval.Kernel)(nil)
-		var err error
+		s, k := &flat, (*eval.Kernel)(nil)
 		if base != nil {
-			k, err = base.Scale(mults)
+			k = &kernels[pi]
 		} else {
-			s, err = flat.Stationary(fmt.Sprintf("peak%02d", pi), mults)
+			s = &points[pi]
 		}
-		if err != nil {
-			return PeriodPlan{}, err
-		}
-		if pe.level >= 0 {
-			levelKernels[pe.level] = k
-			if base == nil {
-				levelScenarios[pe.level] = s
-			}
-		}
-		if plans[pi], err = search(ctx, ev, spec, s, k); err != nil {
+		if plans[pi], err = search(ctx, ev, &spec, s, k); err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue
 			}
 			return PeriodPlan{}, err
 		}
-		pe.plan = &plans[pi]
-		evaluations += pe.plan.Evaluations
+		peaks[pi].plan = &plans[pi]
+		evaluations += plans[pi].Evaluations
 	}
 
 	// The score table has a row per placement and a column per level. A
 	// bin's score depends only on the placement and the bin's level, so
 	// peaks whose plans place the same fleet share a row, and each needed
-	// (placement, level) cell is scored once, at its first need in
-	// peak-major bin-minor order, however many (peak, bin) pairs read it:
-	// inline on the level's kernel, or stamped onto the level's scenario
-	// and sent with the other stamped cells as one batch, so the sim
-	// evaluator lowers the whole grid onto a single engine run. Each
-	// (peak, bin) pair counts as one evaluation. Every bin lasts bin_sec,
-	// so a cell's energy is that of each bin at its level.
+	// (placement, level) cell is scored once however many (peak, bin)
+	// pairs read it. Each (peak, bin) pair counts as one evaluation. The
+	// cells are counted first and numbered in the order of their first
+	// need, peak-major and bin-minor, then scored in that order into one
+	// slab of results: inline on the level's kernel, or stamped onto the
+	// level's scenario and sent with the other stamped cells as one batch,
+	// so the sim evaluator lowers the whole grid onto a single engine run.
 	var places []eval.Placement // per row
-	rowOf := make(map[string]int)
+	rowOf := make(map[string]int32, len(peaks))
 	for pi := range peaks {
 		pe := &peaks[pi]
 		if pe.plan == nil {
@@ -374,17 +438,40 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		key = appendFleet(key[:0], pe.plan)
 		id, ok := rowOf[string(key)]
 		if !ok {
-			id = len(places)
+			id = int32(len(places))
 			rowOf[string(key)] = id
 			places = append(places, pe.plan.placement())
 		}
-		pe.id = id
+		pe.row = id
 	}
-	scores := make([]binScore, len(places)*levels)
-	var cells []int // the stamped cells, in batch order
+	table := make([]binScore, len(places)*int(levels))
+	for c := range table {
+		table[c].at = -1
+	}
+	cells := int32(0)
+	for pi, pe := range peaks {
+		if pe.plan == nil {
+			continue
+		}
+		for b, ok := range need[pi*n : (pi+1)*n] {
+			if ok {
+				evaluations++
+				if c := &table[int(pe.row)*int(levels)+int(col[b])]; c.at < 0 {
+					c.at, cells = cells, cells+1
+				}
+			}
+		}
+	}
+	results := make([]eval.Result, cells)
+	var losses []eval.ServiceLoss
 	var cands []scenario.Scenario
-	for pi := range peaks {
-		pe := &peaks[pi]
+	if base != nil {
+		losses = make([]eval.ServiceLoss, int(cells)*services)
+	} else {
+		cands = make([]scenario.Scenario, 0, cells)
+	}
+	next := int32(0) // the next cell to score; the pairs meet the cells in number order
+	for pi, pe := range peaks {
 		if pe.plan == nil {
 			continue
 		}
@@ -392,52 +479,58 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 			if !ok {
 				continue
 			}
-			evaluations++
-			at := pe.id*levels + col[b]
-			if scores[at].scored {
+			l := col[b]
+			if table[int(pe.row)*int(levels)+int(l)].at != next {
 				continue
 			}
 			if base == nil {
-				scores[at].scored = true
-				cells = append(cells, at)
-				cands = append(cands, stamp(levelScenarios[col[b]], places[pe.id]))
-				continue
+				cands = append(cands, stamp(points[levelPeak[l]], places[pe.row]))
+			} else {
+				if err := cancelled(ctx, done); err != nil {
+					return PeriodPlan{}, err
+				}
+				at := int(next)
+				if err := kernels[levelPeak[l]].ScoreInto(&results[at], losses[at*services:(at+1)*services], places[pe.row]); err != nil {
+					return PeriodPlan{}, err
+				}
 			}
-			if err := ctx.Err(); err != nil {
-				return PeriodPlan{}, err
-			}
-			res, err := levelKernels[col[b]].Score(places[pe.id])
-			if err != nil {
-				return PeriodPlan{}, err
-			}
-			scores[at] = newBinScore(res, bins[b].Seconds, spec.Target)
+			next++
 		}
 	}
 	if len(cands) > 0 {
-		results, err := eval.EvaluateBatch(ctx, ev, cands)
+		batch, err := eval.EvaluateBatch(ctx, ev, cands)
 		if err != nil {
 			return PeriodPlan{}, err
 		}
-		for t, at := range cells {
-			scores[at] = newBinScore(results[t], bins[0].Seconds, spec.Target)
+		copy(results, batch)
+	}
+	for c := range table {
+		if sc := &table[c]; sc.at >= 0 {
+			// Every bin lasts bin_sec, so a cell's energy is that of each
+			// bin at its level.
+			res := &results[sc.at]
+			sc.energy = res.Watts * bins[0].Seconds / 3600
+			sc.ok = !math.IsNaN(res.Loss) && res.Loss <= spec.Target
 		}
 	}
 
 	// Dynamic program over contiguous segmentations, one row per segment
-	// start k: dp[j*n+k] is the best partition of bins [0..j-1] whose
-	// last segment is [k..j-1], chosen over the partitions of [0..k-1]
-	// that earlier rows finished (dp[k*n:k*n+k]). A candidate costs its
-	// predecessor's cost plus the boundary's migration charge, then the
-	// segment's bin energies added one at a time in time order — never
-	// pre-summed, so partitions whose per-bin placements coincide get
-	// bitwise-equal costs and the tie-break can see the tie. Along a row
-	// the segment grows by one bin per column. While its peak keeps the
-	// same score-table row (the same placement), each predecessor's
+	// start k: dp[tri1(j, k)] is the best partition of bins [0..j-1]
+	// whose last segment is [k..j-1], chosen over its predecessors, the
+	// partitions of [0..k-1] that earlier rows finished (the k cells from
+	// dp[tri1(k, 0)]); the first segment's one predecessor is the empty
+	// partition, which costs nothing and charges nothing. A candidate
+	// costs its predecessor's cost plus the boundary's migration charge,
+	// then the segment's bin energies added one at a time in time order —
+	// never pre-summed, so partitions whose per-bin placements coincide
+	// get bitwise-equal costs and the tie-break can see the tie. Along a
+	// row the segment grows by one bin per column. While its peak keeps
+	// the same score-table row (the same placement), each predecessor's
 	// running cost just takes the new bin's energy, the next term of the
 	// same sum; where the placement changes, the segment's earlier bins
 	// are re-checked and every running cost is rebuilt from its
-	// predecessor, charge included. Ties on cost keep more segments,
-	// then the earliest previous start — all deterministic.
+	// predecessor, charge included. Ties on cost keep more segments, then
+	// the earliest previous start — all deterministic.
 	type cell struct {
 		cost float64
 		segs int32 // 0: no partition ends in this segment
@@ -456,69 +549,73 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		}
 		return mv, float64(mv) * migrationCostWh
 	}
-	dp := make([]cell, (n+1)*n)
-	run := make([]float64, n) // run[m]: the current candidate through predecessor start m
+	type pred struct {
+		cell
+		plan *Plan // the placement of its last segment; nil for the empty partition
+	}
+	dp := make([]cell, n*(n+1)/2)
+	preds := make([]pred, 0, n) // the row's predecessors, by start
+	run := make([]float64, n)   // run[t]: the current candidate through preds[t]
 	for k := 0; k < n; k++ {
-		if err := ctx.Err(); err != nil {
+		if err := cancelled(ctx, done); err != nil {
 			return PeriodPlan{}, err
 		}
-		preds := dp[k*n : k*n+k]
-		id, ok, fresh := -1, false, false
-		for j := k; j < n; j++ {
-			pe := &peaks[segPeak[k*n+j]]
-			if pe.id != id {
+		preds = preds[:0]
+		if k == 0 {
+			preds = append(preds, pred{cell: cell{prev: -1}})
+		}
+		for m, pc := range dp[tri1(k, 0) : tri1(k, 0)+k] {
+			if pc.segs > 0 {
+				preds = append(preds, pred{cell{pc.cost, pc.segs, int32(m)}, peaks[segPeak[tri(n, m, k-1)]].plan})
+			}
+		}
+		run := run[:len(preds)]
+		segs := segPeak[tri(n, k, k) : tri(n, k, n-1)+1]
+		id, ok, fresh := int32(-1), false, false
+		var row []binScore
+		for j := k; j < n && len(preds) > 0; j++ {
+			pe := &peaks[segs[j-k]]
+			if pe.row != id {
 				// A new score-table row: re-check the earlier bins on it,
 				// and rebuild the running costs below.
-				id, ok, fresh = pe.id, pe.id >= 0, false
+				id, ok, fresh = pe.row, pe.row >= 0, false
+				if ok {
+					row = table[int(id)*int(levels) : int(id+1)*int(levels)]
+				}
 				for b := k; ok && b < j; b++ {
-					ok = scores[id*levels+col[b]].ok
+					ok = row[col[b]].ok
 				}
 			}
-			if ok = ok && scores[id*levels+col[j]].ok; !ok {
-				continue
-			}
-			row := scores[id*levels : (id+1)*levels]
-			e := row[col[j]].energy
-			if k == 0 {
-				// A first segment has no predecessor and no charge.
-				if !fresh {
-					fresh, run[0] = true, 0
-					for b := 0; b < j; b++ {
-						run[0] += row[col[b]].energy
-					}
-				}
-				run[0] += e
-				dp[(j+1)*n] = cell{cost: run[0], segs: 1, prev: -1}
+			if ok = ok && row[col[j]].ok; !ok {
 				continue
 			}
 			if !fresh {
 				fresh = true
-				for m, pc := range preds {
-					if pc.segs == 0 {
-						continue
+				for t, pc := range preds {
+					ch := 0.0
+					if pc.plan != nil {
+						_, ch = charge(pc.plan, pe.plan)
 					}
-					_, ch := charge(peaks[segPeak[m*n+k-1]].plan, pe.plan)
-					run[m] = pc.cost + ch
+					run[t] = pc.cost + ch
 					for b := k; b < j; b++ {
-						run[m] += row[col[b]].energy
+						run[t] += row[col[b]].energy
 					}
 				}
 			}
-			var best cell
-			for m, pc := range preds {
-				if pc.segs == 0 {
-					continue
-				}
-				run[m] += e
-				c := cell{cost: run[m], segs: pc.segs + 1, prev: int32(m)}
-				if best.segs == 0 || better(c, best) {
-					best = c
+			e := row[col[j]].energy
+			run[0] += e
+			best, cost := 0, run[0]
+			for t := 1; t < len(run); t++ {
+				c := run[t] + e
+				run[t] = c
+				if c < cost || c == cost && preds[t].segs > preds[best].segs {
+					best, cost = t, c
 				}
 			}
-			dp[(j+1)*n+k] = best
+			dp[tri1(j+1, k)] = cell{cost: cost, segs: preds[best].segs + 1, prev: preds[best].prev}
 		}
 	}
-	last := dp[n*n:]
+	last := dp[tri1(n, 0):]
 	bestK := -1
 	for k, c := range last {
 		if c.segs == 0 {
@@ -531,18 +628,16 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	if bestK < 0 {
 		return PeriodPlan{}, fmt.Errorf("%w: some period bin exceeds the supply at every segmentation", ErrInfeasible)
 	}
-	var starts []int
+	starts := make([]int, 0, n)
 	for k, j := bestK, n; ; {
 		starts = append(starts, k)
-		prev := int(dp[j*n+k].prev)
+		prev := int(dp[tri1(j, k)].prev)
 		if prev < 0 {
 			break
 		}
 		k, j = prev, k
 	}
-	for l, r := 0, len(starts)-1; l < r; l, r = l+1, r-1 {
-		starts[l], starts[r] = starts[r], starts[l]
-	}
+	slices.Reverse(starts)
 
 	out := PeriodPlan{
 		Objective:       spec.Objective,
@@ -552,19 +647,25 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 		Bins:            make([]BinPlan, 0, n),
 		Evaluations:     evaluations,
 	}
+	// The first bin to read a cell takes the cell's service losses; a
+	// later one reads a copy, so no two bins share them.
+	var spare []eval.ServiceLoss
 	for si, start := range starts {
 		end := n - 1
 		if si+1 < len(starts) {
 			end = starts[si+1] - 1
 		}
-		pe := &peaks[segPeak[start*n+end]]
+		pe := &peaks[segPeak[tri(n, start, end)]]
 		pl := pe.plan
 		for b := start; b <= end; b++ {
-			sc := &scores[pe.id*levels+col[b]]
-			res := sc.res
+			sc := &table[int(pe.row)*int(levels)+int(col[b])]
+			res := results[sc.at]
 			if sc.taken {
-				// An earlier bin of the same level holds this score.
-				res.Services = slices.Clone(res.Services)
+				if spare == nil {
+					spare = make([]eval.ServiceLoss, 0, n*len(res.Services))
+				}
+				spare = append(spare, res.Services...)
+				res.Services = spare[len(spare)-len(res.Services):]
 			}
 			sc.taken = true
 			out.Bins = append(out.Bins, BinPlan{
@@ -580,7 +681,10 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 			out.EnergyWh += sc.energy
 		}
 		if si > 0 {
-			if mv, ch := charge(peaks[segPeak[starts[si-1]*n+start-1]].plan, pl); mv > 0 {
+			if mv, ch := charge(peaks[segPeak[tri(n, starts[si-1], start-1)]].plan, pl); mv > 0 {
+				if out.Migrations == nil {
+					out.Migrations = make([]Migration, 0, len(starts)-si)
+				}
 				out.Migrations = append(out.Migrations, Migration{
 					From:   bins[start-1].Name,
 					To:     bins[start].Name,
@@ -596,24 +700,22 @@ func SearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Sp
 	return out, nil
 }
 
-// binScore is one cell of SearchPeriods' score table: a bin's result
-// under a placement, the bin's energy at that draw and whether it meets
-// the target.
-type binScore struct {
-	res    eval.Result
-	energy float64 // res.Watts × Seconds / 3600; every bin lasts bin_sec
-	ok     bool    // res.Loss is a number at or under the target
-	scored bool    // or queued for the stamping route's batch
-	taken  bool    // an output bin holds res.Services
-}
+// tri indexes segment [i..j], i <= j < n, in a triangular array of a
+// day of n bins, row i holding segments [i..i] through [i..n-1].
+func tri(n, i, j int) int { return i*(2*n-i+1)/2 + j - i }
 
-func newBinScore(res eval.Result, seconds, target float64) binScore {
-	return binScore{
-		res:    res,
-		energy: res.Watts * seconds / 3600,
-		ok:     !math.IsNaN(res.Loss) && res.Loss <= target,
-		scored: true,
-	}
+// tri1 indexes (j, k), k < j, in a triangular array whose row j holds
+// k = 0..j-1.
+func tri1(j, k int) int { return j*(j-1)/2 + k }
+
+// binScore is one cell of SearchPeriods' score table: where its result
+// sits in the slab, a bin's energy at that draw and whether it meets the
+// target.
+type binScore struct {
+	energy float64 // Watts × Seconds / 3600; every bin lasts bin_sec
+	at     int32   // the result's index in the slab; -1: not needed
+	ok     bool    // the loss is a number at or under the target
+	taken  bool    // an output bin holds the result's Services
 }
 
 // appendFleet appends the fleet pl places — its host count, class counts

@@ -347,7 +347,7 @@ func refSearchPeak(ctx context.Context, ev eval.Evaluator, spec Spec, flat scena
 		if err != nil {
 			return Plan{}, err
 		}
-		return search(ctx, ev, spec, flat, k)
+		return search(ctx, ev, &spec, &flat, k)
 	}
 	stat, err := flat.Stationary(fmt.Sprintf("peak%02d", idx), mults)
 	if err != nil {

@@ -19,8 +19,11 @@
 // Candidates are placements (eval.Placement): a host count, a class-count
 // vector or per-service pool sizes. Under eval.Analytic the scenario is
 // compiled once per search — once per request for SearchPeriods, whose
-// segment peaks are rescaled kernels, so no per-bin scenario is built —
-// and every placement is scored inline on the kernel. Any other
+// segment peaks are levels of that kernel (arrival-rate vectors over its
+// flat traffic arrays), so no per-bin scenario or model is built — and
+// every placement is scored inline on the kernel, into storage the
+// planner owns: a search's probes into two buffers, a day's cells into
+// one slab. Any other
 // evaluator (the simulator, or a decorator) gets each placement stamped
 // onto the scenario, the same stamping Plan.Apply does, one at a time,
 // while a heterogeneous search prices its mixes on an analytic kernel;

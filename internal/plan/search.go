@@ -34,7 +34,7 @@ func Search(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec Spec) (Pl
 	if err != nil {
 		return Plan{}, err
 	}
-	return search(ctx, ev, spec, resolved, k)
+	return search(ctx, ev, &spec, &resolved, k)
 }
 
 // compile builds the kernel of a resolved scenario when ev is the
@@ -50,8 +50,8 @@ func compile(ev eval.Evaluator, resolved scenario.Scenario) (*eval.Kernel, error
 
 // search places a normalized spec's workload on its resolved scenario,
 // scoring candidates on k when it is non-nil and through ev otherwise.
-func search(ctx context.Context, ev eval.Evaluator, spec Spec, resolved scenario.Scenario, k *eval.Kernel) (Plan, error) {
-	s := &searcher{ctx: ctx, ev: ev, spec: spec, resolved: resolved, kernel: k}
+func search(ctx context.Context, ev eval.Evaluator, spec *Spec, resolved *scenario.Scenario, k *eval.Kernel) (Plan, error) {
+	s := searcher{ctx: ctx, done: ctx.Done(), ev: ev, spec: spec, resolved: resolved, kernel: k}
 	var plan Plan
 	var err error
 	switch {
@@ -74,27 +74,62 @@ func search(ctx context.Context, ev eval.Evaluator, spec Spec, resolved scenario
 
 type searcher struct {
 	ctx         context.Context
+	done        <-chan struct{} // ctx.Done()
 	ev          eval.Evaluator
-	spec        Spec
-	resolved    scenario.Scenario
+	spec        *Spec
+	resolved    *scenario.Scenario
 	kernel      *eval.Kernel // nil: stamp candidates and call ev
 	evaluations int
+
+	// Probes score into probe[cur], and keep switches cur, so a kept
+	// result is never overwritten by a later probe. On the kernel route
+	// losses holds both buffers' per-service losses.
+	probe  [2]eval.Result
+	losses []eval.ServiceLoss
+	cur    int
 }
 
-// score evaluates one candidate placement: on the kernel, or stamped onto
-// the scenario and evaluated by ev.
-func (s *searcher) score(pl eval.Placement) (eval.Result, error) {
-	if err := s.ctx.Err(); err != nil {
-		return eval.Result{}, err
+// cancelled reports ctx's error once it is done. The non-blocking
+// receive on done (ctx.Done()) takes no lock, where ctx.Err locks the
+// context's mutex on every call.
+func cancelled(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
+// score evaluates one candidate placement into the probe buffer: on the
+// kernel, or stamped onto the scenario and evaluated by ev. The result
+// stays valid until the next score, or for good once kept.
+func (s *searcher) score(pl eval.Placement) (*eval.Result, error) {
+	if err := cancelled(s.ctx, s.done); err != nil {
+		return nil, err
 	}
 	s.evaluations++
-	if s.kernel != nil {
-		return s.kernel.Score(pl)
+	res := &s.probe[s.cur]
+	if s.kernel == nil {
+		var err error
+		*res, err = s.ev.Evaluate(s.ctx, stamp(*s.resolved, pl))
+		return res, err
 	}
-	return s.ev.Evaluate(s.ctx, stamp(s.resolved, pl))
+	n := len(s.resolved.Services)
+	if s.losses == nil {
+		s.losses = make([]eval.ServiceLoss, 2*n)
+	}
+	return res, s.kernel.ScoreInto(res, s.losses[s.cur*n:(s.cur+1)*n], pl)
 }
 
-func (s *searcher) feasible(r eval.Result) bool {
+// keep keeps the last score: it switches probe buffers, so later scores
+// leave it be until the next keep.
+func (s *searcher) keep() { s.cur ^= 1 }
+
+// kept is the last score kept.
+func (s *searcher) kept() *eval.Result { return &s.probe[s.cur^1] }
+
+func (s *searcher) feasible(r *eval.Result) bool {
 	return !math.IsNaN(r.Loss) && r.Loss <= s.spec.Target
 }
 
@@ -107,14 +142,13 @@ func (s *searcher) feasible(r eval.Result) bool {
 // fixed offered work, so the same n wins both objectives.
 func (s *searcher) searchHomogeneous() (Plan, error) {
 	lo, hi := 0, 1 // invariant: lo infeasible (0 hosts serve nothing), hi the probe
-	var hiRes eval.Result
 	for {
 		res, err := s.score(eval.Placement{Hosts: hi})
 		if err != nil {
 			return Plan{}, err
 		}
 		if s.feasible(res) {
-			hiRes = res
+			s.keep()
 			break
 		}
 		lo = hi
@@ -130,12 +164,13 @@ func (s *searcher) searchHomogeneous() (Plan, error) {
 			return Plan{}, err
 		}
 		if s.feasible(res) {
-			hi, hiRes = mid, res
+			hi = mid
+			s.keep()
 		} else {
 			lo = mid
 		}
 	}
-	return Plan{Hosts: hi, Result: hiRes}, nil
+	return Plan{Hosts: hi, Result: *s.kept()}, nil
 }
 
 // --- dedicated --------------------------------------------------------
@@ -185,7 +220,7 @@ func (s *searcher) searchDedicated() (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	plan := Plan{Result: final}
+	plan := Plan{Result: *final}
 	for i, sz := range sizes {
 		plan.Hosts += sz
 		plan.Dedicated = append(plan.Dedicated, PoolSize{Name: final.Services[i].Name, Servers: sz})
@@ -206,21 +241,22 @@ func (s *searcher) searchHetero() (Plan, error) {
 	k := s.kernel
 	if k == nil {
 		var err error
-		if k, err = eval.NewAnalytic(nil).Compile(s.resolved); err != nil {
+		if k, err = eval.NewAnalytic(nil).Compile(*s.resolved); err != nil {
 			return Plan{}, err
 		}
 	}
-	w := newWalker(s, k)
-	if err := w.seed(); err != nil {
+	w := walker{k: k, minPower: s.spec.Objective == MinPower, cost: k.ClassCosts()}
+	w.init(s)
+	if err := w.seed(s); err != nil {
 		return Plan{}, err
 	}
-	if err := w.visit(0, prefix{}); err != nil {
+	if err := w.visit(s, 0, prefix{}); err != nil {
 		return Plan{}, err
 	}
 	if w.best == nil {
 		return Plan{}, fmt.Errorf("%w: the full class supply (%d hosts) stays above loss %g", ErrInfeasible, w.hosts, s.spec.Target)
 	}
-	plan := Plan{Result: w.bestRes}
+	plan := Plan{Result: *s.kept()}
 	for c, hc := range s.resolved.Fleet.Classes {
 		plan.Hosts += w.best[c]
 		plan.Classes = append(plan.Classes, ClassCount{Name: className(hc), Count: w.best[c]})
@@ -264,7 +300,6 @@ const roundoff = 1e-9
 // unit first, so along one group's count each is convex: once a bound
 // that loses stops falling, the group's loop ends.
 type walker struct {
-	s        *searcher
 	k        *eval.Kernel
 	minPower bool
 	hosts    int // the full supply's host count
@@ -302,14 +337,15 @@ type walker struct {
 	byPrice []int
 	version int
 
-	bestPr  eval.Result
-	bestRes eval.Result
+	bestPr eval.Result // the best mix's price; the searcher keeps its score
 }
 
-func newWalker(s *searcher, k *eval.Kernel) *walker {
+// init readies the walk of s's class supply, priced on the walker's
+// kernel, which it holds with its objective and the classes' costs.
+func (w *walker) init(s *searcher) {
+	k := w.k
 	classes := s.resolved.Fleet.Classes
 	n := len(classes)
-	w := &walker{s: s, k: k, minPower: s.spec.Objective == MinPower, cost: k.ClassCosts()}
 	ints, floats := make([]int, 12*n+1), make([]float64, 3*n+1)
 	next := func(m int) []int {
 		out := ints[:m:m]
@@ -352,7 +388,9 @@ func newWalker(s *searcher, k *eval.Kernel) *walker {
 		})
 	}
 	// A bound that cannot be computed prunes nothing: floor stays 0.
-	if floor, err := k.UnitsFloor(s.spec.Target, k.Price(eval.Placement{Classes: w.supply}).CapabilityUnits); err == nil {
+	var all eval.Result
+	k.Price(&all, eval.Placement{Classes: w.supply})
+	if floor, err := k.UnitsFloor(s.spec.Target, all.CapabilityUnits); err == nil {
 		w.floor = floor
 	}
 	w.reach = w.floor - roundoff*math.Max(1, w.floor)
@@ -365,7 +403,6 @@ func newWalker(s *searcher, k *eval.Kernel) *walker {
 	slices.SortStableFunc(w.byRatio, func(a, b int) int {
 		return cmp.Compare(w.cost[a].ActiveW*w.cost[b].Units, w.cost[b].ActiveW*w.cost[a].Units)
 	})
-	return w
 }
 
 // exactUnits reports whether sums of hosts of u capability units round
@@ -383,7 +420,7 @@ func exactUnits(u float64) bool {
 // utilization under min-power — each filled until the mix holds a whole
 // unit more than the capability bound, which meets the target wherever
 // Erlang B falls with the units.
-func (w *walker) seed() error {
+func (w *walker) seed(s *searcher) error {
 	order := w.byUnits
 	if w.minPower {
 		w.setKappa(w.floor + 1)
@@ -400,7 +437,7 @@ func (w *walker) seed() error {
 			need -= float64(t) * units
 		}
 	}
-	err := w.leaf()
+	err := w.leaf(s)
 	clear(w.take)
 	return err
 }
@@ -446,11 +483,11 @@ func (w *walker) cheapest(order []int, g, n int, active bool) (sum, next float64
 // the last group it is at a complete mix. The primary bound is convex in
 // the count, so the loop ends at the first count whose primary bound
 // loses and has stopped falling, or whose active floor loses for good.
-func (w *walker) visit(g int, p prefix) error {
+func (w *walker) visit(s *searcher, g int, p prefix) error {
 	if g == len(w.take) {
-		return w.leaf()
+		return w.leaf(s)
 	}
-	if err := w.s.ctx.Err(); err != nil {
+	if err := cancelled(s.ctx, s.done); err != nil {
 		return err
 	}
 	n := 0
@@ -479,7 +516,7 @@ func (w *walker) visit(g int, p prefix) error {
 			}
 		}
 		w.take[g] = n
-		if err := w.visit(g+1, q); err != nil {
+		if err := w.visit(s, g+1, q); err != nil {
 			return err
 		}
 	}
@@ -707,29 +744,31 @@ func (w *walker) setPrices() {
 // leaf prices the mix of the walk's group counts, filled, and scores it
 // when it is admissible and ranks ahead of the best mix; it keeps the
 // mix when it meets the target.
-func (w *walker) leaf() error {
+func (w *walker) leaf(s *searcher) error {
 	if err := w.step(len(w.supply)); err != nil {
 		return err
 	}
 	w.fill(0) // any split prices the units, which set the utilization
-	pr := w.k.Price(eval.Placement{Classes: w.counts})
+	var pr eval.Result
+	w.k.Price(&pr, eval.Placement{Classes: w.counts})
 	if pr.CapabilityUnits <= w.floor {
 		return nil
 	}
 	if w.fill(pr.Utilization) {
-		pr = w.k.Price(eval.Placement{Classes: w.counts})
+		w.k.Price(&pr, eval.Placement{Classes: w.counts})
 	}
-	if w.best != nil && !w.ahead(pr, w.counts) {
+	if w.best != nil && !w.ahead(&pr, w.counts) {
 		return nil
 	}
 	if err := w.step(scoreSteps); err != nil {
 		return err
 	}
-	res, err := w.s.score(eval.Placement{Classes: w.counts})
-	if err != nil || !w.s.feasible(res) {
+	res, err := s.score(eval.Placement{Classes: w.counts})
+	if err != nil || !s.feasible(res) {
 		return err
 	}
-	w.best, w.bestPr, w.bestRes = append(w.best[:0], w.counts...), pr, res
+	w.best, w.bestPr = append(w.best[:0], w.counts...), pr
+	s.keep()
 	w.refresh()
 	return nil
 }
@@ -761,7 +800,7 @@ func (w *walker) fill(u float64) (moved bool) {
 // by (watts, hosts) under min-power and (hosts, watts) under min-servers,
 // then by more capability units, then by the lexicographically larger
 // count vector in class order.
-func (w *walker) ahead(pr eval.Result, counts []int) bool {
+func (w *walker) ahead(pr *eval.Result, counts []int) bool {
 	b := w.bestPr
 	if w.minPower && pr.Watts != b.Watts {
 		return pr.Watts < b.Watts

@@ -61,13 +61,12 @@ func (p *Periods) applyDefaults() {
 	if p.BinSec == 0 {
 		p.BinSec = 3600
 	}
+	shape := diurnal.DayShape()
 	if len(p.Bins) == 0 && p.BinSec > 0 {
-		day := diurnal.DayShape()
-		if n := math.Round(day.BinSec * float64(len(day.Values)) / p.BinSec); n <= maxPeriodBins {
+		if n := math.Round(shape.BinSec * float64(len(shape.Values)) / p.BinSec); n <= maxPeriodBins {
 			p.Bins = make([]PeriodBin, max(int(n), 1))
 		}
 	}
-	shape := diurnal.DayShape()
 	for i := range p.Bins {
 		b := &p.Bins[i]
 		if b.Name == "" {

@@ -37,7 +37,7 @@ func TestErrorBodiesAreJSON(t *testing.T) {
 		{"query value NUL", "GET", "/v1/loss?n=%00&rho=5", "", `n: not an integer: "\x00"`},
 		{"query key escaped control", "GET", "/v1/loss?n=8&rho=5&%07=1", "", `unknown parameter "%07"`},
 		{"query key invalid utf-8", "GET", "/v1/loss?n=8&rho=5&\xff=1", "", `unknown parameter "\xff"`},
-		{"query key invalid utf-8, bad escape", "GET", "/v1/loss?n=8&rho=5&\xff=%zz", "", "malformed query escape in \xff"},
+		{"query key invalid utf-8, bad escape", "GET", "/v1/loss?n=8&rho=5&\xff=%zz", "", `malformed query escape in "\xff"`},
 		{"json key control", "POST", "/v1/plan", plan(`"\u0007":-1`, ""), `fleet class 1: scenario: invalid: host class capability["\a"] = -1`},
 		{"json key invalid utf-8", "POST", "/v1/plan", plan("\"\xff\":-1", ""), `fleet class 1: scenario: invalid: host class capability["` + "�" + `"] = -1`},
 		{"unknown json key control", "POST", "/v1/plan", plan(`"cpu":1`, `,"\u0007":1`), unknownField + `"\a"`},

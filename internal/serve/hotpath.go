@@ -48,7 +48,7 @@ func parseQuery(raw string, allowN, allowRho, allowTarget bool, p *qparams, buf 
 		if strings.IndexByte(val, '%') >= 0 || strings.IndexByte(val, '+') >= 0 {
 			u, err := url.QueryUnescape(val)
 			if err != nil {
-				return appendError(buf, CodeInvalidArgument, "malformed query escape in "+key), false
+				return appendError(buf, CodeInvalidArgument, "malformed query escape in "+strconv.Quote(key)), false
 			}
 			val = u
 		}
