@@ -58,6 +58,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -158,8 +159,13 @@ func main() {
 	}
 	fmt.Println("consolidated plan:")
 	for _, sp := range res.Consolidated.PerService {
-		for resName, n := range sp.PerResource {
-			fmt.Printf("  resource %-8s needs %2d servers\n", resName, n)
+		resources := make([]core.Resource, 0, len(sp.PerResource))
+		for r := range sp.PerResource {
+			resources = append(resources, r)
+		}
+		slices.Sort(resources)
+		for _, r := range resources {
+			fmt.Printf("  resource %-8s needs %2d servers\n", r, sp.PerResource[r])
 		}
 	}
 

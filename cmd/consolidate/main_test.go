@@ -5,6 +5,7 @@ import (
 	"flag"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,7 +14,32 @@ import (
 	"repro/internal/scenario"
 )
 
-var update = flag.Bool("update", false, "rewrite the plan golden files")
+var update = flag.Bool("update", false, "rewrite the plan and solve golden files")
+
+// TestMain runs the command itself in a test binary that consolidate
+// re-executed.
+func TestMain(m *testing.M) {
+	if os.Getenv("CONSOLIDATE_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// consolidate runs the command with args in a re-executed test binary
+// and returns what it printed to stdout.
+func consolidate(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CONSOLIDATE_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("consolidate %s: %v: %s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return out
+}
 
 const validSpec = `{
   "lossTarget": 0.05,
@@ -231,5 +257,56 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := parseSpec([]byte(c.spec)); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+}
+
+// The solve's text, its JSON and the model -write prints are the same
+// bytes CI's planner-smoke job diffs against the real binary's stdout;
+// regenerate with `go test ./cmd/consolidate -run TestSolveGoldens -update`.
+func TestSolveGoldens(t *testing.T) {
+	const caseStudy = "../../examples/scenarios/casestudy.json"
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"solve-casestudy.txt", []string{"-casestudy"}},
+		{"solve-casestudy-scenario.txt", []string{"-scenario", caseStudy}},
+		{"solve-casestudy-scenario.json", []string{"-scenario", caseStudy, "-json"}},
+		{"solve-casestudy-scenario-write.txt", []string{"-scenario", caseStudy, "-write", "-"}},
+	}
+	for _, c := range cases {
+		out := consolidate(t, c.args...)
+		path := filepath.Join("testdata", "golden", c.golden)
+		if *update {
+			if err := os.WriteFile(path, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create)", err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Errorf("%s drifted from its golden; got:\n%s", c.golden, out)
+		}
+	}
+}
+
+// A scenario with a demand of mean 0 writes a model file that -spec loads
+// and solves as the scenario solves: the demand places no load, so the
+// file has no entry for it (JSON has no +Inf serving rate).
+func TestWriteZeroMeanDemand(t *testing.T) {
+	const s = "testdata/zero-mean.json"
+	spec := filepath.Join(t.TempDir(), "model.json")
+	consolidate(t, "-scenario", s, "-write", spec)
+	raw, err := os.ReadFile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := parseSpec(raw); err != nil || len(m.Services) != 2 || len(m.Services[1].ServingRates) != 1 {
+		t.Fatalf("written model %s: %v", raw, err)
+	}
+	if got, want := consolidate(t, "-spec", spec, "-json"), consolidate(t, "-scenario", s, "-json"); !bytes.Equal(got, want) {
+		t.Errorf("-spec solve of the written model:\n%s\nwant the scenario's:\n%s", got, want)
 	}
 }

@@ -216,14 +216,6 @@ func TestImpactFactorDefaults(t *testing.T) {
 	}
 }
 
-func TestBottleneckResource(t *testing.T) {
-	w := webService(1)
-	j, mu := w.BottleneckResource()
-	if j != DiskIO || mu != 1420 {
-		t.Fatalf("bottleneck = %s/%g", j, mu)
-	}
-}
-
 // Property: for any positive arrival rates, harmonic traffic >= eq5 traffic
 // on every resource (AM-HM), and the restricted form falls between 0 and
 // the harmonic form.

@@ -231,29 +231,6 @@ func (m *Model) fillUtilizationAndPower(plan *Plan, dedicated bool) {
 	plan.Power = m.power().Draw(plan.Utilization, power.NativeLinux) * float64(plan.Servers)
 }
 
-// PerResourceUtilization reports the per-resource mean utilization of a
-// deployment with the given server count: offered work on j divided by
-// servers. For the consolidated case the work is computed under form. The
-// result may exceed 1, signalling overload on that resource.
-func (m *Model) PerResourceUtilization(servers int, dedicated bool, form TrafficForm) map[Resource]float64 {
-	out := map[Resource]float64{}
-	if servers <= 0 {
-		return out
-	}
-	for _, j := range m.resources() {
-		var work float64
-		if dedicated {
-			for _, s := range m.Services {
-				work += s.offeredTraffic(j)
-			}
-		} else {
-			work = m.ConsolidatedTraffic(j, form)
-		}
-		out[j] = m.utilizationScale() * work / float64(servers)
-	}
-	return out
-}
-
 // LossAtServers reports the model's request-loss probability when the
 // deployment is forced to a given server count, rather than sized.
 //

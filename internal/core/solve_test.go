@@ -259,18 +259,6 @@ func TestApportionSumsProperty(t *testing.T) {
 	}
 }
 
-func TestPerResourceUtilization(t *testing.T) {
-	m := caseStudyModel(2840, 200, 0.05)
-	util := m.PerResourceUtilization(8, true, TrafficEq5Restricted)
-	// Dedicated disk work = 2840/1420 = 2 Erlangs over 8 servers.
-	if math.Abs(util[DiskIO]-0.25) > 1e-9 {
-		t.Fatalf("disk utilization = %g", util[DiskIO])
-	}
-	if len(m.PerResourceUtilization(0, true, TrafficEq5Restricted)) != 0 {
-		t.Fatal("zero servers should yield empty map")
-	}
-}
-
 // Property: consolidation never needs more servers than dedication when
 // virtualization is free (a ≡ 1) and sizing uses the work-conserving
 // harmonic form. (Pooling Erlang servers is always at least as efficient —

@@ -38,20 +38,6 @@ func (s Service) IntensiveWorkload(servers int, target float64) (float64, error)
 	return rho * muBottleneck, nil
 }
 
-// BottleneckResource reports the service's bottleneck resource on a
-// dedicated server — the one with the smallest serving rate — and that
-// rate. The second return is +Inf if the service demands nothing.
-func (s Service) BottleneckResource() (Resource, float64) {
-	var best Resource
-	bestMu := math.Inf(1)
-	for j, mu := range s.ServingRates {
-		if mu < bestMu || (mu == bestMu && j < best) {
-			best, bestMu = j, mu
-		}
-	}
-	return best, bestMu
-}
-
 // DefaultWorkloadIntensity is the fraction of the Erlang-admissible
 // traffic used when selecting case-study workloads. The paper picks its
 // intensive workloads from the discrete operating points measured in

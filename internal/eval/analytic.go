@@ -45,11 +45,6 @@ func NewAnalytic(memo *erlang.Memo) *Analytic {
 // planner.
 func (a *Analytic) Memo() *erlang.Memo { return a.memo }
 
-// evalLossTarget is the placeholder sizing target used when bridging a
-// scenario for fixed-fleet evaluation: Evaluate never sizes, it only reads
-// traffic, so any value in (0, 1) works.
-const evalLossTarget = 0.5
-
 // Evaluate scores the candidate analytically. It accepts raw or resolved
 // scenarios (it compiles a private resolved copy) and returns
 // ErrUnsupported for scenarios outside the analytic model's domain —
@@ -88,9 +83,9 @@ type Placement struct {
 // Kernel is a scenario compiled for the analytic model. Between the
 // candidates a sizing search tries only the fleet changes — λᵢ, μᵢⱼ, aᵢⱼ
 // and the merged traffic ρ′ⱼ of Eq. (5) stay fixed — so validation and
-// the bridge to core.Model run once, in Compile, which reads the bridged
-// model's maps into flat per-(service, resource) arrays. ScoreInto prices
-// a Placement with one Erlang B read per resource (per pool and resource
+// the scenario's lowering run once, in Compile, which writes them
+// straight into flat per-(service, resource) arrays. ScoreInto prices a
+// Placement with one Erlang B read per resource (per pool and resource
 // in dedicated mode) plus the Eq. (9)–(14) arithmetic, with no scenario
 // clone, no map and no allocation. A level — the same scenario at other
 // arrival rates (Scale, Levels) — is another λ vector over the same
@@ -105,10 +100,10 @@ type compiled struct {
 	memo     *erlang.Memo
 	mode     string
 	declared Placement // the compiled scenario's own fleet
-	form     core.TrafficForm
 
-	names []string // service names, in scenario order
-	// The traffic, per resource j in sorted resource order and within it
+	names     []string // service names, in scenario order
+	resources []string // the resources the services declare demands on, sorted
+	// The traffic, per resource j in resources order and within it
 	// per service i: mu[j·S+i] is μᵢⱼ (+Inf where service i places no
 	// demand on j) and impact[j·S+i] is aᵢⱼ, S the service count.
 	mu, impact []float64
@@ -129,18 +124,46 @@ type level struct {
 	demand  float64   // Σⱼ ρ′ⱼ, the Eq. (10) numerator
 }
 
-// Compile bridges a resolved scenario to the analytic model once
-// (ModelFromScenario), returning the kernel that scores placements of its
-// fleet. The scenario must come from scenario.Scenario.Resolve, which
-// copied, defaulted and validated it; Compile reads it without doing any
-// of the three again, and fails where Evaluate does past validation, with
+// Compile lowers a resolved scenario to the analytic model's inputs once
+// (lower), returning the kernel that scores placements of its fleet. The
+// scenario must come from scenario.Scenario.Resolve, which copied,
+// defaulted and validated it; Compile reads it without doing any of the
+// three again, and fails where Evaluate does past validation, with
 // ErrUnsupported outside the model's domain.
 func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
-	m, err := bridge(resolved, evalLossTarget)
+	k, err := lower(resolved)
 	if err != nil {
 		return nil, err
 	}
-	k := &Kernel{compiled: &compiled{memo: a.memo, mode: resolved.Mode}}
+	// Refuse what the model cannot size, in core.Model.Validate's words: a
+	// repeated name (one service's positional #n can be another's name),
+	// an arrival rate that is not positive and finite, a serving rate of 0
+	// (a demand of infinite mean) and no demand of positive mean. Impact
+	// factors need no check, as virt.HostOverhead.Factor clamps them to
+	// (0, 1].
+	S := len(k.names)
+	seen := map[string]bool{}
+	for i, name := range k.names {
+		if seen[name] {
+			return nil, fmt.Errorf("%w: duplicate service name %q", core.ErrInvalidModel, name)
+		}
+		seen[name] = true
+		if l := k.lambda[i]; !(l > 0) || math.IsInf(l, 1) {
+			return nil, fmt.Errorf("%w: service %q arrival rate %g", core.ErrInvalidModel, name, l)
+		}
+		demand := false
+		for j, r := range k.resources {
+			mu := k.mu[j*S+i]
+			if !(mu > 0) {
+				return nil, fmt.Errorf("%w: service %q resource %q serving rate %g", core.ErrInvalidModel, name, r, mu)
+			}
+			demand = demand || !math.IsInf(mu, 1)
+		}
+		if !demand {
+			return nil, fmt.Errorf("%w: service %q demands no resource", core.ErrInvalidModel, name)
+		}
+	}
+	k.memo, k.mode = a.memo, resolved.Mode
 	k.fleetPower, k.platform = scenarioPower(resolved)
 	switch {
 	case resolved.Mode == "dedicated":
@@ -151,10 +174,6 @@ func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 	case len(resolved.Fleet.Classes) == 0:
 		k.declared.Hosts = resolved.Fleet.Hosts
 	default:
-		resources := make([]string, len(m.Resources))
-		for j, r := range m.Resources {
-			resources[j] = string(r)
-		}
 		n := len(resolved.Fleet.Classes)
 		k.capability, k.classPower = make([]float64, n), make([]power.ServerModel, n)
 		k.declared.Classes, k.order = make([]int, n), make([]int, n)
@@ -163,7 +182,7 @@ func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 			if hc.Power != nil {
 				k.classPower[c] = power.ServerModel{Base: hc.Power.BaseW, Max: hc.Power.MaxW}
 			}
-			k.capability[c] = ClassCapability(hc, resources)
+			k.capability[c] = ClassCapability(hc, k.resources)
 			k.declared.Classes[c] = hc.Count
 			// Insert c after every class that does not sort above it.
 			i := c
@@ -173,36 +192,8 @@ func (a *Analytic) Compile(resolved scenario.Scenario) (*Kernel, error) {
 			k.order[i] = c
 		}
 	}
-	k.flatten(m)
-	return k, nil
-}
-
-// flatten reads the bridged model's maps once, into one slab: μᵢⱼ and
-// aᵢⱼ per resource, in the model's sorted resource order so every sum
-// runs in a fixed order, then the model's own level.
-func (k *Kernel) flatten(m *core.Model) {
-	S, R := len(m.Services), len(m.Resources)
-	k.form = m.Form
-	k.names = make([]string, S)
-	slab := make([]float64, 2*R*S+levelSize(S, R))
-	k.mu, k.impact = slab[:R*S:R*S], slab[R*S:2*R*S:2*R*S]
-	k.level = carve(slab[2*R*S:], S, R)
-	for i, svc := range m.Services {
-		k.names[i] = svc.Name
-		k.lambda[i] = svc.ArrivalRate
-		for j, r := range m.Resources {
-			mu, ok := svc.ServingRates[r]
-			if !ok {
-				mu = math.Inf(1)
-			}
-			a, ok := svc.ImpactFactors[r]
-			if !ok {
-				a = 1
-			}
-			k.mu[j*S+i], k.impact[j*S+i] = mu, a
-		}
-	}
 	k.derive()
+	return k, nil
 }
 
 // levelSize is the floats a level of S services on R resources holds.
@@ -217,15 +208,15 @@ func carve(slab []float64, S, R int) level {
 	}
 }
 
-// derive computes the level's traffic from its λ: ρ′ⱼ by Eq. (5) under the
-// model's TrafficForm (core.MergedTraffic), their sum, and each service's
-// ρᵢⱼ.
+// derive computes the level's traffic from its λ: ρ′ⱼ by Eq. (5) in its
+// canonical reading (core.TrafficEq5Restricted), their sum, and each
+// service's ρᵢⱼ.
 func (k *Kernel) derive() {
 	S, R := len(k.lambda), len(k.rho)
 	k.demand = 0
 	for j := range k.rho {
 		mu := k.mu[j*S : (j+1)*S]
-		k.rho[j] = core.MergedTraffic(k.form, k.lambda, mu, k.impact[j*S:(j+1)*S])
+		k.rho[j] = core.MergedTraffic(core.TrafficEq5Restricted, k.lambda, mu, k.impact[j*S:(j+1)*S])
 		k.demand += k.rho[j]
 		for i, m := range mu {
 			if !math.IsInf(m, 1) {
@@ -534,27 +525,56 @@ func scenarioPower(s scenario.Scenario) (power.ServerModel, power.Platform) {
 }
 
 // ModelFromScenario bridges a declarative scenario to the paper's analytic
-// model: per-service arrival rates come from the built arrival process's
-// mean rate, serving rates from the compiled demand profile (μ = 1/mean
-// demand, Eq. 3), and impact factors from the overhead curves evaluated at
-// the number of co-located VMs actively demanding each resource — exactly
-// the case-study convention (disk at v = 1, CPU at v = 2 for the Web+DB
-// pair).
-//
-// The scenario must be analytic-model shaped: every service open-loop, no
-// failure injection, and no explicit allocator (the model assumes ideal
-// on-demand resource flowing). Anything else returns ErrUnsupported; the
-// sim evaluator handles those scenarios.
+// model: it reads the kernel's lowering (lower) into the model's maps, so
+// the solve takes the kernel's λᵢ, μᵢⱼ and aᵢⱼ. A demand of mean 0 places
+// no load: its resource gets no entry in either map, which the model reads
+// as no demand. The scenario must be analytic-model shaped, as for
+// Compile; anything else returns ErrUnsupported, and the sim evaluator
+// handles it.
 func ModelFromScenario(s scenario.Scenario, lossTarget float64) (*core.Model, error) {
 	resolved, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return bridge(resolved, lossTarget)
+	k, err := lower(resolved)
+	if err != nil {
+		return nil, err
+	}
+	m := &core.Model{
+		LossTarget: lossTarget,
+		Power:      core.PowerParams{Base: resolved.Power.BaseW, Max: resolved.Power.MaxW},
+	}
+	for _, r := range k.resources {
+		m.Resources = append(m.Resources, core.Resource(r))
+	}
+	S := len(k.names)
+	for i, name := range k.names {
+		rates, factors := map[core.Resource]float64{}, map[core.Resource]float64{}
+		for j, r := range m.Resources {
+			if mu := k.mu[j*S+i]; !math.IsInf(mu, 1) {
+				rates[r], factors[r] = mu, k.impact[j*S+i]
+			}
+		}
+		m.Services = append(m.Services, core.Service{Name: name, ArrivalRate: k.lambda[i], ServingRates: rates, ImpactFactors: factors})
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// bridge is ModelFromScenario on a resolved scenario.
-func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error) {
+// lower writes a resolved scenario straight into a kernel's slab: the
+// service names (a repeated one gets its positional #n, as reports number
+// them), each λᵢ, the built arrival process's rate, and per resource — the
+// sorted union of the declared demands — μᵢⱼ and aᵢⱼ. μᵢⱼ is the demand
+// profile's serving rate (Eq. 3) capped at its OS ceiling, +Inf where
+// service i declares no demand on j. aᵢⱼ is the overhead curve at v, the
+// number of services declaring a demand on j, which is the case-study
+// convention (disk at v = 1, CPU at v = 2 for the Web+DB pair), and 1
+// where service i declares none. Closed-loop services, failure injection
+// and explicit allocators (the model assumes ideal flowing) return
+// ErrUnsupported.
+func lower(resolved scenario.Scenario) (*Kernel, error) {
 	if resolved.Periods != nil {
 		return nil, fmt.Errorf("%w: a periods scenario is time-varying; plan it bin by bin (plan.SearchPeriods)", ErrUnsupported)
 	}
@@ -564,86 +584,61 @@ func bridge(resolved scenario.Scenario, lossTarget float64) (*core.Model, error)
 	if resolved.Alloc != nil {
 		return nil, fmt.Errorf("%w: explicit allocator policies have no analytic form (the model assumes ideal flowing)", ErrUnsupported)
 	}
-
-	// vms[r] counts the services demanding resource r: the number of
-	// co-located VMs actively using r on a consolidated host, which is the
-	// v the impact curves a(v) are evaluated at. Its keys are the
-	// scenario's resources (ScenarioResources).
-	vms := make(map[string]int)
-	profiles := make([]profileInfo, len(resolved.Services))
+	S := len(resolved.Services)
+	profiles, overheads := make([]workload.ServiceProfile, S), make([]virt.HostOverhead, S)
+	vms := map[string]int{} // per resource, the services declaring a demand on it
 	for i := range resolved.Services {
-		svc := resolved.Services[i]
-		profile, err := svc.CompileProfile()
-		if err != nil {
+		var err error
+		if profiles[i], err = resolved.Services[i].CompileProfile(); err != nil {
 			return nil, fmt.Errorf("eval: service %d: %w", i, err)
 		}
-		overhead, err := svc.CompileOverhead()
-		if err != nil {
+		if overheads[i], err = resolved.Services[i].CompileOverhead(); err != nil {
 			return nil, fmt.Errorf("eval: service %d: %w", i, err)
 		}
-		profiles[i] = profileInfo{name: profile.Name, profile: profile, overhead: overhead}
-		for r := range profile.Demands {
+		for r := range profiles[i].Demands {
 			vms[r]++
 		}
 	}
-
-	m := &core.Model{LossTarget: lossTarget}
+	k := &Kernel{compiled: &compiled{names: make([]string, S), resources: make([]string, 0, len(vms))}}
 	for r := range vms {
-		m.Resources = append(m.Resources, core.Resource(r))
+		k.resources = append(k.resources, r)
 	}
-	slices.Sort(m.Resources)
+	slices.Sort(k.resources)
+	R := len(k.resources)
+	slab := make([]float64, 2*R*S+levelSize(S, R))
+	k.mu, k.impact = slab[:R*S:R*S], slab[R*S:2*R*S:2*R*S]
+	k.level = carve(slab[2*R*S:], S, R)
 	seen := map[string]int{}
 	for i := range resolved.Services {
-		svc := resolved.Services[i]
+		svc, p := &resolved.Services[i], &profiles[i]
 		if svc.Clients > 0 || svc.Arrivals == nil {
-			return nil, fmt.Errorf("%w: service %q is closed-loop (no open-loop arrival rate; use the sim evaluator)", ErrUnsupported, profiles[i].name)
+			return nil, fmt.Errorf("%w: service %q is closed-loop (no open-loop arrival rate; use the sim evaluator)", ErrUnsupported, p.Name)
 		}
 		proc, err := svc.Arrivals.Build()
 		if err != nil {
 			return nil, fmt.Errorf("eval: service %d arrivals: %w", i, err)
 		}
-		name := profiles[i].name
-		// The analytic model requires unique service names; disambiguate
-		// duplicates positionally like reports do.
-		if n := seen[name]; n > 0 {
-			name = fmt.Sprintf("%s#%d", name, n+1)
+		k.names[i], k.lambda[i] = p.Name, proc.Rate()
+		if n := seen[p.Name]; n > 0 {
+			k.names[i] = fmt.Sprintf("%s#%d", p.Name, n+1)
 		}
-		seen[profiles[i].name]++
-
-		cs := core.Service{
-			Name:          name,
-			ArrivalRate:   proc.Rate(),
-			ServingRates:  map[core.Resource]float64{},
-			ImpactFactors: map[core.Resource]float64{},
-		}
-		for r := range profiles[i].profile.Demands {
-			mu := profiles[i].profile.ServingRate(r)
-			// The OS software ceiling caps a single OS image's completion
-			// rate regardless of spare hardware (Fig. 8): the paper's
-			// Table I uses the capped rate as the DB service's μ.
-			if ceil := profiles[i].profile.OSCeiling; ceil > 0 && mu > ceil {
-				mu = ceil
+		seen[p.Name]++
+		for j, r := range k.resources {
+			mu, a := math.Inf(1), 1.0
+			if _, ok := p.Demands[r]; ok {
+				// The OS software ceiling caps a single OS image's
+				// completion rate regardless of spare hardware (Fig. 8):
+				// the paper's Table I uses the capped rate as the DB
+				// service's μ.
+				if mu = p.ServingRate(r); p.OSCeiling > 0 && mu > p.OSCeiling {
+					mu = p.OSCeiling
+				}
+				if a, err = overheads[i].Factor(r, vms[r]); err != nil {
+					return nil, fmt.Errorf("eval: service %d overhead on %q: %w", i, r, err)
+				}
 			}
-			cs.ServingRates[core.Resource(r)] = mu
-			a, err := profiles[i].overhead.Factor(r, vms[r])
-			if err != nil {
-				return nil, fmt.Errorf("eval: service %d overhead on %q: %w", i, r, err)
-			}
-			cs.ImpactFactors[core.Resource(r)] = a
+			k.mu[j*S+i], k.impact[j*S+i] = mu, a
 		}
-		m.Services = append(m.Services, cs)
 	}
-	if resolved.Power != nil {
-		m.Power = core.PowerParams{Base: resolved.Power.BaseW, Max: resolved.Power.MaxW}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-type profileInfo struct {
-	name     string
-	profile  workload.ServiceProfile
-	overhead virt.HostOverhead
+	return k, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/erlang"
 	"repro/internal/eval"
 	"repro/internal/plan"
 	"repro/internal/scenario"
@@ -48,15 +47,9 @@ func PlanAblation(cfg Config) (*PlanAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	analyticN := 0
-	for _, j := range m.Resources {
-		n, err := erlang.Servers(m.ConsolidatedTraffic(j, m.Form), LossTarget, 0)
-		if err != nil {
-			return nil, err
-		}
-		if n > analyticN {
-			analyticN = n
-		}
+	analytic, err := m.ConsolidatedPlan()
+	if err != nil {
+		return nil, err
 	}
 
 	hetero := base.Clone()
@@ -82,7 +75,7 @@ func PlanAblation(cfg Config) (*PlanAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PlanAblationResult{AnalyticN: analyticN}
+	res := &PlanAblationResult{AnalyticN: analytic.Servers}
 	for i, c := range cases {
 		p := plans[i]
 		res.Rows = append(res.Rows, PlanAblationRow{
