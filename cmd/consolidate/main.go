@@ -91,7 +91,7 @@ func main() {
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := checkFlagConflicts(explicit, *scenarioPath, *specPath, *caseStudy, *doPlan, *doPeriods); err != nil {
+	if err := checkFlagConflicts(explicit, *scenarioPath, *specPath, *writeSpec, *caseStudy, *doPlan, *doPeriods); err != nil {
 		die("%v", err)
 	}
 
@@ -149,23 +149,23 @@ func main() {
 		if err := enc.Encode(res); err != nil {
 			die("%v", err)
 		}
-		return
-	}
-	fmt.Println(res)
-	fmt.Println()
-	fmt.Println("dedicated plan:")
-	for _, sp := range res.Dedicated.PerService {
-		fmt.Printf("  %-16s %2d servers (bottleneck: %s)\n", sp.Service, sp.Servers, sp.Bottleneck)
-	}
-	fmt.Println("consolidated plan:")
-	for _, sp := range res.Consolidated.PerService {
-		resources := make([]core.Resource, 0, len(sp.PerResource))
-		for r := range sp.PerResource {
-			resources = append(resources, r)
+	} else {
+		fmt.Println(res)
+		fmt.Println()
+		fmt.Println("dedicated plan:")
+		for _, sp := range res.Dedicated.PerService {
+			fmt.Printf("  %-16s %2d servers (bottleneck: %s)\n", sp.Service, sp.Servers, sp.Bottleneck)
 		}
-		slices.Sort(resources)
-		for _, r := range resources {
-			fmt.Printf("  resource %-8s needs %2d servers\n", r, sp.PerResource[r])
+		fmt.Println("consolidated plan:")
+		for _, sp := range res.Consolidated.PerService {
+			resources := make([]core.Resource, 0, len(sp.PerResource))
+			for r := range sp.PerResource {
+				resources = append(resources, r)
+			}
+			slices.Sort(resources)
+			for _, r := range resources {
+				fmt.Printf("  resource %-8s needs %2d servers\n", r, sp.PerResource[r])
+			}
 		}
 	}
 
@@ -196,7 +196,7 @@ func main() {
 
 // checkFlagConflicts rejects contradictory combinations up front, before
 // any defaulting can paper over them (the cmd/simulate convention).
-func checkFlagConflicts(explicit map[string]bool, scenarioPath, specPath string, caseStudy, doPlan, doPeriods bool) error {
+func checkFlagConflicts(explicit map[string]bool, scenarioPath, specPath, writeSpec string, caseStudy, doPlan, doPeriods bool) error {
 	sources := 0
 	for _, set := range []bool{scenarioPath != "", specPath != "", caseStudy} {
 		if set {
@@ -236,6 +236,15 @@ func checkFlagConflicts(explicit map[string]bool, scenarioPath, specPath string,
 	for _, name := range []string{"objective", "evaluator"} {
 		if explicit[name] {
 			return fmt.Errorf("-%s needs -plan", name)
+		}
+	}
+	if explicit["json"] {
+		// Either would print a second document after the JSON on stdout.
+		if explicit["sensitivity"] {
+			return errors.New("-sensitivity prints a text report, conflicting with -json")
+		}
+		if writeSpec == "-" {
+			return errors.New("-write - prints the model on stdout, conflicting with -json; give -write a file")
 		}
 	}
 	return nil

@@ -109,6 +109,7 @@ func TestCheckFlagConflicts(t *testing.T) {
 		explicit     []string
 		scenarioPath string
 		specPath     string
+		writeSpec    string
 		caseStudy    bool
 		doPlan       bool
 		doPeriods    bool
@@ -133,13 +134,17 @@ func TestCheckFlagConflicts(t *testing.T) {
 		{name: "migration-cost with periods", explicit: []string{"migration-cost"}, scenarioPath: "s.json", doPlan: true, doPeriods: true},
 		{name: "migration-cost without periods", explicit: []string{"migration-cost"}, scenarioPath: "s.json", doPlan: true, wantErr: true},
 		{name: "migration-cost without plan", explicit: []string{"migration-cost"}, scenarioPath: "s.json", wantErr: true},
+		{name: "json+sensitivity", explicit: []string{"json", "sensitivity"}, scenarioPath: "s.json", wantErr: true},
+		{name: "json+write stdout", explicit: []string{"json", "write"}, scenarioPath: "s.json", writeSpec: "-", wantErr: true},
+		{name: "json+write file", explicit: []string{"json", "write"}, scenarioPath: "s.json", writeSpec: "m.json"},
+		{name: "write stdout", explicit: []string{"write"}, scenarioPath: "s.json", writeSpec: "-"},
 	}
 	for _, c := range cases {
 		explicit := map[string]bool{}
 		for _, name := range c.explicit {
 			explicit[name] = true
 		}
-		err := checkFlagConflicts(explicit, c.scenarioPath, c.specPath, c.caseStudy, c.doPlan, c.doPeriods)
+		err := checkFlagConflicts(explicit, c.scenarioPath, c.specPath, c.writeSpec, c.caseStudy, c.doPlan, c.doPeriods)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
 		}
@@ -289,6 +294,30 @@ func TestSolveGoldens(t *testing.T) {
 		if !bytes.Equal(out, want) {
 			t.Errorf("%s drifted from its golden; got:\n%s", c.golden, out)
 		}
+	}
+}
+
+// -json with -write FILE prints the solve's JSON and writes the file
+// -write alone writes.
+func TestJSONWritesFile(t *testing.T) {
+	const s = "../../examples/scenarios/casestudy.json"
+	dir := t.TempDir()
+	alone, withJSON := filepath.Join(dir, "alone.json"), filepath.Join(dir, "with-json.json")
+	consolidate(t, "-scenario", s, "-write", alone)
+	out := consolidate(t, "-scenario", s, "-json", "-write", withJSON)
+	want, err := os.ReadFile(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(withJSON)
+	if err != nil {
+		t.Fatalf("-json -write FILE wrote no file: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-json -write FILE wrote\n%s\nwant what -write FILE writes:\n%s", got, want)
+	}
+	if golden, err := os.ReadFile(filepath.Join("testdata", "golden", "solve-casestudy-scenario.json")); err != nil || !bytes.Equal(out, golden) {
+		t.Errorf("-json -write FILE printed\n%s\nwant the -json golden (%v)", out, err)
 	}
 }
 

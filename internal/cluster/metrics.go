@@ -72,18 +72,6 @@ func newResult(cfg *Config) *Result {
 	return res
 }
 
-// Service returns metrics for the named service (nil if absent). When the
-// same profile is deployed several times the first match wins; use the
-// index-based Services slice for replicas.
-func (r *Result) Service(name string) *ServiceMetrics {
-	for i := range r.Services {
-		if r.Services[i].Name == name {
-			return &r.Services[i]
-		}
-	}
-	return nil
-}
-
 // TotalThroughput sums service throughputs (only meaningful when metrics
 // share a unit).
 func (r *Result) TotalThroughput() float64 {

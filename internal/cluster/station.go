@@ -56,7 +56,6 @@ type station struct {
 
 	sim        *desim.Simulator
 	lastUpdate desim.Time
-	busy       desim.TimeAverage // 0/1 busy indicator over [warmup, now]
 	occ        desim.TimeAverage // resident-job count over [warmup, now]
 	advances   uint64            // virtual-time advance count (observability)
 	workDone   float64
@@ -76,7 +75,6 @@ func newStation(sim *desim.Simulator, name string, capacity float64, onDone func
 		onDone:   onDone,
 	}
 	st.completeFn = st.complete
-	st.busy.Set(sim.Now(), 0)
 	st.occ.Set(sim.Now(), 0)
 	st.lastUpdate = sim.Now()
 	return st
@@ -97,15 +95,15 @@ func (st *station) advance() {
 	st.workDone += st.capacity * dt
 }
 
-// snapshotWarmup records the work delivered so far and restarts the busy
-// observation window, marking the start of the measurement interval.
+// snapshotWarmup records the work delivered so far and restarts the
+// occupancy observation window, marking the start of the measurement
+// interval.
 // advance is idempotent at a fixed timestamp (work deposited at the
 // boundary drains only after it), so the snapshot does not depend on event
 // ordering within the boundary instant.
 func (st *station) snapshotWarmup() {
 	st.advance()
 	st.warmWork = st.workDone
-	st.busy.Reset(st.sim.Now())
 	st.occ.Reset(st.sim.Now())
 }
 
@@ -129,7 +127,6 @@ func (st *station) add(req *request, work float64) {
 	st.advance()
 	st.pushJob(job{threshold: st.V + math.Max(work, 0), seq: st.seq, req: req})
 	st.seq++
-	st.busy.Set(st.sim.Now(), 1)
 	st.occ.Set(st.sim.Now(), float64(len(st.jobs)))
 	st.reschedule()
 }
@@ -170,9 +167,6 @@ func (st *station) complete() {
 		}
 		done = append(done, st.popJob())
 	}
-	if len(st.jobs) == 0 {
-		st.busy.Set(st.sim.Now(), 0)
-	}
 	st.occ.Set(st.sim.Now(), float64(len(st.jobs)))
 	st.reschedule()
 	for _, req := range done {
@@ -190,18 +184,6 @@ func (st *station) backlog() float64 {
 		total += max(st.jobs[i].threshold-st.V, 0)
 	}
 	return total
-}
-
-// utilization reports the station's busy fraction over the current
-// observation window: [warmup, now] once snapshotWarmup has run, [0, now]
-// otherwise.
-func (st *station) utilization(now desim.Time) float64 {
-	st.busy.Finish(now)
-	u := st.busy.Average()
-	if math.IsNaN(u) {
-		return 0
-	}
-	return u
 }
 
 // meanOccupancy reports the time-average resident-job count over the
@@ -231,7 +213,6 @@ func (st *station) clear() []*request {
 		reqs[i] = jobs[i].req
 	}
 	st.jobs = jobs[:0]
-	st.busy.Set(st.sim.Now(), 0)
 	st.occ.Set(st.sim.Now(), 0)
 	st.reschedule()
 	return reqs

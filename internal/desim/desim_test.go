@@ -5,13 +5,22 @@ import (
 	"testing"
 )
 
+// Pending reports the number of events still queued. Inside an event the
+// executing event is not counted.
+func (s *Simulator) Pending() int {
+	if s.firing {
+		return len(s.queue) - 1
+	}
+	return len(s.queue)
+}
+
 func TestEventsFireInOrder(t *testing.T) {
 	s := New()
 	var order []int
 	s.At(3, func() { order = append(order, 3) })
 	s.At(1, func() { order = append(order, 1) })
 	s.At(2, func() { order = append(order, 2) })
-	n := s.RunAll()
+	n := s.Run(math.Inf(1))
 	if n != 3 {
 		t.Fatalf("fired %d events", n)
 	}
@@ -32,7 +41,7 @@ func TestSimultaneousEventsAreFIFO(t *testing.T) {
 		i := i
 		s.At(5, func() { order = append(order, i) })
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("ties not FIFO: %v", order)
@@ -46,7 +55,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	s.At(10, func() {
 		s.After(5, func() { fireTime = s.Now() })
 	})
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if fireTime != 15 {
 		t.Fatalf("After fired at %g", fireTime)
 	}
@@ -55,7 +64,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
 	s.At(10, func() {})
-	s.RunAll()
+	s.Run(math.Inf(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("past scheduling did not panic")
@@ -90,7 +99,7 @@ func TestCancel(t *testing.T) {
 	if h.Pending() {
 		t.Fatal("cancelled handle still pending")
 	}
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -99,7 +108,7 @@ func TestCancel(t *testing.T) {
 func TestCancelAfterFire(t *testing.T) {
 	s := New()
 	h := s.At(1, func() {})
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if h.Cancel() {
 		t.Fatal("cancel after fire should fail")
 	}
@@ -148,15 +157,15 @@ func TestCascadingEvents(t *testing.T) {
 		}
 	}
 	s.At(0, step)
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if count != 1000 {
 		t.Fatalf("chain executed %d steps", count)
 	}
 	if s.Now() != 999 {
 		t.Fatalf("clock = %g", s.Now())
 	}
-	if s.Fired() != 1000 {
-		t.Fatalf("Fired() = %d", s.Fired())
+	if s.Stats().Fired != 1000 {
+		t.Fatalf("fired = %d", s.Stats().Fired)
 	}
 }
 
@@ -173,7 +182,7 @@ func resetWorkload(s *Simulator) []Time {
 	})
 	s.At(2, record) // FIFO tie with the cancelled twin below
 	s.At(2, record).Cancel()
-	s.RunAll()
+	s.Run(math.Inf(1))
 	return trace
 }
 
@@ -226,7 +235,7 @@ func TestResetInertsStaleHandles(t *testing.T) {
 	fired := false
 	s.At(1, func() { fired = true })
 	stale.Cancel()
-	s.RunAll()
+	s.Run(math.Inf(1))
 	if !fired {
 		t.Fatal("stale handle cancelled a post-Reset event")
 	}
@@ -265,6 +274,6 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for k := 0; k < 1000; k++ {
 			s.At(Time(k%17), func() {})
 		}
-		s.RunAll()
+		s.Run(math.Inf(1))
 	}
 }

@@ -1,6 +1,7 @@
 package desim_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/desim"
@@ -14,7 +15,7 @@ func TestStatsCountEngineActivity(t *testing.T) {
 		sim.After(float64(i)+1, func() {})
 	}
 	h.Cancel()
-	sim.RunAll()
+	sim.Run(math.Inf(1))
 	st := sim.Stats()
 	if st.Scheduled != 6 {
 		t.Fatalf("scheduled = %d, want 6", st.Scheduled)
@@ -38,7 +39,7 @@ func TestRegisterSimulatorSnapshot(t *testing.T) {
 	sim := desim.New()
 	obs.RegisterSimulator(reg, "desim", sim)
 	sim.After(1, func() {})
-	sim.RunAll()
+	sim.Run(math.Inf(1))
 	s := reg.Snapshot()
 	if s.Counters["desim/events_scheduled"] != 1 || s.Counters["desim/events_fired"] != 1 {
 		t.Fatalf("snapshot counters = %v", s.Counters)
@@ -63,7 +64,7 @@ func TestScheduleFireNoAllocsWithMetrics(t *testing.T) {
 	for k := 0; k < 64; k++ {
 		sim.After(desim.Time(k%7)+1, fn)
 	}
-	sim.RunAll()
+	sim.Run(math.Inf(1))
 
 	if n := testing.AllocsPerRun(200, func() {
 		for k := 0; k < 64; k++ {
@@ -76,7 +77,7 @@ func TestScheduleFireNoAllocsWithMetrics(t *testing.T) {
 		for k := 0; k < 16; k++ {
 			p = sim.Reschedule(p, sim.Now()+desim.Time(k%3)+1, fn)
 		}
-		sim.RunAll()
+		sim.Run(math.Inf(1))
 	}); n != 0 {
 		t.Fatalf("instrumented schedule/fire path allocates %v allocs/op, want 0", n)
 	}

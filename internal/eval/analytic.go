@@ -88,7 +88,7 @@ type Placement struct {
 // Placement with one Erlang B read per resource (per pool and resource
 // in dedicated mode) plus the Eq. (9)–(14) arithmetic, with no scenario
 // clone, no map and no allocation. A level — the same scenario at other
-// arrival rates (Scale, Levels) — is another λ vector over the same
+// arrival rates (Levels) — is another λ vector over the same
 // arrays. A Kernel is immutable and safe for concurrent use.
 type Kernel struct {
 	*compiled
@@ -226,26 +226,14 @@ func (k *Kernel) derive() {
 	}
 }
 
-// Scale returns the kernel of the same scenario with service i's arrival
-// rate multiplied by mults[i]: the stationary operating point
+// Levels returns the kernels at every arrival-rate level of mults, which
+// holds S multipliers per level for S services: level l is the kernel of
+// the same scenario with service i's arrival rate multiplied by
+// mults[l·S+i]. That is the stationary operating point
 // scenario.Stationary builds for a periods bin or segment peak, whose
 // Poisson rates are the same rate·mult products, so scoring a placement
-// on the scaled kernel matches compiling that stationary scenario bit for
-// bit. It is Levels of one level.
-func (k *Kernel) Scale(mults []float64) (*Kernel, error) {
-	if len(mults) != len(k.names) {
-		return nil, fmt.Errorf("%w: %d multipliers for %d services", scenario.ErrInvalid, len(mults), len(k.names))
-	}
-	levels, err := k.Levels(mults)
-	if err != nil {
-		return nil, err
-	}
-	return &levels[0], nil
-}
-
-// Levels returns the kernels at every arrival-rate level of mults, which
-// holds S multipliers per level for S services: level l is Scale of
-// mults[l·S:(l+1)·S]. The levels share k's compiled μᵢⱼ, aᵢⱼ and fleet,
+// on a level matches compiling that stationary scenario bit for bit.
+// The levels share k's compiled μᵢⱼ, aᵢⱼ and fleet,
 // and take their rates and traffic from one slab, so a whole day's levels
 // cost two allocations and read no model and no map. A rate·mult that is
 // not a positive finite Poisson rate (the product can overflow) is

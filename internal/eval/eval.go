@@ -151,12 +151,12 @@ type Evaluator interface {
 }
 
 // SelfBudgeted is implemented by evaluators that already draw their
-// simulation work from a shared pool budget (Sim, via the sweep engine).
-// A caller that fans evaluations out must not wrap such evaluators in
-// pool slots of the same pool: holding a slot while the engine waits for
-// one deadlocks at pool size 1. The planner fans nothing out and takes no
-// slot, so nothing under internal/ reads the interface any more; it stays
-// because perfbench's tracing decorator still asserts it.
+// simulation work from a shared pool budget. A caller that fans
+// evaluations out must not wrap such evaluators in pool slots of the same
+// pool: holding a slot while the engine waits for one deadlocks at pool
+// size 1. The planner fans nothing out and takes no slot, so nothing under
+// internal/ implements or reads the interface any more; it stays because
+// perfbench's tracing decorator still asserts it.
 type SelfBudgeted interface {
 	SelfBudgeted() bool
 }

@@ -257,10 +257,6 @@ func TestSimEvaluator(t *testing.T) {
 	if resultsDiffer(res, again) {
 		t.Fatalf("sim evaluation not deterministic: %+v vs %+v", res, again)
 	}
-	var asAny any = ev
-	if sb, ok := asAny.(eval.SelfBudgeted); !ok || !sb.SelfBudgeted() {
-		t.Fatal("sim evaluator must report itself pool-budgeted")
-	}
 }
 
 func resultsDiffer(a, b eval.Result) bool {

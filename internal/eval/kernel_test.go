@@ -45,10 +45,10 @@ func periodsDay(t testing.TB) scenario.Scenario {
 	return s
 }
 
-// Scaling the compiled base scenario to a bin's multipliers is the same
-// kernel as compiling that bin's stationary scenario: for every bin of
-// the diurnal day, in each fleet shape, every placement scores bit for
-// bit alike.
+// Scaling the compiled base scenario to a bin's multipliers (one level of
+// Levels) is the same kernel as compiling that bin's stationary scenario:
+// for every bin of the diurnal day, in each fleet shape, every placement
+// scores bit for bit alike.
 func TestKernelScaleMatchesStationary(t *testing.T) {
 	homogeneous := periodsDay(t)
 
@@ -107,10 +107,11 @@ func TestKernelScaleMatchesStationary(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bin := range bins {
-			scaled, err := base.Scale(bin.Multipliers)
+			levels, err := base.Levels(bin.Multipliers)
 			if err != nil {
 				t.Fatal(err)
 			}
+			scaled := &levels[0]
 			fresh, err := an.Compile(bin.Scenario)
 			if err != nil {
 				t.Fatal(err)
@@ -132,17 +133,17 @@ func TestKernelScaleMatchesStationary(t *testing.T) {
 	}
 }
 
-// Scale refuses what scenario.Stationary would: a multiplier vector of
-// the wrong length, and a multiplier whose scaled rate is not a positive
-// finite Poisson rate.
+// Levels refuses what scenario.Stationary would: a multiplier vector that
+// is not a whole number of levels, and a multiplier whose scaled rate is
+// not a positive finite Poisson rate.
 func TestKernelScaleRejects(t *testing.T) {
 	k, err := eval.NewAnalytic(nil).Compile(resolve(t, scenario.CaseStudy(4, 4, "consolidated", 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mults := range [][]float64{{1}, {1, 0}, {-1, 1}, {1, math.NaN()}, {1, math.Inf(1)}, {1, 1e308}} {
-		if _, err := k.Scale(mults); err == nil {
-			t.Errorf("Scale(%v) accepted", mults)
+		if _, err := k.Levels(mults); err == nil {
+			t.Errorf("Levels(%v) accepted", mults)
 		}
 	}
 }

@@ -32,11 +32,6 @@ func NewSim(engine *sweep.Engine) *Sim {
 	return &Sim{engine: engine}
 }
 
-// SelfBudgeted reports that the sweep engine already draws simulation
-// workers from the shared pool: callers must not wrap Evaluate in slots of
-// the same pool.
-func (e *Sim) SelfBudgeted() bool { return true }
-
 // Evaluate runs the candidate through the sweep engine and folds the
 // point summary into the shared Result shape.
 func (e *Sim) Evaluate(ctx context.Context, s scenario.Scenario) (Result, error) {

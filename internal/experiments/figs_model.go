@@ -518,12 +518,7 @@ func (c classMix) Sample(s *stats.Stream) float64 {
 	}
 	return s.ExpFloat64() * c.m2
 }
-func (c classMix) Mean() float64 { return c.p1*c.m1 + (1-c.p1)*c.m2 }
-func (c classMix) Var() float64 {
-	m2 := 2*c.p1*c.m1*c.m1 + 2*(1-c.p1)*c.m2*c.m2
-	m := c.Mean()
-	return m2 - m*m
-}
+func (c classMix) Mean() float64  { return c.p1*c.m1 + (1-c.p1)*c.m2 }
 func (c classMix) String() string { return fmt.Sprintf("mix(p=%.3f,%g,%g)", c.p1, c.m1, c.m2) }
 
 func abs(x float64) float64 {

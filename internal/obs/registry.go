@@ -98,9 +98,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // snapshot freezes the histogram.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{

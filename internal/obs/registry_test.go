@@ -170,7 +170,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if c.Load() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Load(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	if got := h.count.Load(); got != workers*per {
+		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestTraceWriterRecordsSchedulerOps(t *testing.T) {
 	h := sim.After(5, func() {})
 	sim.After(1, func() {})
 	h.Cancel()
-	sim.RunAll()
+	sim.Run(math.Inf(1))
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestTraceWriterSampling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sim.After(1, func() {})
 	}
-	sim.RunAll()
+	sim.Run(math.Inf(1))
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}

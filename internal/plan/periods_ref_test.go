@@ -153,9 +153,11 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 				return PeriodPlan{}, err
 			}
 			if binKernels[pk.bin] == nil {
-				if binKernels[pk.bin], err = base.Scale(bins[pk.bin].Multipliers); err != nil {
+				levels, err := base.Levels(bins[pk.bin].Multipliers)
+				if err != nil {
 					return PeriodPlan{}, err
 				}
+				binKernels[pk.bin] = &levels[0]
 			}
 			if results[t], err = binKernels[pk.bin].Score(peaks[pk.peak].place); err != nil {
 				return PeriodPlan{}, err
@@ -343,11 +345,11 @@ func refSearchPeriods(ctx context.Context, ev eval.Evaluator, p *pool.Pool, spec
 // analytic evaluator, else by Search over the peak's stationary scenario.
 func refSearchPeak(ctx context.Context, ev eval.Evaluator, spec Spec, flat scenario.Scenario, base *eval.Kernel, idx int, mults []float64) (Plan, error) {
 	if base != nil {
-		k, err := base.Scale(mults)
+		levels, err := base.Levels(mults)
 		if err != nil {
 			return Plan{}, err
 		}
-		return search(ctx, ev, &spec, &flat, k)
+		return search(ctx, ev, &spec, &flat, &levels[0])
 	}
 	stat, err := flat.Stationary(fmt.Sprintf("peak%02d", idx), mults)
 	if err != nil {

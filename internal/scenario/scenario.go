@@ -593,13 +593,19 @@ func (p Profile) validate() error {
 		if len(p.Demands) == 0 {
 			return fmt.Errorf("%w: profile needs a preset or inline demands", ErrInvalid)
 		}
+		// Name the least failing resource, the first in the sorted order,
+		// so the message does not depend on map order.
+		bad, found := "", false
 		for r, d := range p.Demands {
-			if r == "" {
-				return fmt.Errorf("%w: empty resource name in demands", ErrInvalid)
+			if (r == "" || d.Validate() != nil) && (!found || r < bad) {
+				bad, found = r, true
 			}
-			if err := d.Validate(); err != nil {
-				return fmt.Errorf("demand %q: %w", r, err)
-			}
+		}
+		switch {
+		case found && bad == "":
+			return fmt.Errorf("%w: empty resource name in demands", ErrInvalid)
+		case found:
+			return fmt.Errorf("demand %q: %w", bad, p.Demands[bad].Validate())
 		}
 		if p.OSCeiling < 0 || math.IsNaN(p.OSCeiling) || math.IsInf(p.OSCeiling, 0) {
 			return fmt.Errorf("%w: os_ceiling %g", ErrInvalid, p.OSCeiling)
@@ -622,13 +628,18 @@ func (o Overhead) validate() error {
 			return fmt.Errorf("%w: unknown overhead preset %q (web, db, none)", ErrInvalid, o.Preset)
 		}
 	default:
+		// Name the least failing resource, as Profile's check does.
+		bad, found := "", false
 		for r, c := range o.Curves {
-			if r == "" {
-				return fmt.Errorf("%w: empty resource name in curves", ErrInvalid)
+			if (r == "" || c.validate() != nil) && (!found || r < bad) {
+				bad, found = r, true
 			}
-			if err := c.validate(); err != nil {
-				return fmt.Errorf("curve %q: %w", r, err)
-			}
+		}
+		switch {
+		case found && bad == "":
+			return fmt.Errorf("%w: empty resource name in curves", ErrInvalid)
+		case found:
+			return fmt.Errorf("curve %q: %w", bad, o.Curves[bad].validate())
 		}
 	}
 	if o.Pinning != "" && o.Pinning != "pinned" && o.Pinning != "xen-scheduled" {
@@ -718,10 +729,15 @@ func (h HostClass) validate() error {
 	if h.Count <= 0 {
 		return fmt.Errorf("%w: host class count %d", ErrInvalid, h.Count)
 	}
+	// Name the least failing resource, as Profile's check does.
+	bad, found := "", false
 	for r, v := range h.Capability {
-		if r == "" || !(v > 0) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: host class capability[%q] = %g", ErrInvalid, r, v)
+		if (r == "" || !(v > 0) || math.IsInf(v, 0)) && (!found || r < bad) {
+			bad, found = r, true
 		}
+	}
+	if found {
+		return fmt.Errorf("%w: host class capability[%q] = %g", ErrInvalid, bad, h.Capability[bad])
 	}
 	if p := h.Power; p != nil {
 		if p.BaseW <= 0 || p.MaxW < p.BaseW || math.IsNaN(p.BaseW) || math.IsNaN(p.MaxW) ||

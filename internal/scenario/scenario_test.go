@@ -296,6 +296,47 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// An input with several bad resources in one map gets one message every
+// time: the one naming its least resource, whatever the map order.
+func TestValidateNamesLeastBadResource(t *testing.T) {
+	resources := []string{"network", "memory", "diskio", "cpu"}
+	demands := map[string]stats.DistSpec{}
+	curves := map[string]Curve{}
+	capability := map[string]float64{}
+	for _, r := range resources {
+		demands[r] = stats.ExpSpec(-1)
+		curves[r] = Curve{Kind: "cubic"}
+		capability[r] = -1
+	}
+	withService := func(mut func(*Service)) Scenario {
+		s := Scenario{Mode: "consolidated", Services: []Service{WebSpec(100, 2)}, Fleet: Fleet{Hosts: 2}}
+		mut(&s.Services[0])
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		s    Scenario
+		want string
+	}{
+		{"demands", withService(func(s *Service) { s.Profile = Profile{Name: "p", Demands: demands} }), `demand "cpu"`},
+		{"curves", withService(func(s *Service) { s.Overhead = &Overhead{Curves: curves} }), `curve "cpu"`},
+		{"capabilities", Scenario{Mode: "consolidated", Services: []Service{WebSpec(100, 2)},
+			Fleet: Fleet{Classes: []HostClass{{Name: "x", Count: 2, Capability: capability}}}}, `capability["cpu"]`},
+	} {
+		first := c.s.Validate()
+		if first == nil || !strings.Contains(first.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, first, c.want)
+			continue
+		}
+		for range 50 {
+			if err := c.s.Validate(); err == nil || err.Error() != first.Error() {
+				t.Errorf("%s: err = %v, then %v", c.name, first, err)
+				break
+			}
+		}
+	}
+}
+
 func TestParseRejects(t *testing.T) {
 	bad := []string{
 		``,

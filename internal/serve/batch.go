@@ -75,61 +75,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // sequential core the load harness exercises through /v1/batch.
 func (s *Server) answerQuery(q Query) QueryResult {
 	res := QueryResult{Query: q}
-	fail := func(code, msg string) QueryResult {
-		res.Error = &ErrorBody{Code: code, Message: msg}
-		return res
-	}
 	switch q.Kind {
 	case "servers":
-		if !(q.Target > 0 && q.Target < 1) {
-			return fail(CodeInvalidArgument,
-				"target: must lie in (0, 1), got "+strconv.FormatFloat(q.Target, 'g', -1, 64))
+		a, fail := s.servers(q.Rho, q.Target)
+		if res.Error = fail; fail == nil {
+			res.Servers, res.Loss, res.Utilization = &a.servers, &a.loss, &a.util
 		}
-		n, err := s.memo.Servers(q.Rho, q.Target)
-		if err != nil {
-			return fail(CodeInvalidArgument, err.Error())
-		}
-		loss, err := s.memo.B(n, q.Rho)
-		if err != nil {
-			return fail(CodeInternal, err.Error())
-		}
-		util := 0.0
-		if n > 0 {
-			util = q.Rho * (1 - loss) / float64(n)
-		}
-		res.Servers, res.Loss, res.Utilization = &n, &loss, &util
 	case "loss":
-		loss, err := s.memo.B(q.N, q.Rho)
-		if err != nil {
-			return fail(CodeInvalidArgument, err.Error())
+		a, fail := s.loss(q.N, q.Rho)
+		if res.Error = fail; fail == nil {
+			res.Loss, res.Carried, res.Utilization, res.Wait = &a.loss, &a.carried, &a.util, &a.wait
 		}
-		carried := q.Rho * (1 - loss)
-		util, wait := 0.0, 1.0
-		if q.N > 0 {
-			util = carried / float64(q.N)
-			if wait, err = s.memo.C(q.N, q.Rho); err != nil {
-				return fail(CodeInternal, err.Error())
-			}
-		}
-		res.Loss, res.Carried, res.Utilization, res.Wait = &loss, &carried, &util, &wait
 	case "traffic":
-		if !(q.Target > 0 && q.Target < 1) {
-			return fail(CodeInvalidArgument,
-				"target: must lie in (0, 1), got "+strconv.FormatFloat(q.Target, 'g', -1, 64))
+		if res.Error = badTarget(q.Target); res.Error != nil {
+			return res
 		}
 		rho, err := erlang.Traffic(q.N, q.Target)
 		if err != nil {
-			return fail(CodeInvalidArgument, err.Error())
+			res.Error = &ErrorBody{CodeInvalidArgument, err.Error()}
+			return res
 		}
 		res.Traffic = &rho
 	case "utilization":
 		util, err := s.memo.Utilization(q.N, q.Rho)
 		if err != nil {
-			return fail(CodeInvalidArgument, err.Error())
+			res.Error = &ErrorBody{CodeInvalidArgument, err.Error()}
+			return res
 		}
 		res.Utilization = &util
 	default:
-		return fail(CodeInvalidArgument, "unknown query kind "+strconv.Quote(q.Kind))
+		res.Error = &ErrorBody{CodeInvalidArgument, "unknown query kind " + strconv.Quote(q.Kind)}
 	}
 	return res
 }

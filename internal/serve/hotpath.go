@@ -87,20 +87,77 @@ func parseQuery(raw string, allowN, allowRho, allowTarget bool, p *qparams, buf 
 	return buf, true
 }
 
-// checkTarget enforces the API-level loss-target domain: the open interval
-// (0, 1). (The underlying math accepts 1, but a loss target of 1 or worse
-// is always a client mistake at this layer.)
-func checkTarget(target float64, buf []byte) ([]byte, bool) {
-	if !(target > 0 && target < 1) { // NaN fails too
-		return appendError(buf, CodeInvalidArgument,
-			"target: must lie in (0, 1), got "+strconv.FormatFloat(target, 'g', -1, 64)), false
-	}
-	return buf, true
+// answer holds the numbers of one question; each kind fills its own.
+type answer struct {
+	servers                   int
+	loss, carried, util, wait float64
 }
 
-// answerServers handles GET /v1/servers?rho=&target=: the paper's sizing
-// question — the smallest N with B(N, ρ) <= target — plus the achieved
-// loss and per-server utilization at that N.
+// badTarget refuses a loss target outside the API-level domain, the open
+// interval (0, 1). (The underlying math accepts 1, but a loss target of 1
+// or worse is always a client mistake at this layer.)
+func badTarget(target float64) *ErrorBody {
+	if target > 0 && target < 1 { // NaN fails
+		return nil
+	}
+	return &ErrorBody{CodeInvalidArgument, "target: must lie in (0, 1), got " + strconv.FormatFloat(target, 'g', -1, 64)}
+}
+
+// servers answers the paper's sizing question — the smallest N with
+// B(N, ρ) <= target — plus the achieved loss and per-server utilization
+// at that N. GET /v1/servers and /v1/batch both answer with it; a failure
+// is the error either one reports.
+func (s *Server) servers(rho, target float64) (answer, *ErrorBody) {
+	if fail := badTarget(target); fail != nil {
+		return answer{}, fail
+	}
+	n, err := s.memo.Servers(rho, target)
+	if err != nil {
+		return answer{}, &ErrorBody{CodeInvalidArgument, err.Error()}
+	}
+	a := answer{servers: n}
+	if a.loss, err = s.memo.B(n, rho); err != nil {
+		return answer{}, &ErrorBody{CodeInternal, err.Error()}
+	}
+	if n > 0 {
+		a.util = rho * (1 - a.loss) / float64(n)
+	}
+	return a, nil
+}
+
+// loss answers the allocator-bound reading of the model ("fix M = N") —
+// with the server count pinned, what loss does this traffic see — plus
+// carried traffic, utilization, and the Erlang C waiting probability as
+// the delay-system companion. GET /v1/loss and /v1/batch both answer with
+// it.
+func (s *Server) loss(n int, rho float64) (answer, *ErrorBody) {
+	var a answer
+	var err error
+	if a.loss, err = s.memo.B(n, rho); err != nil {
+		return answer{}, &ErrorBody{CodeInvalidArgument, err.Error()}
+	}
+	a.carried = rho * (1 - a.loss)
+	a.wait = 1
+	if n > 0 {
+		a.util = a.carried / float64(n)
+		if a.wait, err = s.memo.C(n, rho); err != nil {
+			return answer{}, &ErrorBody{CodeInternal, err.Error()}
+		}
+	}
+	return a, nil
+}
+
+// appendFailure appends a failed question's error body and returns its
+// status: 500 for an internal error, else 400.
+func appendFailure(buf []byte, fail *ErrorBody) ([]byte, int) {
+	status := 400
+	if fail.Code == CodeInternal {
+		status = 500
+	}
+	return appendError(buf, fail.Code, fail.Message), status
+}
+
+// answerServers handles GET /v1/servers?rho=&target=.
 func (s *Server) answerServers(raw string, buf []byte) ([]byte, int) {
 	var p qparams
 	buf, ok := parseQuery(raw, false, true, true, &p, buf)
@@ -110,39 +167,25 @@ func (s *Server) answerServers(raw string, buf []byte) ([]byte, int) {
 	if !p.hasRho || !p.hasTarget {
 		return appendError(buf, CodeInvalidArgument, "need rho and target parameters"), 400
 	}
-	if buf, ok = checkTarget(p.target, buf); !ok {
-		return buf, 400
-	}
-	n, err := s.memo.Servers(p.rho, p.target)
-	if err != nil {
-		return appendError(buf, CodeInvalidArgument, err.Error()), 400
-	}
-	loss, err := s.memo.B(n, p.rho)
-	if err != nil {
-		return appendError(buf, CodeInternal, err.Error()), 500
-	}
-	util := 0.0
-	if n > 0 {
-		util = p.rho * (1 - loss) / float64(n)
+	a, fail := s.servers(p.rho, p.target)
+	if fail != nil {
+		return appendFailure(buf, fail)
 	}
 	buf = append(buf, `{"rho":`...)
 	buf = appendFloat(buf, p.rho)
 	buf = append(buf, `,"target":`...)
 	buf = appendFloat(buf, p.target)
 	buf = append(buf, `,"servers":`...)
-	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = strconv.AppendInt(buf, int64(a.servers), 10)
 	buf = append(buf, `,"loss":`...)
-	buf = appendFloat(buf, loss)
+	buf = appendFloat(buf, a.loss)
 	buf = append(buf, `,"utilization":`...)
-	buf = appendFloat(buf, util)
+	buf = appendFloat(buf, a.util)
 	buf = append(buf, '}')
 	return buf, 200
 }
 
-// answerLoss handles GET /v1/loss?n=&rho=: the allocator-bound reading of
-// the model ("fix M = N") — with the server count pinned, what loss does
-// this traffic see — plus carried traffic, utilization, and the Erlang C
-// waiting probability as the delay-system companion.
+// answerLoss handles GET /v1/loss?n=&rho=.
 func (s *Server) answerLoss(raw string, buf []byte) ([]byte, int) {
 	var p qparams
 	buf, ok := parseQuery(raw, true, true, false, &p, buf)
@@ -152,32 +195,22 @@ func (s *Server) answerLoss(raw string, buf []byte) ([]byte, int) {
 	if !p.hasN || !p.hasRho {
 		return appendError(buf, CodeInvalidArgument, "need n and rho parameters"), 400
 	}
-	loss, err := s.memo.B(p.n, p.rho)
-	if err != nil {
-		return appendError(buf, CodeInvalidArgument, err.Error()), 400
-	}
-	carried := p.rho * (1 - loss)
-	util := 0.0
-	wait := 1.0
-	if p.n > 0 {
-		util = carried / float64(p.n)
-		wait, err = s.memo.C(p.n, p.rho)
-		if err != nil {
-			return appendError(buf, CodeInternal, err.Error()), 500
-		}
+	a, fail := s.loss(p.n, p.rho)
+	if fail != nil {
+		return appendFailure(buf, fail)
 	}
 	buf = append(buf, `{"n":`...)
 	buf = strconv.AppendInt(buf, int64(p.n), 10)
 	buf = append(buf, `,"rho":`...)
 	buf = appendFloat(buf, p.rho)
 	buf = append(buf, `,"loss":`...)
-	buf = appendFloat(buf, loss)
+	buf = appendFloat(buf, a.loss)
 	buf = append(buf, `,"carried":`...)
-	buf = appendFloat(buf, carried)
+	buf = appendFloat(buf, a.carried)
 	buf = append(buf, `,"utilization":`...)
-	buf = appendFloat(buf, util)
+	buf = appendFloat(buf, a.util)
 	buf = append(buf, `,"wait":`...)
-	buf = appendFloat(buf, wait)
+	buf = appendFloat(buf, a.wait)
 	buf = append(buf, '}')
 	return buf, 200
 }

@@ -96,9 +96,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N reports the number of observations.
-func (a *Accumulator) N() int64 { return a.n }
-
 // Mean reports the running mean (NaN when empty).
 func (a *Accumulator) Mean() float64 {
 	if a.n == 0 {
@@ -135,9 +132,6 @@ type CI struct {
 
 // HalfWidth reports the interval's half width.
 func (c CI) HalfWidth() float64 { return (c.Hi - c.Lo) / 2 }
-
-// Contains reports whether x lies inside the interval.
-func (c CI) Contains(x float64) bool { return x >= c.Lo && x <= c.Hi }
 
 // RelativeHalfWidth reports the half width divided by |Point| — the
 // relative-precision figure replication studies stop on. A degenerate

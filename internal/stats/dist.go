@@ -13,22 +13,8 @@ type Distribution interface {
 	Sample(s *Stream) float64
 	// Mean reports the distribution mean.
 	Mean() float64
-	// Var reports the distribution variance (may be +Inf).
-	Var() float64
 	// String describes the distribution for logs and reports.
 	String() string
-}
-
-// SCV reports the squared coefficient of variation Var/Mean² of d, the
-// standard queueing-theory measure of service-time variability (1 for
-// exponential, 0 for deterministic). It returns NaN for zero-mean
-// distributions.
-func SCV(d Distribution) float64 {
-	m := d.Mean()
-	if m == 0 {
-		return math.NaN()
-	}
-	return d.Var() / (m * m)
 }
 
 // Exponential is the exponential distribution with the given rate (so mean
@@ -50,7 +36,6 @@ func NewExponential(rate float64) Exponential {
 
 func (e Exponential) Sample(s *Stream) float64 { return s.ExpFloat64() / e.Rate }
 func (e Exponential) Mean() float64            { return 1 / e.Rate }
-func (e Exponential) Var() float64             { return 1 / (e.Rate * e.Rate) }
 func (e Exponential) String() string           { return fmt.Sprintf("Exp(rate=%g)", e.Rate) }
 
 // Deterministic always returns Value. It models constant per-request demand
@@ -62,7 +47,6 @@ type Deterministic struct {
 
 func (d Deterministic) Sample(*Stream) float64 { return d.Value }
 func (d Deterministic) Mean() float64          { return d.Value }
-func (d Deterministic) Var() float64           { return 0 }
 func (d Deterministic) String() string         { return fmt.Sprintf("Det(%g)", d.Value) }
 
 // Uniform is the continuous uniform distribution on [Lo, Hi].
@@ -72,7 +56,6 @@ type Uniform struct {
 
 func (u Uniform) Sample(s *Stream) float64 { return u.Lo + (u.Hi-u.Lo)*s.Float64() }
 func (u Uniform) Mean() float64            { return (u.Lo + u.Hi) / 2 }
-func (u Uniform) Var() float64             { d := u.Hi - u.Lo; return d * d / 12 }
 func (u Uniform) String() string           { return fmt.Sprintf("U[%g,%g]", u.Lo, u.Hi) }
 
 // Pareto is the Lomax (shifted Pareto) distribution with shape Alpha and
@@ -95,14 +78,6 @@ func (p Pareto) Mean() float64 {
 		return math.Inf(1)
 	}
 	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-func (p Pareto) Var() float64 {
-	if p.Alpha <= 2 {
-		return math.Inf(1)
-	}
-	a := p.Alpha
-	return p.Xm * p.Xm * a / ((a - 1) * (a - 1) * (a - 2))
 }
 
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g,alpha=%g)", p.Xm, p.Alpha) }
@@ -133,13 +108,6 @@ func (h HyperExp) Sample(s *Stream) float64 {
 
 func (h HyperExp) Mean() float64 {
 	return h.P1/h.Rate1 + (1-h.P1)/h.Rate2
-}
-
-func (h HyperExp) Var() float64 {
-	// E[X²] for a mixture of exponentials: Σ pᵢ·2/rateᵢ².
-	m2 := 2*h.P1/(h.Rate1*h.Rate1) + 2*(1-h.P1)/(h.Rate2*h.Rate2)
-	m := h.Mean()
-	return m2 - m*m
 }
 
 func (h HyperExp) String() string {
@@ -189,7 +157,6 @@ func (e ErlangK) Sample(s *Stream) float64 {
 }
 
 func (e ErlangK) Mean() float64  { return float64(e.K) / e.Rate }
-func (e ErlangK) Var() float64   { return float64(e.K) / (e.Rate * e.Rate) }
 func (e ErlangK) String() string { return fmt.Sprintf("Erlang(k=%d,rate=%g)", e.K, e.Rate) }
 
 // LogNormal is the log-normal distribution parameterized by the mean Mu and
@@ -206,11 +173,6 @@ func (l LogNormal) Mean() float64 {
 	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
 }
 
-func (l LogNormal) Var() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
 func (l LogNormal) String() string { return fmt.Sprintf("LogN(mu=%g,sigma=%g)", l.Mu, l.Sigma) }
 
 // Scaled wraps a distribution, multiplying every sample (and the mean and
@@ -224,7 +186,6 @@ type Scaled struct {
 
 func (s Scaled) Sample(st *Stream) float64 { return s.D.Sample(st) * s.Factor }
 func (s Scaled) Mean() float64             { return s.D.Mean() * s.Factor }
-func (s Scaled) Var() float64              { return s.D.Var() * s.Factor * s.Factor }
 func (s Scaled) String() string {
 	return fmt.Sprintf("%g*%s", s.Factor, s.D.String())
 }

@@ -119,9 +119,3 @@ func (e *P2Quantile) Value() float64 {
 	}
 	return e.heights[2]
 }
-
-// N reports the number of observations.
-func (e *P2Quantile) N() int { return e.n }
-
-// Quantile reports the tracked quantile level.
-func (e *P2Quantile) Quantile() float64 { return e.p }

@@ -16,7 +16,7 @@ func TestP2QuantileUniform(t *testing.T) {
 		if err := math.Abs(est.Value() - q); err > 0.01 {
 			t.Errorf("uniform q=%g: estimate %.4f (err %.4f)", q, est.Value(), err)
 		}
-		if est.Quantile() != q {
+		if est.p != q {
 			t.Fatal("quantile level lost")
 		}
 	}
@@ -48,8 +48,8 @@ func TestP2QuantileMatchesExactOnLargeSample(t *testing.T) {
 	if RelativeError(est.Value(), exact) > 0.05 {
 		t.Fatalf("p90 = %.4f vs exact %.4f", est.Value(), exact)
 	}
-	if est.N() != 50000 {
-		t.Fatalf("N = %d", est.N())
+	if est.n != 50000 {
+		t.Fatalf("n = %d", est.n)
 	}
 }
 

@@ -16,18 +16,6 @@ type LinearFit struct {
 	N         int
 }
 
-func (f LinearFit) String() string {
-	sign := "+"
-	b := f.Intercept
-	if b < 0 {
-		sign, b = "-", -b
-	}
-	return fmt.Sprintf("y = %.4g*x %s %.4g (R2=%.4f, n=%d)", f.Slope, sign, b, f.R2, f.N)
-}
-
-// At evaluates the fitted line at x.
-func (f LinearFit) At(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // ErrDegenerate reports a regression whose design matrix is singular
 // (e.g. all x equal, or too few points).
 var ErrDegenerate = errors.New("stats: degenerate regression input")
@@ -82,10 +70,6 @@ type RationalSaturatingFit struct {
 
 // At evaluates the fitted curve at v.
 func (r RationalSaturatingFit) At(v float64) float64 { return r.C * v * v / (1 + v*v) }
-
-func (r RationalSaturatingFit) String() string {
-	return fmt.Sprintf("a(v) = %.4g*v^2/(1+v^2) (R2=%.4f, n=%d)", r.C, r.R2, r.N)
-}
 
 // FitRationalSaturating performs the one-parameter fit described above.
 func FitRationalSaturating(vs, ys []float64) (RationalSaturatingFit, error) {

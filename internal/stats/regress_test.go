@@ -24,12 +24,6 @@ func TestLinearRegressionExact(t *testing.T) {
 	if fit.R2 < 1-1e-12 {
 		t.Fatalf("R2 = %g on exact data", fit.R2)
 	}
-	if fit.At(6) != 1.082-0.012*6 {
-		t.Fatal("At() wrong")
-	}
-	if fit.String() == "" {
-		t.Fatal("empty fit string")
-	}
 }
 
 func TestLinearRegressionNoisy(t *testing.T) {
@@ -187,9 +181,6 @@ func TestFitRationalSaturatingExact(t *testing.T) {
 	}
 	if fit.R2 < 1-1e-9 {
 		t.Fatalf("R2 = %g", fit.R2)
-	}
-	if fit.String() == "" {
-		t.Fatal("empty string")
 	}
 }
 

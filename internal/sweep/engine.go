@@ -59,9 +59,6 @@ func (e *Engine) Scoped(scope string) *Engine {
 // Pool exposes the shared concurrency budget (possibly nil).
 func (e *Engine) Pool() *pool.Pool { return e.pool }
 
-// Registry exposes the engine's metric registry (never nil).
-func (e *Engine) Registry() *obs.Registry { return e.reg }
-
 func (e *Engine) metric(name string) string {
 	if e.scope == "" {
 		return "sweep/" + name

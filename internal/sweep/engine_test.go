@@ -85,7 +85,7 @@ func TestCacheColdWarm(t *testing.T) {
 	}
 
 	cold, coldEng := run()
-	snap := coldEng.Registry().Snapshot()
+	snap := coldEng.reg.Snapshot()
 	if snap.Counters["sweep/cache_misses"] != uint64(len(points)) {
 		t.Fatalf("cold misses = %d, want %d", snap.Counters["sweep/cache_misses"], len(points))
 	}
@@ -94,7 +94,7 @@ func TestCacheColdWarm(t *testing.T) {
 	}
 
 	warm, warmEng := run()
-	snap = warmEng.Registry().Snapshot()
+	snap = warmEng.reg.Snapshot()
 	if snap.Counters["sweep/cache_hits"] != uint64(len(points)) {
 		t.Fatalf("warm hits = %d, want %d", snap.Counters["sweep/cache_hits"], len(points))
 	}

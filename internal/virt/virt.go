@@ -97,8 +97,6 @@ func (c Clamped) At(v int) float64 {
 	return a
 }
 
-func (c Clamped) String() string { return "clamp(" + c.Curve.String() + ")" }
-
 // The paper's fitted curves with the reconstructed coefficients of
 // DESIGN.md §2.
 var (
@@ -120,25 +118,15 @@ var (
 // ErrInvalidVMCount reports a non-positive VM count.
 var ErrInvalidVMCount = errors.New("virt: VM count must be >= 1")
 
-// PinningPolicy selects how vCPUs map to physical cores (Fig. 7).
+// PinningPolicy selects how vCPUs map to physical cores (Fig. 7). The zero
+// value pins each DB vCPU to its own physical core, the configuration the
+// paper adopts after Fig. 7.
 type PinningPolicy int
 
-const (
-	// PinnedVCPUs pins each DB vCPU to its own physical core, the
-	// configuration the paper adopts after Fig. 7.
-	PinnedVCPUs PinningPolicy = iota
-	// XenScheduledVCPUs leaves placement to the Xen credit scheduler,
-	// which Fig. 7 shows costs roughly a quarter of DB throughput —
-	// "reflecting the latent room for vCPU scheduling in Xen".
-	XenScheduledVCPUs
-)
-
-func (p PinningPolicy) String() string {
-	if p == PinnedVCPUs {
-		return "pinned"
-	}
-	return "xen-scheduled"
-}
+// XenScheduledVCPUs leaves placement to the Xen credit scheduler, which
+// Fig. 7 shows costs roughly a quarter of DB throughput — "reflecting the
+// latent room for vCPU scheduling in Xen".
+const XenScheduledVCPUs PinningPolicy = 1
 
 // UnpinnedPenalty is the multiplicative throughput factor Fig. 7 shows for
 // leaving vCPU scheduling to Xen instead of pinning (reconstructed: the

@@ -212,16 +212,3 @@ func (sp *Superpose) CloneProcess() ArrivalProcess {
 	}
 	return NewSuperpose(procs...)
 }
-
-// SourceOf reports which component produced the arrival that Next just
-// returned — the component whose pending time reached zero. If several hit
-// zero simultaneously the lowest index wins. It must be called immediately
-// after Next.
-func (sp *Superpose) SourceOf() int {
-	for i, p := range sp.pending {
-		if p <= 0 {
-			return i
-		}
-	}
-	return 0
-}

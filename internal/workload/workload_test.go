@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -170,7 +171,9 @@ func TestSuperposeRateAndSources(t *testing.T) {
 	now := 0.0
 	for now < 1000 {
 		now += sp.Next(s)
-		counts[sp.SourceOf()]++
+		// The component that produced the arrival is the one whose
+		// pending time reached zero.
+		counts[slices.IndexFunc(sp.pending, func(p float64) bool { return p <= 0 })]++
 	}
 	total := counts[0] + counts[1]
 	if stats.RelativeError(float64(total)/1000, 40) > 0.05 {
@@ -260,23 +263,22 @@ func TestWithDemandSCV(t *testing.T) {
 				t.Fatalf("scv=%g resource %s mean %g, want %g", scv, r, d.Mean(), want)
 			}
 		}
-		// SCV must be (approximately) honored.
-		d := p.Demands[CPU]
-		got := stats.SCV(d)
-		switch {
-		case scv == 0:
-			if got != 0 {
-				t.Fatalf("SCV = %g, want 0", got)
-			}
-		case scv >= 1:
-			if stats.RelativeError(got, scv) > 1e-9 {
-				t.Fatalf("SCV = %g, want %g", got, scv)
-			}
-		default:
-			// Erlang-k approximates: 1/k for k=round(1/scv).
-			if got <= 0 || got >= 1 {
-				t.Fatalf("SCV = %g, want in (0,1)", got)
-			}
+		// SCV must be (approximately) honored, by the shapes whose SCV
+		// stats' tests check: 0 deterministic, 1 exponential, above 1
+		// hyperexponential, and Erlang-k (SCV 1/k) in between.
+		var ok bool
+		switch d := p.Demands[CPU].(type) {
+		case stats.Deterministic:
+			ok = scv == 0
+		case stats.Exponential:
+			ok = scv == 1
+		case stats.HyperExp:
+			ok = scv > 1 && d == stats.HyperExpWithSCV(web.Demands[CPU].Mean(), scv)
+		case stats.ErlangK:
+			ok = scv > 0 && scv < 1 && d.K >= 2
+		}
+		if !ok {
+			t.Fatalf("scv=%g: demand %s", scv, p.Demands[CPU])
 		}
 	}
 }

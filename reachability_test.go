@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
@@ -16,26 +17,29 @@ import (
 	"testing"
 )
 
-// reachAllowlist names package-level declarations under internal/ that no
-// program reaches but that stay, each with its reason. Keys are
-// "<package directory>.<name>".
+// reachAllowlist names declarations under internal/ that no program reaches
+// but that stay, each with its reason. Keys are "<package directory>.<name>"
+// for package-level names and "<package directory>.<receiver>.<method>" for
+// methods, the receiver written "(*T)" or "T" as it is declared.
 var reachAllowlist = map[string]string{
-	"internal/stats.Autocorrelation": "used by workload's tests",
-	"internal/stats.ExpSpec":         "used by the tests of eval and scenario",
-	"internal/stats.ParetoWithMean":  "used by workload's tests",
-	"internal/stats.RelativeError":   "used by the tests of cluster, queueing and workload",
-	"internal/stats.SCV":             "used by workload's tests",
-	"internal/stats.Variance":        "used by workload's tests",
-	"internal/serve.ErrorResponse":   "the documented error envelope of the service",
+	"internal/stats.Autocorrelation":    "used by workload's tests",
+	"internal/stats.ExpSpec":            "used by the tests of eval and scenario",
+	"internal/stats.ParetoWithMean":     "used by workload's tests",
+	"internal/stats.RelativeError":      "used by the tests of cluster, queueing and workload",
+	"internal/stats.Variance":           "used by workload's tests",
+	"internal/stats.(*Accumulator).Max": "cluster's tests bound the simulated response times by it",
+	"internal/serve.ErrorResponse":      "the documented error envelope of the service",
 }
 
-// TestReachability fails on any package-level declaration under internal/
-// that no program reaches: code that only tests call, or nothing at all.
-// The walk starts at the main and init functions of every package in both
-// modules (the root one and perfbench), at blank declarations, at the root
-// package's exported names and at reachAllowlist.
+// TestReachability fails on any declaration under internal/ that no program
+// reaches: code that only tests call, or nothing at all. Package-level names
+// are judged by a syntax walk from the main and init functions of every
+// package in both modules (the root one and perfbench), from blank
+// declarations, from the root package's exported names and from
+// reachAllowlist. Methods are judged by the linker: every main of both
+// modules is built, and a method is reached if some program links it.
 func TestReachability(t *testing.T) {
-	dead, err := unreachable(".")
+	dead, err := unreachable(".", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +59,10 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestReachabilityFixture runs the walk on a small tree whose dead and live
-// declarations are known.
+// TestReachabilityFixture runs the check on a small module whose dead and
+// live declarations are known.
 func TestReachabilityFixture(t *testing.T) {
-	dead, err := unreachable(filepath.Join("testdata", "reach"))
+	dead, err := unreachable(filepath.Join("testdata", "reach"), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +71,9 @@ func TestReachabilityFixture(t *testing.T) {
 		got = append(got, d.key)
 	}
 	want := []string{
+		"internal/lib.(*Live).TestOnly",
 		"internal/lib.DeadExported",
+		"internal/lib.Live.Dead",
 		"internal/lib.TestOnly",
 		"internal/lib.deadUnexported",
 	}
@@ -76,9 +82,9 @@ func TestReachabilityFixture(t *testing.T) {
 	}
 }
 
-// deadDecl is a package-level name that no root reaches.
+// deadDecl is a declaration that no program reaches.
 type deadDecl struct {
-	key string // "<package directory>.<name>", the directory relative to the walk's root
+	key string // a reachAllowlist key, the directory relative to the walk's root
 	pos token.Position
 }
 
@@ -101,12 +107,14 @@ type reachDecl struct {
 
 // unreachable parses the non-test Go files under root, skipping testdata
 // and dot-directories, and returns the package-level names under internal/
-// that no root reaches, sorted. A directory holding a go.mod starts a
-// module. The walk reads syntax only, so it counts a mention of a name
-// even where a local variable shadows it.
-func unreachable(root string) ([]deadDecl, error) {
+// that no root reaches and the methods under internal/ that no program
+// links, sorted. A directory holding a go.mod starts a module; the programs
+// are built into tmp. The walk reads syntax only, so it counts a mention of
+// a name even where a local variable shadows it.
+func unreachable(root, tmp string) ([]deadDecl, error) {
 	fset := token.NewFileSet()
 	dirImport := map[string]string{} // directory -> import path
+	dirModule := map[string]string{} // directory -> directory of its module
 	pkgs := map[string]*reachPkg{}   // import path -> package
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -124,11 +132,12 @@ func unreachable(root string) ([]deadDecl, error) {
 			mod, err := readModulePath(filepath.Join(p, "go.mod"))
 			switch {
 			case err == nil:
-				dirImport[rel] = mod
+				dirImport[rel], dirModule[rel] = mod, rel
 			case !os.IsNotExist(err):
 				return err
 			case rel != ".":
 				dirImport[rel] = dirImport[path.Dir(rel)] + "/" + d.Name()
+				dirModule[rel] = dirModule[path.Dir(rel)]
 			}
 			return nil
 		}
@@ -266,8 +275,24 @@ func unreachable(root string) ([]deadDecl, error) {
 		ast.Inspect(w.rd.node, visit)
 	}
 
-	var dead []deadDecl
+	mains := map[string][]string{} // module directory -> its main packages
 	for _, pkg := range pkgs {
+		if pkg.name == "main" {
+			mod := dirModule[pkg.dir]
+			rel, err := filepath.Rel(mod, pkg.dir)
+			if err != nil {
+				return nil, err
+			}
+			mains[mod] = append(mains[mod], "./"+filepath.ToSlash(rel))
+		}
+	}
+	linked, err := linkedSymbols(root, tmp, dirImport["."], mains)
+	if err != nil {
+		return nil, err
+	}
+
+	var dead []deadDecl
+	for ip, pkg := range pkgs {
 		if !strings.HasPrefix(pkg.dir, "internal/") {
 			continue
 		}
@@ -276,9 +301,65 @@ func unreachable(root string) ([]deadDecl, error) {
 				dead = append(dead, deadDecl{pkg.dir + "." + name, fset.Position(rds[0].pos)})
 			}
 		}
+		for typ, rds := range pkg.methods {
+			for _, rd := range rds {
+				fd := rd.node.(*ast.FuncDecl)
+				recv := typ
+				if _, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+					recv = "(*" + typ + ")"
+				}
+				// A value method called through a pointer links as
+				// (*T).M, a wrapper that calls T.M; either name will do.
+				m := "." + fd.Name.Name
+				if !linked[ip+"."+typ+m] && !linked[ip+".(*"+typ+")"+m] {
+					dead = append(dead, deadDecl{pkg.dir + "." + recv + m, fset.Position(rd.pos)})
+				}
+			}
+		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
 	return dead, nil
+}
+
+// linkedSymbols builds the main packages of each module under root into
+// tmp with -ldflags=-dumpdep and returns the symbols of module's packages
+// that the linker keeps, type arguments dropped: "repro/x.(*T[int]).M" is
+// returned as "repro/x.(*T).M". Inlining is off for module's packages, so
+// a method inlined at every call site still shows as linked.
+func linkedSymbols(root, tmp, module string, mains map[string][]string) (map[string]bool, error) {
+	linked := map[string]bool{}
+	for mod, dirs := range mains {
+		args := []string{"build", "-o", tmp + string(filepath.Separator),
+			"-gcflags=" + module + "/...=-l", "-ldflags=-dumpdep"}
+		cmd := exec.Command("go", append(args, dirs...)...)
+		cmd.Dir = filepath.Join(root, mod)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			return nil, fmt.Errorf("go build in %s: %v\n%s", cmd.Dir, err, out)
+		}
+		// The dump prints one "from -> to" line per edge the linker
+		// follows, so every kept symbol is some line's "to".
+		for _, line := range strings.Split(string(out), "\n") {
+			_, sym, ok := strings.Cut(line, " -> ")
+			if !ok || !strings.HasPrefix(sym, module+"/") {
+				continue
+			}
+			var b strings.Builder
+			depth := 0
+			for _, r := range sym {
+				switch {
+				case r == '[':
+					depth++
+				case r == ']':
+					depth--
+				case depth == 0:
+					b.WriteRune(r)
+				}
+			}
+			linked[b.String()] = true
+		}
+	}
+	return linked, nil
 }
 
 // receiverType returns the type name of a method receiver, without the

@@ -1,5 +1,12 @@
 package main
 
-import "fixture/internal/lib"
+import (
+	"fmt"
 
-func main() { println(lib.Live{}.Run()) }
+	"fixture/internal/lib"
+)
+
+func main() {
+	println(lib.Live{}.Run())
+	fmt.Println(lib.Live{})
+}
